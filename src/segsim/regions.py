@@ -3,9 +3,16 @@
 Regions are axis-aligned square neighborhoods (never arbitrary clusters).
 For a cell c, r(c) is the largest radius rho <= floor((n-1)/2) whose
 (2 rho + 1)^2 window at c is single-type; the monochromatic region of an
-agent u has radius max{ r(c) : linf(u, c) <= r(c) }.  The almost
+agent u has radius M(u) = max{ r(c) : linf(u, c) <= r(c) }.  The almost
 monochromatic region relaxes single-type to a minority/majority ratio of at
 most exp(-N^eps), where N is the agent-neighborhood size of the state.
+
+Both per-agent maps come from one level sweep: going down from the top
+radius, the centers that qualify at rho (r(c) >= rho for M, the ratio bound
+on the radius-rho window for M') are dilated by rho with a wrap running-max
+filter, and each newly covered agent receives rho.  The per-agent functions
+mono_region_of and almost_mono_radius_of compute the same values for one
+agent by direct search.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
 cluster measure, not a square-region measure, and is labeled as such.
@@ -18,17 +25,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import ndimage
 
 from .grid import GridState, torus_window_ix
 from .rng import STREAM_MEASURE, generator
-from .unionfind import component_cells, label_grid_components
+from .unionfind import label_grid_components
 
 
 class _PaddedSAT:
     """Summed-area table over a wrap-padded +1 indicator grid.
 
-    Supports per-center window sums with *vectorized, per-center* radii, the
-    workhorse for the parallel binary search and the level sweeps.
+    Supports per-center window sums with *vectorized, per-center* radii (the
+    parallel binary search) and every center's sum at one radius (the M'
+    level sweep).
     """
 
     def __init__(self, plus: np.ndarray, pad: int):
@@ -46,6 +55,13 @@ class _PaddedSAT:
         side = 2 * np.asarray(rho) + 1
         s = self.sat
         return s[a + side, b + side] - s[a, b + side] - s[a + side, b] + s[a, b]
+
+    def sums(self, rho: int) -> np.ndarray:
+        """n x n sums over the (2*rho+1)^2 window at every center (rho <= pad)."""
+        n, s = self.n, self.sat
+        lo = slice(self.pad - rho, self.pad - rho + n)
+        hi = slice(lo.start + 2 * rho + 1, lo.stop + 2 * rho + 1)
+        return s[hi, hi] - s[lo, hi] - s[hi, lo] + s[lo, lo]
 
 
 def max_region_radius(n: int) -> int:
@@ -98,48 +114,36 @@ def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndar
     return radius, (2 * radius + 1) ** 2
 
 
-def mono_radius_all(state: GridState, r_map: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact monochromatic-region radius for every agent (optional exact mode).
+def _level_sweep(n: int, top: int, qualify) -> np.ndarray:
+    """For every cell, the largest rho in [0, top] at which it lies within
+    torus Chebyshev distance rho of a center in qualify(rho) (an n x n bool
+    array); -1 where no level covers it.
 
-    Threshold decomposition: process centers by descending r(c) and stamp
-    each cell at most once, using per-row next-unstamped pointers.
+    Radii descending; each qualifying set is dilated by a wrap running-max
+    of side 2 rho + 1, which never wraps onto itself for rho <= floor((n-1)/2).
     """
-    n = state.n
-    r = (center_radius_map(state) if r_map is None else r_map).astype(np.int64)
-    M = np.full((n, n), -1, dtype=np.int32)
-    nxt = np.tile(np.arange(n + 1, dtype=np.int64), (n, 1))
+    out = np.full((n, n), -1, dtype=np.int32)
+    left = n * n
+    for rho in range(top, -1, -1):
+        q = qualify(rho)
+        if not q.any():
+            continue
+        covered = ndimage.maximum_filter(q.view(np.uint8), size=2 * rho + 1, mode="wrap")
+        newly = (covered > 0) & (out < 0)
+        out[newly] = rho
+        left -= int(np.count_nonzero(newly))
+        if left == 0:
+            break
+    return out
 
-    def find(row_next, j):
-        while row_next[j] != j:
-            row_next[j] = row_next[row_next[j]]
-            j = row_next[j]
-        return j
 
-    order = np.argsort(-r, axis=None, kind="stable")
-    flat_r = r.ravel()
-    for cell in order:
-        rho = int(flat_r[cell])
-        cr, cc = divmod(int(cell), n)
-        if 2 * rho + 1 >= n:
-            segments = [(0, n - 1)]
-            rows = range(n)
-        else:
-            a0 = (cc - rho) % n
-            L = 2 * rho + 1
-            if a0 + L <= n:
-                segments = [(a0, a0 + L - 1)]
-            else:
-                segments = [(a0, n - 1), (0, a0 + L - 1 - n)]
-            rows = ((cr + d) % n for d in range(-rho, rho + 1))
-        for rr in rows:
-            row_next = nxt[rr]
-            for a, b in segments:
-                j = find(row_next, a)
-                while j <= b:
-                    M[rr, j] = rho
-                    row_next[j] = j + 1
-                    j = find(row_next, j + 1)
-    return M
+def mono_radius_all(state: GridState, r_map: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact monochromatic-region radius M(u) for every agent.
+
+    M(u) >= rho exactly when u lies within rho of a center with r(c) >= rho.
+    """
+    r = center_radius_map(state) if r_map is None else r_map
+    return _level_sweep(state.n, int(r.max()), lambda rho: r >= rho)
 
 
 def largest_mono_region(state: GridState, type_: int, r_map: Optional[np.ndarray] = None):
@@ -155,17 +159,6 @@ def largest_mono_region(state: GridState, type_: int, r_map: Optional[np.ndarray
     flat = int(np.argmax(masked))
     n = state.n
     return (flat // n, flat % n), int(masked.ravel()[flat])
-
-
-def _qualify_grid(sat: _PaddedSAT, n: int, rho: int, threshold: float) -> np.ndarray:
-    """Centers whose radius-rho window meets the minority/majority ratio bound."""
-    I = np.arange(n)[:, None]
-    J = np.arange(n)[None, :]
-    counts = sat.window(I, J, rho)
-    area = (2 * rho + 1) ** 2
-    minority = np.minimum(counts, area - counts)
-    majority = area - minority
-    return minority <= threshold * majority
 
 
 def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> tuple[int, int, float]:
@@ -199,42 +192,25 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
     raise AssertionError("radius 0 always qualifies")  # pragma: no cover
 
 
-def almost_mono_radius_map(
-    state: GridState,
-    eps: float,
-    agent_mask: Optional[np.ndarray] = None,
-    rho_max: Optional[int] = None,
-) -> np.ndarray:
-    """Almost-monochromatic radius for every agent (or the masked subset).
-
-    Level sweep, radii descending: at each rho, qualifying centers are box-
-    dilated by rho and unassigned covered agents receive rho.  O(n^2) per
-    level.  Entries outside agent_mask may be left as -1.
+def almost_mono_radius_map(state: GridState, eps: float) -> np.ndarray:
+    """Almost-monochromatic radius for every agent: the largest rho at which
+    the agent lies within rho of a center whose radius-rho window has
+    minority/majority <= exp(-N^eps).  Radius 0 always qualifies.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
     n = state.n
-    N = state.config.N
-    threshold = math.exp(-(N**eps))
-    R = max_region_radius(n) if rho_max is None else min(rho_max, max_region_radius(n))
+    threshold = math.exp(-(state.config.N**eps))
+    R = max_region_radius(n)
     sat = _PaddedSAT(state.types > 0, R)
-    out = np.full((n, n), -1, dtype=np.int32)
-    for rho in range(R, -1, -1):
-        qual = _qualify_grid(sat, n, rho, threshold)
-        if not qual.any():
-            continue
-        if rho == 0:
-            covered = qual
-        else:
-            qsat = _PaddedSAT(qual, rho)
-            I = np.arange(n)[:, None]
-            J = np.arange(n)[None, :]
-            covered = qsat.window(I, J, rho) > 0
-        newly = covered & (out < 0)
-        out[newly] = rho
-        if agent_mask is not None and bool((out[agent_mask] >= 0).all()):
-            break
-    return out
+
+    def qualify(rho):
+        counts = sat.sums(rho)
+        area = (2 * rho + 1) ** 2
+        minority = np.minimum(counts, area - counts)
+        return minority <= threshold * (area - minority)
+
+    return _level_sweep(n, R, qualify)
 
 
 @dataclass
@@ -256,7 +232,7 @@ class RegionSummary:
     mean_Mprime: Optional[float]
     stderr_Mprime: Optional[float]
     m_radius_histogram: dict
-    components: Optional[dict]
+    components: dict
 
     def to_dict(self) -> dict:
         return {
@@ -285,14 +261,13 @@ def compute_region_summary(
     sample_size: int = 1024,
     eps: float = 0.25,
     seed: Optional[int] = None,
-    exact: bool = False,
-    include_components: bool = True,
 ) -> RegionSummary:
     """Region statistics of a quiescent state.
 
-    Per-agent M and M' are evaluated on sample_size uniformly random agents
-    plus the global argmax center (all-agents exact M is available via
-    exact=True / mono_radius_all).  M values are region sizes (cell counts).
+    Per-agent M and M' are reported on sample_size uniformly random agents
+    plus the global argmax center; the sampled values are read from the
+    exact all-agent maps (mono_radius_all, almost_mono_radius_map).  M
+    values are region sizes (cell counts).
     """
     n = state.n
     r_map = center_radius_map(state)
@@ -310,41 +285,21 @@ def compute_region_summary(
         rng = generator(state.config.seed if seed is None else seed, STREAM_MEASURE)
         cells = rng.choice(n * n, size=k, replace=False)
         argmax_flat = int(np.argmax(r_map))
-        if argmax_flat not in set(int(c) for c in cells):
+        if argmax_flat not in cells:
             cells = np.concatenate([cells, [argmax_flat]])
-        cells = cells.astype(np.int64)
 
-        if exact:
-            m_all = mono_radius_all(state, r_map)
-            m_radii = m_all.ravel()[cells]
-        else:
-            m_radii = np.array(
-                [mono_region_of(state, divmod(int(c), n), r_map)[0] for c in cells],
-                dtype=np.int64,
-            )
-        agent_mask = np.zeros((n, n), dtype=bool)
-        agent_mask.ravel()[cells] = True
-        mp_map = almost_mono_radius_map(state, eps, agent_mask=agent_mask)
-        mp_radii = mp_map.ravel()[cells]
-
-        m_sizes = (2 * m_radii.astype(np.float64) + 1) ** 2
-        mp_sizes = (2 * mp_radii.astype(np.float64) + 1) ** 2
-        mean_M, stderr_M = _mean_stderr(m_sizes)
-        mean_Mp, stderr_Mp = _mean_stderr(mp_sizes)
+        m_radii = mono_radius_all(state, r_map).ravel()[cells]
+        mp_radii = almost_mono_radius_map(state, eps).ravel()[cells]
+        mean_M, stderr_M = _mean_stderr((2 * m_radii.astype(np.float64) + 1) ** 2)
+        mean_Mp, stderr_Mp = _mean_stderr((2 * mp_radii.astype(np.float64) + 1) ** 2)
         vals, counts = np.unique(m_radii, return_counts=True)
         hist = {int(v): int(c) for v, c in zip(vals, counts)}
 
-    components = None
-    if include_components:
-        components = {"note": "auxiliary cluster statistic (4-adjacent components), not a square-region measure"}
-        for tname, tval in (("plus", 1), ("minus", -1)):
-            mask = state.types == tval
-            if not mask.any():
-                components[f"largest_{tname}"] = 0
-                continue
-            labels = label_grid_components(mask, adjacency=4, torus=True)
-            comps = component_cells(labels)
-            components[f"largest_{tname}"] = max(len(v) for v in comps.values())
+    components = {"note": "auxiliary cluster statistic (4-adjacent components), not a square-region measure"}
+    for tname, tval in (("plus", 1), ("minus", -1)):
+        labels = label_grid_components(state.types == tval, adjacency=4, torus=True)
+        _, sizes = np.unique(labels[labels >= 0], return_counts=True)
+        components[f"largest_{tname}"] = int(sizes.max(initial=0))
 
     return RegionSummary(
         largest_plus=largest["plus"],

@@ -1,33 +1,11 @@
-"""Union-find and grid component labeling."""
+"""Grid component labelling, on a torus or a bounded grid."""
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import ndimage
-
-
-class UnionFind:
-    """Array-based union-find with path halving and union by size."""
-
-    def __init__(self, size: int):
-        self.parent = np.arange(size, dtype=np.int64)
-        self.size = np.ones(size, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 _STRUCT4 = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -53,23 +31,18 @@ def label_grid_components(mask: np.ndarray, adjacency: int, torus: bool) -> np.n
 
     root = np.arange(num + 1, dtype=np.int64)
     if torus:
-        uf = UnionFind(num + 1)
-
-        def seam(a_cells, b_cells):
-            for (ra, ca), (rb, cb) in zip(a_cells, b_cells):
-                if mask[ra, ca] and mask[rb, cb]:
-                    uf.union(int(lab[ra, ca]), int(lab[rb, cb]))
-
-        cols = range(w)
-        rows = range(h)
-        seam(((h - 1, c) for c in cols), ((0, c) for c in cols))
-        seam(((r, w - 1) for r in rows), ((r, 0) for r in rows))
+        # Seam label pairs: last row against first, last column against
+        # first, and for 8-adjacency the same rolled by one either way.
+        first_row, first_col = lab[0, :], lab[:, 0]
+        a, b = [lab[-1, :], lab[:, -1]], [first_row, first_col]
         if adjacency == 8:
-            seam(((h - 1, c) for c in cols), ((0, (c + 1) % w) for c in cols))
-            seam(((h - 1, c) for c in cols), ((0, (c - 1) % w) for c in cols))
-            seam(((r, w - 1) for r in rows), (((r + 1) % h, 0) for r in rows))
-            seam(((r, w - 1) for r in rows), (((r - 1) % h, 0) for r in rows))
-        root = np.array([uf.find(i) for i in range(num + 1)], dtype=np.int64)
+            for shift in (-1, 1):
+                a += [lab[-1, :], lab[:, -1]]
+                b += [np.roll(first_row, shift), np.roll(first_col, shift)]
+        a, b = np.concatenate(a), np.concatenate(b)
+        both = (a > 0) & (b > 0)
+        edges = coo_matrix((np.ones(int(both.sum())), (a[both], b[both])), shape=(num + 1, num + 1))
+        root = connected_components(edges, directed=False)[1]
 
     flat_mask = mask.ravel()
     idx = np.nonzero(flat_mask)[0]

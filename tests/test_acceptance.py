@@ -22,9 +22,11 @@ from segsim.percolation import (
     fpp_time_to_distance,
 )
 from segsim.regions import (
+    almost_mono_radius_map,
     almost_mono_radius_of,
     center_radius_map,
     largest_mono_region,
+    mono_radius_all,
     mono_region_of,
 )
 from segsim.rng import STREAM_DYNAMICS, derive_run_seed, generator
@@ -167,6 +169,9 @@ def test_criterion_03_region_oracle_equivalence():
             if not ok:
                 mismatches += 1
 
+        # The all-agent maps the region summary reads, agent by agent.
+        m_map = mono_radius_all(state)
+        a_map = almost_mono_radius_map(state, 0.25)
         for ur in range(n):
             for uc in range(n):
                 rows = (np.arange(ur - R, ur + R + 1)) % n
@@ -174,6 +179,8 @@ def test_criterion_03_region_oracle_equivalence():
                 sub = r_oracle[np.ix_(rows, cols)]
                 want_m = int(sub[sub >= dist].max())
                 if mono_region_of(state, (ur, uc))[0] != want_m:
+                    mismatches += 1
+                if m_map[ur, uc] != want_m:
                     mismatches += 1
                 want_a = 0
                 for rho in range(R, -1, -1):
@@ -183,6 +190,8 @@ def test_criterion_03_region_oracle_equivalence():
                         want_a = rho
                         break
                 if almost_mono_radius_of(state, (ur, uc), 0.25)[0] != want_a:
+                    mismatches += 1
+                if a_map[ur, uc] != want_a:
                     mismatches += 1
     elapsed = time.time() - t0
     ok = mismatches == 0 and elapsed < 60

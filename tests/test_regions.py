@@ -14,7 +14,7 @@ from segsim.regions import (
     mono_radius_all,
     mono_region_of,
 )
-from segsim.rng import generator
+from segsim.rng import STREAM_MEASURE, generator
 
 
 def checkerboard(n):
@@ -31,6 +31,22 @@ def make_state(types, w=1, tau=0.45):
 def random_types(n, seed):
     rng = generator(seed)
     return np.where(rng.random((n, n)) < 0.5, 1, -1).astype(np.int8)
+
+
+def edge_states(random_seed):
+    """Random, all-plus and single-speck states at an odd side (2R+1 = n: the
+    largest window spans the torus) and an even side (2R+1 = n - 1)."""
+    cases = []
+    for n in (9, 10):
+        plus = np.ones((n, n), np.int8)
+        speck = plus.copy()
+        speck[n // 2, n // 3] = -1
+        cases += [
+            pytest.param(random_types(n, random_seed + n), id=f"random-{n}"),
+            pytest.param(plus, id=f"plus-{n}"),
+            pytest.param(speck, id=f"speck-{n}"),
+        ]
+    return cases
 
 
 # -- exhaustive oracles --------------------------------------------------------
@@ -147,13 +163,17 @@ class TestMonoRegionOf:
         for u in [(0, 0), (5, 7), (11, 3), (6, 6)]:
             assert mono_region_of(state, u)[0] == oracle_mono_region(types, u, r_map)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_stamped_map_matches_per_agent(self, seed):
-        types = random_types(11, 200 + seed)
+    @pytest.mark.parametrize(
+        "types",
+        [pytest.param(random_types(11, 200 + seed), id=str(seed)) for seed in range(3)]
+        + edge_states(210),
+    )
+    def test_stamped_map_matches_per_agent(self, types):
+        n = types.shape[0]
         state = make_state(types)
         stamped = mono_radius_all(state)
-        for r in range(11):
-            for c in range(11):
+        for r in range(n):
+            for c in range(n):
                 assert stamped[r, c] == mono_region_of(state, (r, c))[0]
 
 
@@ -211,14 +231,18 @@ class TestAlmostMono:
             got = almost_mono_radius_of(state, u, 0.25)[0]
             assert got == oracle_almost_radius(types, u, threshold)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_map_matches_per_agent(self, seed):
-        types = random_types(10, 500 + seed)
-        cfg = GridConfig(n=10, w=1, tau_tilde=0.45, seed=0, allow_small=True)
+    @pytest.mark.parametrize(
+        "types",
+        [pytest.param(random_types(10, 500 + seed), id=str(seed)) for seed in range(3)]
+        + edge_states(510),
+    )
+    def test_map_matches_per_agent(self, types):
+        n = types.shape[0]
+        cfg = GridConfig(n=n, w=1, tau_tilde=0.45, seed=0, allow_small=True)
         state = state_from_types(cfg, types)
         amap = almost_mono_radius_map(state, 0.25)
-        for r in range(10):
-            for c in range(10):
+        for r in range(n):
+            for c in range(n):
                 assert amap[r, c] == almost_mono_radius_of(state, (r, c), 0.25)[0]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -263,13 +287,23 @@ class TestRegionSummary:
         assert sum(s1.m_radius_histogram.values()) >= 64
         assert s1.components["largest_plus"] > 0
 
-    def test_exact_mode_agrees(self):
+    def test_sampled_cells_match_oracles(self):
+        # The summary reads its sampled agents from the all-agent maps; redraw
+        # the same agents and measure each one with the per-agent functions.
         cfg = GridConfig(n=24, w=1, tau_tilde=0.45, seed=3, allow_small=True)
         state = new_random(cfg)
-        a = compute_region_summary(state, sample_size=32, eps=0.25, exact=False)
-        b = compute_region_summary(state, sample_size=32, eps=0.25, exact=True)
-        assert a.mean_M == b.mean_M
-        assert a.m_radius_histogram == b.m_radius_histogram
+        s = compute_region_summary(state, sample_size=32, eps=0.25)
+        cells = generator(cfg.seed, STREAM_MEASURE).choice(24 * 24, size=32, replace=False)
+        top = int(np.argmax(center_radius_map(state)))
+        if top not in cells:
+            cells = np.concatenate([cells, [top]])
+        agents = [divmod(int(c), 24) for c in cells]
+        m = np.array([mono_region_of(state, u)[0] for u in agents])
+        mp = np.array([almost_mono_radius_of(state, u, 0.25)[0] for u in agents])
+        values, counts = np.unique(m, return_counts=True)
+        assert s.m_radius_histogram == {int(v): int(c) for v, c in zip(values, counts)}
+        assert s.mean_M == float(((2 * m.astype(np.float64) + 1) ** 2).mean())
+        assert s.mean_Mprime == float(((2 * mp.astype(np.float64) + 1) ** 2).mean())
 
     def test_zero_sample_size(self):
         cfg = GridConfig(n=24, w=1, tau_tilde=0.45, seed=3, allow_small=True)
