@@ -1,4 +1,4 @@
-"""Optional numba fast path for the flip loop.
+"""Compiled C fast path for the flip loop, loaded with ctypes.
 
 The kernel consumes pre-drawn (uniform, exponential) batches and performs
 exactly the same sequence of array mutations as the pure-python chunk
@@ -7,27 +7,30 @@ row-major order, then eligibility removals in row-major order, then
 insertions in row-major order.  Bit-identical trajectories across the two
 paths are asserted by the test suite.
 
-Set SEGSIM_DISABLE_NUMBA=1 to force the python path.
+The C source below is compiled on first use with ``gcc -O2 -shared -fPIC``
+into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
+private ``segsim-<uid>`` directory under the system temp directory when
+that cannot be written.  The library's file name is a sha256 of the source,
+the flags and the machine type, and it is written through a temp file and
+``os.replace``, so concurrent processes never load a half-written file and
+later runs only hash, stat and load.  Without gcc, or when the build or
+load fails, ``run_chunk`` is None, ``load_error`` says why, and the python
+executor runs instead.
+
+Set SEGSIM_DISABLE_NUMBA=1 to make the default engine the python one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import platform
+import shutil
+import subprocess
+import tempfile
 
 import numpy as np
-
-try:  # pragma: no cover - import guard
-    import numba as _numba
-except ImportError:  # pragma: no cover
-    _numba = None
-
-
-def numba_available() -> bool:
-    if _numba is None:
-        return False
-    flag = os.environ.get("SEGSIM_DISABLE_NUMBA", "")
-    return flag.strip().lower() not in {"1", "true", "yes", "on"}
-
 
 # Chunk status codes shared with dynamics.py.
 STATUS_BATCH_DONE = 0
@@ -35,121 +38,257 @@ STATUS_NO_ELIGIBLE = 1
 STATUS_FLIP_LIMIT = 2
 STATUS_TIME_LIMIT = 3
 
+C_SOURCE = r"""
+#include <stdint.h>
 
-if _numba is not None:
+enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
 
-    @_numba.njit(cache=True, nogil=True)
-    def run_chunk(
-        types,  # int8[n*n]
-        sc,  # int32[n*n]
-        elig_pos,  # int32[n*n]
-        elig_cells,  # int64[n*n]
-        m,  # int64 eligible count
-        n,
-        w,
-        N,
-        K,
-        emax,  # eligibility upper bound on same_count
-        phi,  # int64 Lyapunov value
-        t,  # float64 continuous time
-        flips,  # int64 flips so far
-        max_flips,
-        has_time_limit,
-        max_time,
-        u_batch,  # float64[B]
-        e_batch,  # float64[B]
-        rec_every,  # 0 = no trace
-        rec_flip,
-        rec_time,
-        rec_phi,
-        rec_m,
-        audit_on,
-        audit_cells,
-        audit_pre,
-    ):  # pragma: no cover - exercised via equality tests against the python path
-        consumed = 0
-        rec_count = 0
-        audit_count = 0
-        status = STATUS_BATCH_DONE
+/* io[0..2] in: m, phi, flips.  io[0..5] out: m, phi, flips, consumed,
+   rec_count, audit_count.  *t is read and written.  Returns the status.
+   row_off[i] = (i % n) * n and col_ix[i] = i % n for 0 <= i < 3n. */
+int64_t segsim_run_chunk(
+    int8_t *types, int32_t *sc, int32_t *elig_pos, int64_t *elig_cells,
+    const int64_t *row_off, const int64_t *col_ix,
+    int64_t n, int64_t w, int64_t N, int64_t emax,
+    int64_t max_flips, int64_t has_time_limit, double max_time,
+    const double *u_batch, const double *e_batch, int64_t B,
+    int64_t rec_every, int64_t *rec_flip, double *rec_time,
+    int64_t *rec_phi, int64_t *rec_m,
+    int64_t audit_on, int64_t *audit_cells, int32_t *audit_pre,
+    int64_t *io, double *t_io)
+{
+    int64_t m = io[0], phi = io[1], flips = io[2];
+    int64_t consumed = 0, rec_count = 0, audit_count = 0;
+    int64_t status;
+    double t = *t_io;
+    const int64_t *rows = row_off + n, *cols = col_ix + n;
+
+    for (;;) {
+        if (m <= 0) { status = NO_ELIGIBLE; break; }
+        if (flips >= max_flips) { status = FLIP_LIMIT; break; }
+        if (consumed >= B) { status = BATCH_DONE; break; }
+        double u = u_batch[consumed];
+        double e = e_batch[consumed];
+        consumed++;
+        double dt = e / (double)m;
+        if (has_time_limit && t + dt > max_time) {
+            t = max_time;
+            status = TIME_LIMIT;
+            break;
+        }
+        t += dt;
+        int64_t cell = elig_cells[(int64_t)(u * (double)m)];
+        int64_t r0 = cell / n, c0 = cell % n;
+        int32_t k = sc[cell];
+        int8_t new_type = (int8_t)-types[cell];
+        types[cell] = new_type;
+        phi += 2 * (N - 2 * (int64_t)k + 1);
+
+        /* Pass 1: same_count updates, row-major over the window. */
+        for (int64_t dr = -w; dr <= w; dr++) {
+            int64_t base = rows[r0 + dr];
+            for (int64_t dc = -w; dc <= w; dc++) {
+                int64_t v = base + cols[c0 + dc];
+                if (v == cell)
+                    sc[v] = (int32_t)(N - k + 1);
+                else if (types[v] == new_type)
+                    sc[v] += 1;
+                else
+                    sc[v] -= 1;
+            }
+        }
+        /* Pass 2: eligibility removals, row-major. */
+        for (int64_t dr = -w; dr <= w; dr++) {
+            int64_t base = rows[r0 + dr];
+            for (int64_t dc = -w; dc <= w; dc++) {
+                int64_t v = base + cols[c0 + dc];
+                int32_t pos = elig_pos[v];
+                if (pos >= 0 && sc[v] > emax) {
+                    int64_t last = elig_cells[m - 1];
+                    elig_cells[pos] = last;
+                    elig_pos[last] = pos;
+                    elig_pos[v] = -1;
+                    m--;
+                }
+            }
+        }
+        /* Pass 3: eligibility insertions, row-major. */
+        for (int64_t dr = -w; dr <= w; dr++) {
+            int64_t base = rows[r0 + dr];
+            for (int64_t dc = -w; dc <= w; dc++) {
+                int64_t v = base + cols[c0 + dc];
+                if (elig_pos[v] < 0 && sc[v] <= emax) {
+                    elig_pos[v] = (int32_t)m;
+                    elig_cells[m] = v;
+                    m++;
+                }
+            }
+        }
+
+        if (audit_on) {
+            audit_cells[audit_count] = cell;
+            audit_pre[audit_count] = k;
+            audit_count++;
+        }
+        flips++;
+        if (rec_every > 0 && flips % rec_every == 0) {
+            rec_flip[rec_count] = flips;
+            rec_time[rec_count] = t;
+            rec_phi[rec_count] = phi;
+            rec_m[rec_count] = m;
+            rec_count++;
+        }
+    }
+    io[0] = m; io[1] = phi; io[2] = flips;
+    io[3] = consumed; io[4] = rec_count; io[5] = audit_count;
+    *t_io = t;
+    return status;
+}
+"""
+
+# The runtime build takes no warning flags, so a new compiler warning cannot
+# disable the engine; the test suite compiles the source with -Werror.
+CFLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def _arr(dtype):
+    return np.ctypeslib.ndpointer(dtype=dtype, flags=("C_CONTIGUOUS", "ALIGNED"))
+
+
+_I64 = ctypes.c_int64
+_ARGTYPES = [
+    _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
+    _arr(np.int64), _arr(np.int64),
+    _I64, _I64, _I64, _I64,
+    _I64, _I64, ctypes.c_double,
+    _arr(np.float64), _arr(np.float64), _I64,
+    _I64, _arr(np.int64), _arr(np.float64), _arr(np.int64), _arr(np.int64),
+    _I64, _arr(np.int64), _arr(np.int32),
+    _arr(np.int64), _arr(np.float64),
+]
+
+
+def _cache_dir() -> str:
+    """Per-user cache directory for the built library (created if needed)."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(base, "segsim")
+    try:
+        os.makedirs(path, exist_ok=True)
+        if os.access(path, os.W_OK | os.X_OK):
+            return path
+    except OSError:
+        pass
+    # Shared temp directory: only a directory this user owns and nobody
+    # else can write is trusted to hold a library that will be loaded.
+    path = os.path.join(tempfile.gettempdir(), f"segsim-{os.getuid()}")
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{path} is not a private directory of this user")
+    return path
+
+
+def _library_path() -> str:
+    key = "\0".join((C_SOURCE, " ".join(CFLAGS), platform.machine()))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
+    return os.path.join(_cache_dir(), f"run_chunk-{digest}.so")
+
+
+def _build(path: str) -> None:
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise OSError("gcc not found on PATH")
+    fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [gcc, *CFLAGS, "-x", "c", "-", "-o", tmp],
+            input=C_SOURCE, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            raise OSError(f"gcc exited with {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load():
+    """(kernel function, None) or (None, reason it could not be built or loaded)."""
+    try:
+        path = _library_path()
+        if not os.path.exists(path):
+            _build(path)
+        fn = ctypes.CDLL(path).segsim_run_chunk
+    except OSError as exc:
+        return None, f"compiled flip kernel unavailable: {exc}"
+    fn.argtypes = _ARGTYPES
+    fn.restype = ctypes.c_int64
+    return fn, None
+
+
+def _wrapped(fn):
+    def run_chunk(types, sc, elig_pos, elig_cells, m, n, w, N, emax, phi, t, flips,
+                  max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
+                  rec_phi, rec_m, audit_on, audit_cells, audit_pre):
+        """One batch of flips in C; same arguments and results as dynamics._run_chunk_py
+        apart from the explicit state arrays and preallocated trace/audit buffers.
+
+        Returns (m, phi, t, flips, consumed, rec_count, audit_count, status).
+        """
         B = u_batch.shape[0]
-        while True:
-            if m <= 0:
-                status = STATUS_NO_ELIGIBLE
-                break
-            if flips >= max_flips:
-                status = STATUS_FLIP_LIMIT
-                break
-            if consumed >= B:
-                status = STATUS_BATCH_DONE
-                break
-            u = u_batch[consumed]
-            e = e_batch[consumed]
-            consumed += 1
-            dt = e / m
-            if has_time_limit and t + dt > max_time:
-                t = max_time
-                status = STATUS_TIME_LIMIT
-                break
-            t += dt
-            j = int(u * m)
-            cell = elig_cells[j]
-            r0 = cell // n
-            c0 = cell % n
-            k = sc[cell]
-            new_type = -types[cell]
-            types[cell] = new_type
-            phi += 2 * (N - 2 * k + 1)
+        if not 1 <= 2 * w + 1 <= n:
+            raise ValueError("the window must fit the torus: 2w+1 <= n")
+        if not (types.size == sc.size == elig_pos.size == elig_cells.size == n * n):
+            raise ValueError("state arrays must all hold n*n cells")
+        if e_batch.shape[0] != B:
+            raise ValueError("uniform and exponential batches differ in length")
+        rec_size = min(a.size for a in (rec_flip, rec_time, rec_phi, rec_m))
+        if rec_every > 0 and rec_size < B // rec_every + 1:
+            raise ValueError("trace buffers are shorter than one batch needs")
+        if audit_on and min(audit_cells.size, audit_pre.size) < B:
+            raise ValueError("audit buffers are shorter than the batch")
+        idx = np.arange(3 * n, dtype=np.int64) % n
+        io = np.array([m, phi, flips, 0, 0, 0], dtype=np.int64)
+        t_io = np.array([t], dtype=np.float64)
+        status = fn(
+            types, sc, elig_pos, elig_cells, idx * n, idx,
+            n, w, N, emax,
+            max_flips, max_time is not None, 0.0 if max_time is None else max_time,
+            u_batch, e_batch, B,
+            rec_every, rec_flip, rec_time, rec_phi, rec_m,
+            bool(audit_on), audit_cells, audit_pre,
+            io, t_io,
+        )
+        m, phi, flips, consumed, rec_count, audit_count = (int(x) for x in io)
+        return m, phi, float(t_io[0]), flips, consumed, rec_count, audit_count, int(status)
 
-            # Pass 1: same_count updates, row-major over the window.
-            for dr in range(-w, w + 1):
-                rr = (r0 + dr) % n
-                base = rr * n
-                for dc in range(-w, w + 1):
-                    v = base + (c0 + dc) % n
-                    if v == cell:
-                        sc[v] = N - k + 1
-                    elif types[v] == new_type:
-                        sc[v] += 1
-                    else:
-                        sc[v] -= 1
+    return run_chunk
 
-            # Pass 2: eligibility removals, row-major.
-            for dr in range(-w, w + 1):
-                rr = (r0 + dr) % n
-                base = rr * n
-                for dc in range(-w, w + 1):
-                    v = base + (c0 + dc) % n
-                    pos = elig_pos[v]
-                    if pos >= 0 and sc[v] > emax:
-                        last = elig_cells[m - 1]
-                        elig_cells[pos] = last
-                        elig_pos[last] = pos
-                        elig_pos[v] = -1
-                        m -= 1
 
-            # Pass 3: eligibility insertions, row-major.
-            for dr in range(-w, w + 1):
-                rr = (r0 + dr) % n
-                base = rr * n
-                for dc in range(-w, w + 1):
-                    v = base + (c0 + dc) % n
-                    if elig_pos[v] < 0 and sc[v] <= emax:
-                        elig_pos[v] = np.int32(m)
-                        elig_cells[m] = v
-                        m += 1
+def _resolve() -> None:
+    fn, error = _load()
+    globals().update(run_chunk=None if fn is None else _wrapped(fn), load_error=error)
 
-            if audit_on:
-                audit_cells[audit_count] = cell
-                audit_pre[audit_count] = k
-                audit_count += 1
-            flips += 1
-            if rec_every > 0 and flips % rec_every == 0:
-                rec_flip[rec_count] = flips
-                rec_time[rec_count] = t
-                rec_phi[rec_count] = phi
-                rec_m[rec_count] = m
-                rec_count += 1
-        return m, phi, t, flips, consumed, rec_count, audit_count, status
 
-else:  # pragma: no cover
-    run_chunk = None
+def __getattr__(name):
+    # run_chunk and load_error are resolved on first use, so importing the
+    # package never starts a compiler.
+    if name in ("run_chunk", "load_error"):
+        _resolve()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def numba_available() -> bool:
+    """True when the compiled C kernel is loaded and SEGSIM_DISABLE_NUMBA is unset.
+
+    The name dates from an earlier numba kernel and is kept for callers
+    that read it, such as the benchmark's environment record.
+    """
+    flag = os.environ.get("SEGSIM_DISABLE_NUMBA", "")
+    if flag.strip().lower() in {"1", "true", "yes", "on"}:
+        return False
+    if "run_chunk" not in globals():
+        _resolve()
+    return globals()["run_chunk"] is not None

@@ -433,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace-out", default=None)
     p_run.add_argument("--allow-small", action="store_true")
     p_run.add_argument("--omit-timing", action="store_true",
-                       help="drop wall-clock from the report for byte-stable output")
+                       help="drop wall-clock, engine and timings from the report for byte-stable output")
     p_run.add_argument("--python-engine", action="store_true",
-                       help="force the pure-python flip loop")
+                       help="run the pure-python flip loop instead of the compiled C kernel")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a JSON spec")

@@ -6,9 +6,11 @@ variate with rate |eligible| at each step, which reproduces the law of the
 independent-Poisson-clocks model without simulating idle clocks.
 
 run_to_termination consumes randomness in fixed-size batches of
-(uniform, exponential) pairs (see rng.RUN_CHUNK); the compiled kernel and
-the pure-python executor consume the identical stream, so trajectories are
-bit-reproducible and independent of which path ran.
+(uniform, exponential) pairs (see rng.RUN_CHUNK) and hands each batch to
+one of two chunk executors: the compiled C kernel (_kernels.run_chunk) or
+the pure-python reference _run_chunk_py.  Both consume the identical stream
+and mutate the state in the same order, so trajectories are
+bit-reproducible and independent of which one ran.
 """
 
 from __future__ import annotations
@@ -61,7 +63,15 @@ class FlipAudit:
 
 @dataclass
 class RunReport:
-    """Full record of one simulation run."""
+    """Full record of one simulation run.
+
+    wall_clock_seconds spans the whole run_to_termination call, the region
+    summary included.  engine ("c" or "python") names the chunk executor
+    that ran; timings splits the wall clock into dynamics_s (from the call,
+    initial fill already done, to the end of the flip loop) and measure_s
+    (the region summary), plus flips_per_second over dynamics_s.  These
+    three fields are machine-dependent and left out of canonical_json().
+    """
 
     config: dict
     rng_id: str
@@ -73,6 +83,8 @@ class RunReport:
     termination_reason: str
     region_summary: Optional[dict]
     wall_clock_seconds: float
+    engine: str
+    timings: dict
     trace: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     audit: Optional[FlipAudit] = field(default=None, repr=False, compare=False)
 
@@ -90,6 +102,8 @@ class RunReport:
         }
         if include_wall_clock:
             d["wall_clock_seconds"] = self.wall_clock_seconds
+            d["engine"] = self.engine
+            d["timings"] = self.timings
         return d
 
     def to_json(self, include_wall_clock: bool = True) -> str:
@@ -98,7 +112,7 @@ class RunReport:
     def canonical_json(self) -> str:
         """Deterministic serialization: identical seeds give identical bytes.
 
-        Wall-clock time is the one machine-dependent field and is excluded.
+        The machine-dependent fields (wall clock, engine, timings) are excluded.
         """
         return self.to_json(include_wall_clock=False)
 
@@ -128,7 +142,11 @@ def step(state: GridState, rng: np.random.Generator) -> Optional[FlipEvent]:
 
 def _run_chunk_py(state, m, phi, t, flips, max_flips, max_time, u_batch, e_batch,
                   rec_every, audit_on):
-    """Pure-python chunk executor; mirrors _kernels.run_chunk mutation order."""
+    """Pure-python chunk executor, the reference for the compiled C kernel.
+
+    Flips through apply_flip, whose mutation order _kernels.run_chunk
+    repeats, so both executors produce the same trajectory from one batch.
+    """
     n = state.n
     rec_rows = []
     audit_cells = []
@@ -186,6 +204,12 @@ def run_to_termination(
     carries every flipped cell and its pre-flip count.  measure, when given,
     is a regions.RegionMeasure; the resulting summary is embedded in the
     report.
+
+    use_numba picks the chunk executor: None runs the compiled C kernel when
+    _kernels.numba_available() (loaded, SEGSIM_DISABLE_NUMBA unset) and the
+    python one otherwise; True requires the C kernel and raises RuntimeError
+    with the build or load reason when it is missing; False runs python.
+    The keyword keeps its name from an earlier numba kernel.
     """
     limits = limits or RunLimits()
     cfg = state.config
@@ -201,7 +225,7 @@ def run_to_termination(
     if use_numba is None:
         use_numba = _kernels.numba_available()
     if use_numba and _kernels.run_chunk is None:
-        use_numba = False
+        raise RuntimeError(_kernels.load_error)
 
     m = state.elig_count
     phi = phi0
@@ -214,49 +238,25 @@ def run_to_termination(
         trace_rows.append((0, t, phi, m))
 
     status = _kernels.STATUS_NO_ELIGIBLE if m == 0 else _kernels.STATUS_BATCH_DONE
+    if use_numba:
+        max_rec = RUN_CHUNK // rec_every + 2 if rec_every > 0 else 1
+        rec_flip = np.zeros(max_rec, dtype=np.int64)
+        rec_time = np.zeros(max_rec, dtype=np.float64)
+        rec_phi = np.zeros(max_rec, dtype=np.int64)
+        rec_m = np.zeros(max_rec, dtype=np.int64)
+        a_cells = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int64)
+        a_pre = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int32)
     while m > 0 and status == _kernels.STATUS_BATCH_DONE:
         u_batch = rng.random(RUN_CHUNK)
         e_batch = rng.standard_exponential(RUN_CHUNK)
         if use_numba:
-            max_rec = RUN_CHUNK // rec_every + 2 if rec_every > 0 else 1
-            rec_flip = np.zeros(max_rec, dtype=np.int64)
-            rec_time = np.zeros(max_rec, dtype=np.float64)
-            rec_phi = np.zeros(max_rec, dtype=np.int64)
-            rec_m = np.zeros(max_rec, dtype=np.int64)
-            a_cells = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int64)
-            a_pre = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int32)
             prev_flips = flips
             (m, phi, t, flips, consumed, rec_count, audit_count, status) = _kernels.run_chunk(
-                state.types.reshape(-1),
-                state.same_count.reshape(-1),
-                state.elig_pos,
-                state.elig_cells,
-                m,
-                n,
-                cfg.w,
-                N,
-                cfg.K,
-                cfg.eligible_max_count,
-                phi,
-                t,
-                flips,
-                cap,
-                max_time is not None,
-                max_time if max_time is not None else 0.0,
-                u_batch,
-                e_batch,
-                rec_every,
-                rec_flip,
-                rec_time,
-                rec_phi,
-                rec_m,
-                audit,
-                a_cells,
-                a_pre,
+                state.types, state.same_count, state.elig_pos, state.elig_cells,
+                m, n, cfg.w, N, cfg.eligible_max_count, phi, t, flips, cap, max_time,
+                u_batch, e_batch, rec_every, rec_flip, rec_time, rec_phi, rec_m,
+                audit, a_cells, a_pre,
             )
-            m = int(m)
-            phi = int(phi)
-            flips = int(flips)
             chunk_delta = flips - prev_flips
             state.elig_count = m
             state.time = t
@@ -285,6 +285,7 @@ def run_to_termination(
     else:
         reason = TerminationReason.TIME_LIMIT
     state.time = t
+    dynamics_s = _time.perf_counter() - wall_start
 
     region_summary = None
     if measure is not None:
@@ -296,6 +297,7 @@ def run_to_termination(
             eps=measure.eps,
             seed=cfg.seed,
         ).to_dict()
+    measure_s = _time.perf_counter() - wall_start - dynamics_s
 
     audit_obj = None
     if audit:
@@ -315,6 +317,12 @@ def run_to_termination(
         termination_reason=reason.value,
         region_summary=region_summary,
         wall_clock_seconds=_time.perf_counter() - wall_start,
+        engine="c" if use_numba else "python",
+        timings={
+            "dynamics_s": dynamics_s,
+            "measure_s": measure_s,
+            "flips_per_second": flips / dynamics_s if dynamics_s > 0 else 0.0,
+        },
         trace=np.asarray(trace_rows, dtype=np.float64) if rec_every > 0 else None,
         audit=audit_obj,
     )

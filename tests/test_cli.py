@@ -48,9 +48,22 @@ class TestRun:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_engines_agree_byte_for_byte(self, tmp_path):
+    def test_engines_agree_byte_for_byte(self, tmp_path, monkeypatch):
+        from segsim import _kernels, dynamics
+
+        if _kernels.run_chunk is None:
+            pytest.skip(_kernels.load_error)
+        engines = []
+        run = dynamics.run_to_termination
+
+        def recording(*args, **kwargs):
+            report = run(*args, **kwargs)
+            engines.append(report.engine)
+            return report
+
+        monkeypatch.setattr(dynamics, "run_to_termination", recording)
         outs = []
-        for name, extra in (("numba.json", []), ("python.json", ["--python-engine"])):
+        for name, extra in (("c.json", []), ("python.json", ["--python-engine"])):
             path = tmp_path / name
             code = run_cli(
                 "run", "--n", "32", "--w", "2", "--tau", "0.45", "--seed", "13",
@@ -59,6 +72,7 @@ class TestRun:
             )
             assert code == 0
             outs.append(path.read_bytes())
+        assert engines == ["c", "python"]
         assert outs[0] == outs[1]
 
     def test_config_error_exit_code(self):

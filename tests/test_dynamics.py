@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import segsim
-from segsim import GridConfig, cascade_closure, new_random, state_from_types, step
+from segsim import GridConfig, _kernels, cascade_closure, new_random, state_from_types, step
 from segsim.dynamics import RunLimits, lyapunov, run_to_termination
 from segsim.grid import same_counts_bruteforce
 from segsim.rng import STREAM_DYNAMICS, generator
@@ -11,6 +11,11 @@ from segsim.rng import STREAM_DYNAMICS, generator
 def checkerboard(n):
     idx = np.add.outer(np.arange(n), np.arange(n))
     return np.where(idx % 2 == 0, 1, -1).astype(np.int8)
+
+
+def require_c_kernel():
+    if _kernels.run_chunk is None:
+        pytest.skip(_kernels.load_error)
 
 
 def fresh(n, w, tau, seed, p=0.5):
@@ -74,8 +79,11 @@ class TestRunToTermination:
 
     @pytest.mark.parametrize("use_numba", [False, True])
     def test_terminates_with_no_eligible(self, use_numba):
+        if use_numba:
+            require_c_kernel()
         state = fresh(48, 2, 0.45, 5)
         report = run_to_termination(state, generator(5, STREAM_DYNAMICS), use_numba=use_numba)
+        assert report.engine == ("c" if use_numba else "python")
         assert report.termination_reason == "NoEligibleAgents"
         assert state.elig_count == 0
         assert state.unhappy_count() == 0  # tau < 1/2: unhappy == eligible
@@ -92,11 +100,13 @@ class TestRunToTermination:
         assert np.array_equal(a.types, b.types)
 
     def test_python_and_numba_paths_identical(self):
+        require_c_kernel()
         for seed, n, w, tau in ((3, 32, 1, 0.45), (4, 32, 2, 0.4), (5, 24, 3, 0.49)):
             a = fresh(n, w, tau, seed)
             b = a.copy()
             ra = run_to_termination(a, generator(seed, STREAM_DYNAMICS), use_numba=False, audit=True)
             rb = run_to_termination(b, generator(seed, STREAM_DYNAMICS), use_numba=True, audit=True)
+            assert (ra.engine, rb.engine) == ("python", "c")
             assert ra.flips_total == rb.flips_total
             assert ra.continuous_time_final == rb.continuous_time_final
             assert ra.lyapunov_final == rb.lyapunov_final
@@ -114,11 +124,13 @@ class TestRunToTermination:
         # so results differ from the default-size run by design).
         import segsim.dynamics as dyn
 
+        require_c_kernel()
         monkeypatch.setattr(dyn, "RUN_CHUNK", 64)
         a = fresh(32, 2, 0.45, 41)
         b = a.copy()
         ra = run_to_termination(a, generator(41, STREAM_DYNAMICS), use_numba=False, audit=True)
         rb = run_to_termination(b, generator(41, STREAM_DYNAMICS), use_numba=True, audit=True)
+        assert (ra.engine, rb.engine) == ("python", "c")
         assert ra.flips_total == rb.flips_total > 64  # crossed many chunks
         assert ra.continuous_time_final == rb.continuous_time_final
         assert np.array_equal(ra.audit.cells, rb.audit.cells)
@@ -222,8 +234,13 @@ class TestRunToTermination:
             "termination_reason",
             "region_summary",
             "wall_clock_seconds",
+            "engine",
+            "timings",
         }
-        assert "wall_clock_seconds" not in report.canonical_json()
+        assert set(doc["timings"]) == {"dynamics_s", "measure_s", "flips_per_second"}
+        canonical = report.canonical_json()
+        for key in ("wall_clock_seconds", "engine", "timings"):
+            assert key not in canonical
 
 
 class TestCascadeClosure:
