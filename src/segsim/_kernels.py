@@ -1,11 +1,17 @@
-"""Compiled C fast path for the flip loop, loaded with ctypes.
+"""Compiled C kernels for the flip loop and the region maps, loaded with ctypes.
 
-The kernel consumes pre-drawn (uniform, exponential) batches and performs
-exactly the same sequence of array mutations as the pure-python chunk
-executor in dynamics.py: per flip, same_count updates over the window in
-row-major order, then eligibility removals in row-major order, then
-insertions in row-major order.  Bit-identical trajectories across the two
-paths are asserted by the test suite.
+The flip kernel consumes pre-drawn (uniform, exponential) batches and
+performs exactly the same sequence of array mutations as the pure-python
+chunk executor in dynamics.py: per flip, same_count updates over the window
+in row-major order, then eligibility removals in row-major order, then
+insertions in row-major order.
+
+The region kernels are the two steps of regions.py: the radius pass gives
+every center its largest single-type radius r(c), or, given the integer
+table of the largest passing minority count per radius, its largest
+almost-monochromatic radius q(c); the own-radius dilation turns r into M and
+q into M'.  They do integer arithmetic only.  Every kernel's results are
+asserted equal to the numpy/python reference by the test suite.
 
 The C source below is compiled on first use with ``gcc -O2 -shared -fPIC``
 into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
@@ -14,10 +20,11 @@ that cannot be written.  The library's file name is a sha256 of the source,
 the flags and the machine type, and it is written through a temp file and
 ``os.replace``, so concurrent processes never load a half-written file and
 later runs only hash, stat and load.  Without gcc, or when the build or
-load fails, ``run_chunk`` is None, ``load_error`` says why, and the python
-executor runs instead.
+load fails, ``run_chunk``, ``radius_pass`` and ``dilate`` are None,
+``load_error`` says why, and the python/numpy reference code runs instead.
 
-Set SEGSIM_DISABLE_NUMBA=1 to make the default engine the python one.
+Set SEGSIM_DISABLE_NUMBA=1 to make the default flip engine the python one;
+the region maps use the library whenever it loads.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ STATUS_TIME_LIMIT = 3
 
 C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
 
@@ -144,6 +152,128 @@ int64_t segsim_run_chunk(
     *t_io = t;
     return status;
 }
+
+/* Sum of the (2k+1)^2 window whose top-left corner is (a, b) in padded
+   coordinates; t is the summed-area table of row stride s. */
+static inline int64_t window_sum(const int64_t *t, int64_t s, int64_t a, int64_t b, int64_t side)
+{
+    const int64_t *top = t + a * s + b, *bot = t + (a + side) * s + b;
+    return bot[side] - top[side] - bot[0] + top[0];
+}
+
+/* For every center c of the n x n torus, the largest rho <= R = (n-1)/2
+   whose window's minority count is at most bound[rho] (bound >= 0), or,
+   without a bound table, the largest single-type radius r(c).  sat is the
+   summed-area table of the +1 indicator, wrap-padded by pad >= R.
+   Windows at one center are nested, so their minority count never falls
+   as rho grows.  Hence r(c) comes from an upward scan, started at the left
+   neighbor's radius minus one (the radius-(rho-1) window at (i, j) lies
+   inside the radius-rho window at (i, j-1)); every level up to r(c) has
+   minority 0 and passes; and above it, a level whose bound is below the
+   minority count just read cannot pass and is skipped unread. */
+void segsim_radius_pass(const int64_t *sat, int64_t n, int64_t pad,
+                        const int64_t *bound, int32_t *out)
+{
+    const int64_t R = (n - 1) / 2, s = n + 2 * pad + 1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = 0;
+        for (int64_t j = 0; j < n; j++) {
+            if (r > 0)
+                r--;
+            while (r < R) {
+                int64_t k = r + 1, side = 2 * k + 1;
+                int64_t c = window_sum(sat, s, i + pad - k, j + pad - k, side);
+                if (c != 0 && c != side * side)
+                    break;
+                r = k;
+            }
+            int64_t best = r;
+            if (bound != NULL) {
+                for (int64_t rho = r + 1; rho <= R;) {
+                    int64_t side = 2 * rho + 1, area = side * side;
+                    int64_t c = window_sum(sat, s, i + pad - rho, j + pad - rho, side);
+                    int64_t minority = c < area - c ? c : area - c;
+                    if (minority <= bound[rho])
+                        best = rho;
+                    for (rho++; rho <= R && bound[rho] < minority; rho++)
+                        ;
+                }
+            }
+            out[i * n + j] = (int32_t)best;
+        }
+    }
+}
+
+/* One cyclic line: out[j] = max{ x[b] : cyclic |j - b| <= x[b] } for
+   0 <= x <= R = (n-1)/2.  Two monotone-deque passes over the line unrolled
+   by R on each side, one for centers at or left of j and one for centers at
+   or right of j.  A center makes every earlier one of no larger value
+   redundant, so the deque holds decreasing values and its head is the
+   largest value still reaching j.  reach and val hold n + R entries. */
+static void dilate_line(const int32_t *x, int32_t *out, int64_t n, int64_t *reach, int32_t *val)
+{
+    const int64_t R = (n - 1) / 2;
+    int64_t head = 0, tail = 0;
+    for (int64_t p = -R; p < n; p++) {
+        int32_t v = x[p < 0 ? p + n : p];
+        while (tail > head && val[tail - 1] <= v)
+            tail--;
+        reach[tail] = p + v;
+        val[tail++] = v;
+        if (p < 0)
+            continue;
+        while (reach[head] < p)
+            head++;
+        out[p] = val[head];
+    }
+    head = tail = 0;
+    for (int64_t p = n - 1 + R; p >= 0; p--) {
+        int32_t v = x[p >= n ? p - n : p];
+        while (tail > head && val[tail - 1] <= v)
+            tail--;
+        reach[tail] = p - v;
+        val[tail++] = v;
+        if (p >= n)
+            continue;
+        while (reach[head] > p)
+            head++;
+        if (val[head] > out[p])
+            out[p] = val[head];
+    }
+}
+
+/* out(u) = max{ v(c) : torus Chebyshev distance(u, c) <= v(c) } on the
+   n x n torus, 0 <= v <= (n-1)/2.  The distance bound splits into a row
+   bound and a column bound, and the largest value reaching (a, j) along row
+   a is itself a value whose own radius reaches (a, j), so one line pass over
+   the rows and one over the columns give the map.  Returns -1 when the
+   line buffers cannot be allocated. */
+int64_t segsim_dilate(const int32_t *v, int64_t n, int32_t *out)
+{
+    const int64_t R = (n - 1) / 2;
+    int64_t *reach = malloc((size_t)(n + R) * sizeof *reach);
+    int32_t *val = malloc((size_t)(n + R) * sizeof *val);
+    int32_t *line = malloc((size_t)(2 * n) * sizeof *line);
+    if (reach == NULL || val == NULL || line == NULL) {
+        free(reach);
+        free(val);
+        free(line);
+        return -1;
+    }
+    for (int64_t i = 0; i < n; i++)
+        dilate_line(v + i * n, out + i * n, n, reach, val);
+    for (int64_t j = 0; j < n; j++) {
+        for (int64_t i = 0; i < n; i++)
+            line[i] = out[i * n + j];
+        dilate_line(line, line + n, n, reach, val);
+        for (int64_t i = 0; i < n; i++)
+            out[i * n + j] = line[n + i];
+    }
+    free(reach);
+    free(val);
+    free(line);
+    return 0;
+}
 """
 
 # The runtime build takes no warning flags, so a new compiler warning cannot
@@ -156,16 +286,22 @@ def _arr(dtype):
 
 
 _I64 = ctypes.c_int64
-_ARGTYPES = [
-    _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
-    _arr(np.int64), _arr(np.int64),
-    _I64, _I64, _I64, _I64,
-    _I64, _I64, ctypes.c_double,
-    _arr(np.float64), _arr(np.float64), _I64,
-    _I64, _arr(np.int64), _arr(np.float64), _arr(np.int64), _arr(np.int64),
-    _I64, _arr(np.int64), _arr(np.int32),
-    _arr(np.int64), _arr(np.float64),
-]
+# (argtypes, restype) of each exported C function.
+_SIGNATURES = {
+    "segsim_run_chunk": ([
+        _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
+        _arr(np.int64), _arr(np.int64),
+        _I64, _I64, _I64, _I64,
+        _I64, _I64, ctypes.c_double,
+        _arr(np.float64), _arr(np.float64), _I64,
+        _I64, _arr(np.int64), _arr(np.float64), _arr(np.int64), _arr(np.int64),
+        _I64, _arr(np.int64), _arr(np.int32),
+        _arr(np.int64), _arr(np.float64),
+    ], _I64),
+    # The bound table is optional, so it goes in as a plain (nullable) pointer.
+    "segsim_radius_pass": ([_arr(np.int64), _I64, _I64, ctypes.c_void_p, _arr(np.int32)], None),
+    "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
+}
 
 
 def _cache_dir() -> str:
@@ -191,7 +327,7 @@ def _cache_dir() -> str:
 def _library_path() -> str:
     key = "\0".join((C_SOURCE, " ".join(CFLAGS), platform.machine()))
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-    return os.path.join(_cache_dir(), f"run_chunk-{digest}.so")
+    return os.path.join(_cache_dir(), f"kernels-{digest}.so")
 
 
 def _build(path: str) -> None:
@@ -214,20 +350,21 @@ def _build(path: str) -> None:
 
 
 def _load():
-    """(kernel function, None) or (None, reason it could not be built or loaded)."""
+    """(loaded library, None) or (None, reason it could not be built or loaded)."""
     try:
         path = _library_path()
         if not os.path.exists(path):
             _build(path)
-        fn = ctypes.CDLL(path).segsim_run_chunk
-    except OSError as exc:
-        return None, f"compiled flip kernel unavailable: {exc}"
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int64
-    return fn, None
+        lib = ctypes.CDLL(path)
+        for name, (argtypes, restype) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
+    except (OSError, AttributeError) as exc:
+        return None, f"compiled kernels unavailable: {exc}"
+    return lib, None
 
 
-def _wrapped(fn):
+def _wrap_run_chunk(fn):
     def run_chunk(types, sc, elig_pos, elig_cells, m, n, w, N, emax, phi, t, flips,
                   max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
                   rec_phi, rec_m, audit_on, audit_cells, audit_pre):
@@ -266,15 +403,68 @@ def _wrapped(fn):
     return run_chunk
 
 
+def _wrap_radius_pass(fn):
+    def radius_pass(sat, n, pad, bound=None):
+        """Per-center radius map (n x n int32) of the largest rho <= (n-1)/2
+        whose window's minority count is at most bound[rho]; with no bound,
+        the largest single-type radius r(c).  sat is the int64 summed-area
+        table of the +1 grid wrap-padded by pad >= (n-1)/2."""
+        R = (n - 1) // 2
+        if n < 1 or pad < R:
+            raise ValueError("the padding must cover the largest radius: pad >= (n-1)/2")
+        side = n + 2 * pad + 1
+        if sat.dtype != np.int64 or sat.shape != (side, side):
+            raise ValueError(f"the table must be int64 of shape ({side}, {side})")
+        if bound is not None:
+            if bound.dtype != np.int64 or bound.shape != (R + 1,):
+                raise ValueError(f"the bound table must be int64 of length {R + 1}")
+            if bound.min() < 0:
+                raise ValueError("the bound table must be non-negative")
+            bound = np.ascontiguousarray(bound)  # kept referenced through the call
+        out = np.zeros((n, n), dtype=np.int32)
+        fn(np.ascontiguousarray(sat), n, pad, None if bound is None else bound.ctypes.data, out)
+        return out
+
+    return radius_pass
+
+
+def _wrap_dilate(fn):
+    def dilate(v):
+        """out(u) = max{ v(c) : torus Chebyshev distance(u, c) <= v(c) } for an
+        n x n int32 map with values in [0, (n-1)/2]."""
+        n = v.shape[0]
+        if v.dtype != np.int32 or v.shape != (n, n):
+            raise ValueError("the radius map must be a square int32 array")
+        if v.size and not 0 <= v.min() <= v.max() <= (n - 1) // 2:
+            raise ValueError("radii must lie in [0, (n-1)/2]")
+        out = np.empty((n, n), dtype=np.int32)
+        if fn(np.ascontiguousarray(v), n, out) != 0:
+            raise MemoryError("line buffers for the dilation")
+        return out
+
+    return dilate
+
+
+_WRAPPERS = {
+    "run_chunk": ("segsim_run_chunk", _wrap_run_chunk),
+    "radius_pass": ("segsim_radius_pass", _wrap_radius_pass),
+    "dilate": ("segsim_dilate", _wrap_dilate),
+}
+
+
 def _resolve() -> None:
-    fn, error = _load()
-    globals().update(run_chunk=None if fn is None else _wrapped(fn), load_error=error)
+    lib, error = _load()
+    globals().update(
+        {name: None if lib is None else wrap(getattr(lib, cname))
+         for name, (cname, wrap) in _WRAPPERS.items()},
+        load_error=error,
+    )
 
 
 def __getattr__(name):
-    # run_chunk and load_error are resolved on first use, so importing the
+    # The kernels and load_error are resolved on first use, so importing the
     # package never starts a compiler.
-    if name in ("run_chunk", "load_error"):
+    if name in _WRAPPERS or name == "load_error":
         _resolve()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

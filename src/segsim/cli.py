@@ -126,7 +126,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec_data = json.loads(Path(args.config).read_text())
     overrides = {
         k: v
         for k, v in (
@@ -136,7 +135,7 @@ def _cmd_sweep(args) -> int:
         )
         if v is not None
     }
-    spec = SweepSpec(**{**spec_data, **overrides})
+    spec = SweepSpec.from_json(args.config, **overrides)
     csv_path = run_sweep(spec)
     print(f"sweep complete: {csv_path}")
     return 0

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import Optional
@@ -45,6 +45,10 @@ SWEEP_CSV_COLUMNS = [
     "stderr_Mprime",
 ]
 
+SWEEP_TIMING_COLUMNS = [
+    "cell", "replicate", "seed", "engine", "dynamics_s", "measure_s", "flips_per_second",
+]
+
 
 class ConditioningTooRareError(RuntimeError):
     """The conditional sampler cannot reach the requested sample count."""
@@ -68,9 +72,21 @@ def run_single(
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass
 class SweepSpec:
-    """Grid of simulation cells; every (cell, replicate) gets a derived seed."""
+    """Grid of simulation cells; every (cell, replicate) gets a derived seed.
+
+    Construction checks every field's type and range and every cell's grid
+    configuration, so a bad spec raises ConfigError before anything runs.
+    """
 
     tau_grid: list
     w_grid: list
@@ -84,13 +100,24 @@ class SweepSpec:
     out_dir: str = "sweep_out"
 
     def __post_init__(self) -> None:
-        for name in ("tau_grid", "w_grid", "n_grid", "p_grid"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be nonempty")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        for name, is_kind, kind in (("tau_grid", _is_number, "numbers"), ("w_grid", _is_int, "integers"),
+                                    ("n_grid", _is_int, "integers"), ("p_grid", _is_number, "numbers")):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise ConfigError(f"{name} must be a nonempty list")
+            if not all(is_kind(x) for x in grid):
+                raise ConfigError(f"{name} must hold {kind}, got {grid!r}")
+        for name, low in (("replicates", 1), ("jobs", 1), ("sample_size", 0), ("base_seed", None)):
+            value = getattr(self, name)
+            if not _is_int(value) or (low is not None and value < low):
+                bound = "an integer" if low is None else f"an integer >= {low}"
+                raise ConfigError(f"{name} must be {bound}, got {value!r}")
+        if not _is_number(self.eps) or not 0.0 < self.eps < 0.5:
+            raise ConfigError(f"eps must be a number in (0, 1/2), got {self.eps!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError(f"out_dir must be a nonempty string, got {self.out_dir!r}")
+        for cell in self.cells():
+            GridConfig(**cell, seed=0, allow_small=True)
 
     def cells(self) -> list[dict]:
         """Cell parameter dicts in fixed (tau, w, n, p) nesting order."""
@@ -100,10 +127,31 @@ class SweepSpec:
         ]
 
     @classmethod
-    def from_json(cls, path) -> "SweepSpec":
-        with open(path) as fh:
-            data = json.load(fh)
+    def from_dict(cls, data) -> "SweepSpec":
+        """Spec from a mapping of field names, unknown or missing keys refused."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a sweep spec must be a JSON object, got {type(data).__name__}")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown sweep spec keys: {', '.join(unknown)}")
+        missing = [k for k, f in known.items() if f.default is MISSING and k not in data]
+        if missing:
+            raise ConfigError(f"sweep spec is missing: {', '.join(missing)}")
         return cls(**data)
+
+    @classmethod
+    def from_json(cls, path, **overrides) -> "SweepSpec":
+        """Spec from a JSON file; keyword overrides replace its fields."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read sweep spec {path}: {exc.strerror or exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"sweep spec {path} is not valid JSON: {exc}") from exc
+        if isinstance(data, dict):
+            data = {**data, **overrides}
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,13 +185,16 @@ def _sweep_task(args: tuple) -> tuple:
         "mean_Mprime": summary.get("mean_Mprime"),
         "stderr_Mprime": summary.get("stderr_Mprime"),
     }
-    return cell_idx, rep, row, report.canonical_json()
+    timing = {"cell": cell_idx, "replicate": rep, "seed": seed, "engine": report.engine, **report.timings}
+    return cell_idx, rep, row, report.canonical_json(), timing
 
 
 def run_sweep(spec: SweepSpec) -> Path:
     """Run every (cell, replicate), write sweep.csv plus per-run reports.
 
-    Deterministic: rerunning the same spec reproduces every output byte.
+    Deterministic: rerunning the same spec reproduces every output byte,
+    except timings.csv, which records each run's engine and measured phase
+    times (dynamics_s, measure_s, flips_per_second) apart from the results.
     Returns the path of the CSV.
     """
     out_dir = Path(spec.out_dir)
@@ -179,9 +230,14 @@ def run_sweep(spec: SweepSpec) -> Path:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
         writer.writeheader()
-        for _, _, row, _ in results:
+        for _, _, row, _, _ in results:
             writer.writerow(row)
-    for cell_idx, rep, _, report_json in results:
+    with open(out_dir / "timings.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_TIMING_COLUMNS)
+        writer.writeheader()
+        for *_, timing in results:
+            writer.writerow(timing)
+    for cell_idx, rep, _, report_json, _ in results:
         (runs_dir / f"cell{cell_idx:04d}_rep{rep:03d}.json").write_text(report_json)
     (out_dir / "sweep_spec.json").write_text(
         json.dumps({"version": __version__, "rng_id": RNG_ID, **spec.to_dict()}, sort_keys=True)
@@ -216,6 +272,12 @@ class StatTestReport:
 _MAX_CONDITION_DRAWS = 50_000_000
 
 
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def prop1_test(
     N: int,
     gamma: float,
@@ -233,6 +295,7 @@ def prop1_test(
     random sub-region of round(gamma*N) cells given W).  Passes iff the
     empirical frequency of |W' - gamma*K| < c*N^(1/2+eps) reaches pass_floor.
     """
+    _require_positive(N=N, samples=samples)
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     K = intolerance_threshold(tau_tilde, N)
@@ -394,6 +457,7 @@ def lemmaA1_test(
 ) -> StatTestReport:
     """Unconditioned concentration of a neighborhood's minority count around
     N/2; also reports the fitted decay constant of the empirical tail."""
+    _require_positive(N=N, samples=samples)
     rng = generator(seed, STREAM_STATS)
     W = rng.binomial(N, 0.5, size=samples)
     dev_bound = c * N ** (0.5 + eps)

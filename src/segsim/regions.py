@@ -5,14 +5,19 @@ For a cell c, r(c) is the largest radius rho <= floor((n-1)/2) whose
 (2 rho + 1)^2 window at c is single-type; the monochromatic region of an
 agent u has radius M(u) = max{ r(c) : linf(u, c) <= r(c) }.  The almost
 monochromatic region relaxes single-type to a minority/majority ratio of at
-most exp(-N^eps), where N is the agent-neighborhood size of the state.
+most exp(-N^eps), where N is the agent-neighborhood size of the state: with
+q(c) the largest radius whose window at c passes that test, M'(u) =
+max{ q(c) : linf(u, c) <= q(c) }, since the largest passing radius at c
+that reaches u is q(c) itself.
 
-Both per-agent maps come from one level sweep: going down from the top
-radius, the centers that qualify at rho (r(c) >= rho for M, the ratio bound
-on the radius-rho window for M') are dilated by rho with a wrap running-max
-filter, and each newly covered agent receives rho.  The per-agent functions
-mono_region_of and almost_mono_radius_of compute the same values for one
-agent by direct search.
+Both per-agent maps come from the same two steps.  The radius pass reads
+one summed-area table and gives every center r(c), or q(c) with the ratio
+test turned into an integer table of the largest passing minority count
+per radius.  The own-radius dilation then gives M from r and M' from q.
+Both steps run in the compiled library of _kernels when it loads; the numpy
+code here is the bit-identical reference and runs when it does not.  The
+per-agent functions mono_region_of and almost_mono_radius_of compute the
+same values for one agent by direct search.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
 cluster measure, not a square-region measure, and is labeled as such.
@@ -27,6 +32,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
+from . import _kernels
 from .grid import GridState, torus_window_ix
 from .rng import STREAM_MEASURE, generator
 from .unionfind import label_grid_components
@@ -36,8 +42,8 @@ class _PaddedSAT:
     """Summed-area table over a wrap-padded +1 indicator grid.
 
     Supports per-center window sums with *vectorized, per-center* radii (the
-    parallel binary search) and every center's sum at one radius (the M'
-    level sweep).
+    parallel binary search) and every center's sum at one radius (the q
+    level loop).
     """
 
     def __init__(self, plus: np.ndarray, pad: int):
@@ -69,16 +75,42 @@ def max_region_radius(n: int) -> int:
     return (n - 1) // 2
 
 
-def center_radius_map(state: GridState) -> np.ndarray:
-    """r(c) for every cell: largest rho whose window at c is single-type.
+def _minority_bound(threshold: float, R: int) -> np.ndarray:
+    """For rho = 0..R, the largest minority count m of a radius-rho window
+    that passes m <= threshold * (area - m), evaluated in float64 exactly as
+    the ratio test reads.  The left side grows with m and the right side
+    cannot, so the passing counts are exactly 0..bound[rho]."""
+    area = (2 * np.arange(R + 1, dtype=np.int64) + 1) ** 2
 
-    Parallel binary search over all centers against a padded summed-area
-    table; O(n^2 log n).
+    def passes(m):
+        return m <= threshold * (area - m)
+
+    m = np.floor(area * (threshold / (1.0 + threshold))).astype(np.int64)
+    while not (ok := passes(m)).all():
+        m[~ok] -= 1
+    while (more := passes(m + 1)).any():
+        m[more] += 1
+    return m
+
+
+def _radius_pass(sat: _PaddedSAT, bound: Optional[np.ndarray] = None) -> np.ndarray:
+    """For every center, the largest rho <= floor((n-1)/2) whose window's
+    minority count is at most bound[rho]; without a bound, the largest
+    single-type radius r(c).
+
+    numpy reference: r by a parallel binary search (single-type windows are
+    nested), O(n^2 log n); q by every level in turn, each a slice of the
+    table.
     """
-    n = state.n
-    R = max_region_radius(n)
-    plus = state.types > 0
-    sat = _PaddedSAT(plus, R)
+    n, R = sat.n, max_region_radius(sat.n)
+    if _kernels.radius_pass is not None:
+        return _kernels.radius_pass(sat.sat, n, sat.pad, bound)
+    if bound is not None:
+        q = np.zeros((n, n), dtype=np.int32)
+        for rho in range(R + 1):
+            counts = sat.sums(rho)
+            q[np.minimum(counts, (2 * rho + 1) ** 2 - counts) <= bound[rho]] = rho
+        return q
     I = np.arange(n)[:, None] * np.ones(n, dtype=np.int64)[None, :]
     J = np.ones(n, dtype=np.int64)[:, None] * np.arange(n)[None, :]
     lo = np.zeros((n, n), dtype=np.int64)
@@ -89,11 +121,39 @@ def center_radius_map(state: GridState) -> np.ndarray:
             break
         mid = (lo + hi + 1) // 2
         counts = sat.window(I, J, mid)
-        area = (2 * mid + 1) ** 2
-        ok = np.where(plus, counts == area, counts == 0)
+        ok = (counts == 0) | (counts == (2 * mid + 1) ** 2)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid - 1, hi)
     return lo.astype(np.int32)
+
+
+def _dilate(v: np.ndarray) -> np.ndarray:
+    """out(u) = max{ v(c) : torus linf(u, c) <= v(c) } for radii
+    0 <= v <= floor((n-1)/2).
+
+    numpy reference: going down from the top value, the centers with
+    v(c) >= rho are dilated by a wrap running-max of side 2 rho + 1 (which
+    never wraps onto itself), and each newly covered cell receives rho.
+    """
+    v = np.ascontiguousarray(v, dtype=np.int32)
+    if _kernels.dilate is not None:
+        return _kernels.dilate(v)
+    n = v.shape[0]
+    out = np.full((n, n), -1, dtype=np.int32)
+    left = n * n
+    for rho in range(int(v.max()), -1, -1):
+        covered = ndimage.maximum_filter((v >= rho).view(np.uint8), size=2 * rho + 1, mode="wrap")
+        newly = (covered > 0) & (out < 0)
+        out[newly] = rho
+        left -= int(np.count_nonzero(newly))
+        if left == 0:
+            break
+    return out
+
+
+def center_radius_map(state: GridState) -> np.ndarray:
+    """r(c) for every cell: largest rho whose window at c is single-type."""
+    return _radius_pass(_PaddedSAT(state.types > 0, max_region_radius(state.n)))
 
 
 def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndarray] = None) -> tuple[int, int]:
@@ -114,36 +174,9 @@ def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndar
     return radius, (2 * radius + 1) ** 2
 
 
-def _level_sweep(n: int, top: int, qualify) -> np.ndarray:
-    """For every cell, the largest rho in [0, top] at which it lies within
-    torus Chebyshev distance rho of a center in qualify(rho) (an n x n bool
-    array); -1 where no level covers it.
-
-    Radii descending; each qualifying set is dilated by a wrap running-max
-    of side 2 rho + 1, which never wraps onto itself for rho <= floor((n-1)/2).
-    """
-    out = np.full((n, n), -1, dtype=np.int32)
-    left = n * n
-    for rho in range(top, -1, -1):
-        q = qualify(rho)
-        if not q.any():
-            continue
-        covered = ndimage.maximum_filter(q.view(np.uint8), size=2 * rho + 1, mode="wrap")
-        newly = (covered > 0) & (out < 0)
-        out[newly] = rho
-        left -= int(np.count_nonzero(newly))
-        if left == 0:
-            break
-    return out
-
-
 def mono_radius_all(state: GridState, r_map: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact monochromatic-region radius M(u) for every agent.
-
-    M(u) >= rho exactly when u lies within rho of a center with r(c) >= rho.
-    """
-    r = center_radius_map(state) if r_map is None else r_map
-    return _level_sweep(state.n, int(r.max()), lambda rho: r >= rho)
+    """Exact monochromatic-region radius M(u) for every agent: the dilation of r."""
+    return _dilate(center_radius_map(state) if r_map is None else r_map)
 
 
 def largest_mono_region(state: GridState, type_: int, r_map: Optional[np.ndarray] = None):
@@ -195,22 +228,15 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
 def almost_mono_radius_map(state: GridState, eps: float) -> np.ndarray:
     """Almost-monochromatic radius for every agent: the largest rho at which
     the agent lies within rho of a center whose radius-rho window has
-    minority/majority <= exp(-N^eps).  Radius 0 always qualifies.
+    minority/majority <= exp(-N^eps), i.e. the dilation of q.  Radius 0
+    always qualifies.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
-    n = state.n
     threshold = math.exp(-(state.config.N**eps))
-    R = max_region_radius(n)
-    sat = _PaddedSAT(state.types > 0, R)
-
-    def qualify(rho):
-        counts = sat.sums(rho)
-        area = (2 * rho + 1) ** 2
-        minority = np.minimum(counts, area - counts)
-        return minority <= threshold * (area - minority)
-
-    return _level_sweep(n, R, qualify)
+    R = max_region_radius(state.n)
+    q = _radius_pass(_PaddedSAT(state.types > 0, R), _minority_bound(threshold, R))
+    return _dilate(q)
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import segsim
-from segsim import GridConfig, new_random, state_from_types
+from segsim import GridConfig, _kernels, new_random, state_from_types
 from segsim.dynamics import cascade_closure, run_to_termination
 from segsim.experiments import fig2_trend_test, lemmaA1_test, prop1_test, pu_match_test
 from segsim.grid import same_counts_bruteforce
@@ -137,7 +137,16 @@ def _oracle_qualify(types, threshold):
     return qual
 
 
-def test_criterion_03_region_oracle_equivalence():
+def test_criterion_03_region_oracle_equivalence(monkeypatch):
+    if _kernels.radius_pass is None:
+        pytest.skip(_kernels.load_error)
+    calls = {"radius_pass": 0, "dilate": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(_kernels, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(_kernels, name, counted)
     t0 = time.time()
     n, w = 16, 2
     mismatches = 0
@@ -194,11 +203,11 @@ def test_criterion_03_region_oracle_equivalence():
                 if a_map[ur, uc] != want_a:
                     mismatches += 1
     elapsed = time.time() - t0
-    ok = mismatches == 0 and elapsed < 60
+    ok = mismatches == 0 and elapsed < 60 and min(calls.values()) > 0
     check(
-        "3 region oracle equivalence (50 grids, every agent)",
+        "3 region oracle equivalence (50 grids, every agent, compiled region kernels)",
         ok,
-        f"{mismatches} mismatches, {elapsed:.0f}s",
+        f"{mismatches} mismatches, kernel calls {calls}, {elapsed:.0f}s",
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -99,6 +100,45 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", str(cfg_path)) == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
         assert (tmp_path / "out" / "sweep_spec.json").exists()
+
+    GOOD_SPEC = {
+        "tau_grid": [0.45], "w_grid": [1], "n_grid": [16], "p_grid": [0.5],
+        "replicates": 1, "base_seed": 5, "sample_size": 8,
+    }
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param([GOOD_SPEC], "JSON object, got list", id="list"),
+            pytest.param({k: v for k, v in GOOD_SPEC.items() if k != "p_grid"}, "missing: p_grid",
+                         id="missing-p_grid"),
+            pytest.param({k: v for k, v in GOOD_SPEC.items() if k != "base_seed"},
+                         "missing: base_seed", id="missing-base_seed"),
+            pytest.param({**GOOD_SPEC, "taus": [0.4]}, "unknown sweep spec keys: taus", id="unknown-key"),
+            pytest.param({**GOOD_SPEC, "replicates": "2"}, "replicates must be an integer >= 1",
+                         id="replicates-string"),
+            pytest.param({**GOOD_SPEC, "eps": 0.7}, "eps must be a number in (0, 1/2)", id="eps-too-big"),
+            pytest.param({**GOOD_SPEC, "sample_size": -5}, "sample_size must be an integer >= 0",
+                         id="negative-sample-size"),
+            pytest.param({**GOOD_SPEC, "n_grid": [2]}, "neighborhood would wrap", id="cell-too-small"),
+        ],
+    )
+    def test_bad_spec_exits_2_before_any_run(self, tmp_path, capsys, spec, message):
+        if isinstance(spec, dict):
+            spec = {**spec, "out_dir": str(tmp_path / "out")}
+        cfg_path = tmp_path / "spec.json"
+        cfg_path.write_text(json.dumps(spec))
+        assert run_cli("sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys):
+        assert run_cli("sweep", "--config", str(tmp_path / "nonexistent.json")) == 2
+        assert "cannot read sweep spec" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert run_cli("sweep", "--config", str(bad)) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 class TestDetect:
@@ -289,3 +329,12 @@ class TestStatsCommand:
 
     def test_missing_n_for_prop1(self):
         assert run_cli("stats", "--test", "prop1") == 2
+
+    @pytest.mark.parametrize("test", ["prop1", "lemmaA1"])
+    @pytest.mark.parametrize("args, message", [(["--N", "0"], "N must be >= 1"),
+                                               (["--N", "441", "--samples", "0"], "samples must be >= 1")])
+    def test_zero_inputs_exit_2(self, capsys, test, args, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("stats", "--test", test, *args) == 2
+        assert message in capsys.readouterr().err

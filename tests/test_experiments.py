@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from segsim.experiments import (
     SWEEP_CSV_COLUMNS,
+    SWEEP_TIMING_COLUMNS,
     ConditioningTooRareError,
     SweepSpec,
     fig2_trend_test,
@@ -57,6 +59,19 @@ class TestSweep:
             twin = tmp_path / "b" / "runs" / child.name
             assert child.read_bytes() == twin.read_bytes()
 
+    def test_timings_csv(self, tmp_path):
+        run_sweep(self.spec(tmp_path / "a"))
+        rows = list(csv.DictReader((tmp_path / "a" / "timings.csv").read_text().splitlines()))
+        sweep_rows = list(csv.DictReader((tmp_path / "a" / "sweep.csv").read_text().splitlines()))
+        assert list(rows[0]) == SWEEP_TIMING_COLUMNS
+        assert [(r["cell"], r["replicate"]) for r in rows] == [
+            ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+        assert [r["seed"] for r in rows] == [r["seed"] for r in sweep_rows]
+        for r in rows:
+            assert r["engine"] in ("c", "python")
+            assert float(r["dynamics_s"]) > 0 and float(r["measure_s"]) > 0
+            assert float(r["flips_per_second"]) >= 0
+
     def test_output_independent_of_job_count(self, tmp_path):
         c1 = run_sweep(self.spec(tmp_path / "a", jobs=1))
         c2 = run_sweep(self.spec(tmp_path / "b", jobs=2))
@@ -68,6 +83,16 @@ class TestSweep:
                 tau_grid=[], w_grid=[1], n_grid=[16], p_grid=[0.5],
                 replicates=1, base_seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("w_grid", [1.5]), ("n_grid", "24"), ("tau_grid", [True]), ("replicates", 0),
+         ("jobs", 0), ("base_seed", 1.0), ("sample_size", -1), ("eps", 0.0), ("eps", "0.25"),
+         ("out_dir", 3), ("p_grid", [1.5])],
+    )
+    def test_spec_rejects_bad_field(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field if field != "p_grid" else "p must be"):
+            SweepSpec(**{**self.spec(tmp_path).to_dict(), field: value})
 
     def test_from_json_roundtrip(self, tmp_path):
         spec = self.spec(tmp_path / "x")

@@ -1,13 +1,18 @@
-"""The compiled C flip kernel: warning-free source, build cache, and
-bit-equality with the python reference executor on edge cases."""
+"""The compiled C kernels: warning-free source, build cache, argument
+checks, a sanitizer run, and bit-equality of the flip kernel with the python
+reference executor on edge cases (the region kernels are compared with their
+numpy reference in test_regions.py)."""
 
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segsim
 import segsim.dynamics as dyn
 from segsim import GridConfig, _kernels, new_random
 from segsim.dynamics import RunLimits, run_to_termination
@@ -83,6 +88,118 @@ def test_wrapper_rejects_short_buffers():
         _kernels.run_chunk(types, sc, pos, cells, 0, n, 3, 49, 22, 0, 0.0, 0, 10, None,
                            batch, batch, 0, rec, np.zeros(1), rec, rec, True, rec,
                            np.zeros(1, np.int32))
+
+
+def test_region_wrappers_reject_bad_tables():
+    if _kernels.radius_pass is None:
+        pytest.skip(_kernels.load_error)
+    n, pad = 9, 4
+    sat = np.zeros((n + 2 * pad + 1,) * 2, np.int64)
+    bound = np.zeros(pad + 1, np.int64)
+    assert _kernels.radius_pass(sat, n, pad, bound).shape == (n, n)
+    with pytest.raises(ValueError, match="shape"):
+        _kernels.radius_pass(sat[:-1, :-1], n, pad)  # one short
+    with pytest.raises(ValueError, match="int64"):
+        _kernels.radius_pass(sat.astype(np.int32), n, pad)
+    with pytest.raises(ValueError, match="pad"):
+        _kernels.radius_pass(sat, n, pad - 1)
+    with pytest.raises(ValueError, match="length 5"):
+        _kernels.radius_pass(sat, n, pad, bound[:-1])
+    with pytest.raises(ValueError, match="length 5"):
+        _kernels.radius_pass(sat, n, pad, bound.astype(np.int32))
+    v = np.zeros((n, n), np.int32)
+    assert np.array_equal(_kernels.dilate(v), v)
+    with pytest.raises(ValueError, match="int32"):
+        _kernels.dilate(v.astype(np.int64))
+    with pytest.raises(ValueError, match="int32"):
+        _kernels.dilate(v[:, :-1])
+    for bad in (-1, (n - 1) // 2 + 1):
+        v[2, 3] = bad
+        with pytest.raises(ValueError, match="radii"):
+            _kernels.dilate(v)
+
+
+# Runs in a child process against a sanitizer build of C_SOURCE (argv[1]):
+# the flip kernel and both region kernels on edge states, each compared with
+# the python/numpy reference.
+SANITIZED_RUN = r"""
+import math
+import sys
+
+import numpy as np
+
+from segsim import GridConfig, _kernels, new_random, regions, state_from_types
+from segsim.dynamics import RunLimits, run_to_termination
+from segsim.rng import STREAM_DYNAMICS, generator
+
+_kernels._library_path = lambda: sys.argv[1]
+_kernels._resolve()
+assert _kernels.load_error is None, _kernels.load_error
+kernels = (_kernels.radius_pass, _kernels.dilate)
+
+
+def region_maps(state, eps, use_c):
+    _kernels.radius_pass, _kernels.dilate = kernels if use_c else (None, None)
+    R = regions.max_region_radius(state.n)
+    sat = regions._PaddedSAT(state.types > 0, R)
+    r = regions._radius_pass(sat)
+    q = regions._radius_pass(sat, regions._minority_bound(math.exp(-(state.config.N**eps)), R))
+    return r, q, regions._dilate(r), regions._dilate(q)
+
+
+for n, w, tau, seed, limits in ((7, 3, 0.45, 1, RunLimits(record_interval=1)),
+                                (40, 2, 0.6, 4, RunLimits(record_interval=50)),
+                                (48, 2, 0.45, 1, RunLimits(max_continuous_time=0.5))):
+    cfg = GridConfig(n=n, w=w, tau_tilde=tau, seed=seed, allow_small=True)
+    a, b = new_random(cfg), new_random(cfg)
+    ra = run_to_termination(a, generator(seed, STREAM_DYNAMICS), limits, use_numba=False, audit=True)
+    rb = run_to_termination(b, generator(seed, STREAM_DYNAMICS), limits, use_numba=True, audit=True)
+    assert rb.engine == "c" and ra.canonical_json() == rb.canonical_json()
+    assert np.array_equal(a.types, b.types) and np.array_equal(a.same_count, b.same_count)
+
+for n, w in ((3, 1), (9, 1), (10, 1), (12, 2)):
+    cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=n, allow_small=True)
+    done = new_random(cfg)
+    run_to_termination(done, generator(n, STREAM_DYNAMICS))
+    speck, corner, far = (np.ones((n, n), np.int8) for _ in range(3))
+    speck[n // 2, n // 3] = corner[1, 1] = far[n - 2, n - 2] = -1
+    island = -np.ones((n, n), np.int8)
+    island[n // 2 - 1:n // 2 + 2, n // 2 - 1:n // 2 + 2] = 1
+    for types in (np.ones((n, n), np.int8), speck, corner, far, island, new_random(cfg).types,
+                  done.types):
+        state = state_from_types(cfg, types)
+        for eps in (0.1, 0.25, 0.4):
+            got, ref = region_maps(state, eps, True), region_maps(state, eps, False)
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref)), (n, eps)
+print("sanitized run ok")
+"""
+
+
+def test_sanitizer_build_runs_clean(tmp_path):
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("gcc not found on PATH")
+    libasan = subprocess.run([gcc, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.exists(libasan):
+        pytest.skip("gcc has no libasan.so")
+    lib = tmp_path / "kernels-sanitized.so"
+    proc = subprocess.run(
+        [gcc, "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         "-shared", "-fPIC", "-x", "c", "-", "-o", str(lib)],
+        input=_kernels.C_SOURCE, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    src_dir = str(Path(segsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", "pass"], env=env, capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"the AddressSanitizer runtime does not start here: {probe.stderr[:300]}")
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(lib)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[:3000]
+    assert "sanitized run ok" in proc.stdout
 
 
 def test_forced_c_engine_without_kernel_raises(monkeypatch):

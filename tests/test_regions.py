@@ -1,10 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from segsim import GridConfig, new_random, state_from_types
+from segsim import GridConfig, _kernels, new_random, state_from_types
+from segsim.dynamics import run_to_termination
 from segsim.regions import (
+    _dilate,
+    _minority_bound,
+    _PaddedSAT,
+    _radius_pass,
     almost_mono_radius_map,
     almost_mono_radius_of,
     center_radius_map,
@@ -14,7 +20,7 @@ from segsim.regions import (
     mono_radius_all,
     mono_region_of,
 )
-from segsim.rng import STREAM_MEASURE, generator
+from segsim.rng import STREAM_DYNAMICS, STREAM_MEASURE, generator
 
 
 def checkerboard(n):
@@ -311,3 +317,125 @@ class TestRegionSummary:
         s = compute_region_summary(state, sample_size=0)
         assert s.mean_M is None
         assert s.largest_plus is not None
+
+
+# -- compiled region kernels against the numpy reference and the oracles ------
+
+
+def oracle_qualify_levels(types, threshold):
+    """qual[rho][c]: the radius-rho window at c passes the ratio test."""
+    n = types.shape[0]
+    R = (n - 1) // 2
+    return [
+        np.array([[oracle_almost_qualifies(types, (r, c), rho, threshold) for c in range(n)]
+                  for r in range(n)])
+        for rho in range(R + 1)
+    ]
+
+
+def oracle_mprime_map(qual):
+    """Largest rho with a passing radius-rho window within rho of the agent."""
+    n = qual[0].shape[0]
+    out = np.zeros((n, n), dtype=int)
+    for ur in range(n):
+        for uc in range(n):
+            for rho in range(len(qual) - 1, -1, -1):
+                rows = np.arange(ur - rho, ur + rho + 1) % n
+                cols = np.arange(uc - rho, uc + rho + 1) % n
+                if qual[rho][np.ix_(rows, cols)].any():
+                    out[ur, uc] = rho
+                    break
+    return out
+
+
+def kernel_states():
+    """n = 3, odd n = 2R+1, even n; all-plus, one speck, random and terminated.
+
+    On an even side the one center whose radius-R window misses a speck at
+    (1, 1) sits at (n - R, n - R), and its window reaches row and column 0
+    only across the wrap; for a speck at (n - 2, n - 2) it sits at
+    (R - 1, R - 1) and reaches row and column n - 1 only across the wrap.
+    The island (a plus 5x5 square holding two minus cells, in a minus field)
+    has a center whose 3x3 window fails and whose 5x5 window passes with its
+    minority count exactly at the bound at w = 2, eps = 0.25 and at w = 1,
+    eps = 0.4.
+    """
+    cases = []
+    for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
+        plus = np.ones((n, n), np.int8)
+        speck = plus.copy()
+        speck[n // 2, n // 3] = -1
+        corner, far = plus.copy(), plus.copy()
+        corner[1, 1] = far[n - 2, n - 2] = -1
+        island = -plus
+        c = n // 2
+        island[c - 2:c + 3, c - 2:c + 3] = 1
+        island[c - 1, c] = island[c, c + 1] = -1
+        cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=20 + n, allow_small=True)
+        done = new_random(cfg)
+        run_to_termination(done, generator(cfg.seed, STREAM_DYNAMICS))
+        for name, types in (("plus", plus), ("speck", speck), ("corner", corner), ("far", far), ("island", island),
+                            ("random", random_types(n, 700 + n)), ("terminated", done.types.copy())):
+            cases.append(pytest.param(n, w, types, id=f"{name}-{n}"))
+    return cases
+
+
+def region_maps(state, eps):
+    """(r, q, M, M') from the two steps, on whichever path _kernels provides."""
+    R = max_region_radius(state.n)
+    sat = _PaddedSAT(state.types > 0, R)
+    r = _radius_pass(sat)
+    q = _radius_pass(sat, _minority_bound(math.exp(-(state.config.N**eps)), R))
+    return r, q, _dilate(r), _dilate(q)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
+@pytest.mark.parametrize("n,w,types", kernel_states())
+@pytest.mark.parametrize("path", ["c", "numpy"])
+def test_region_maps_match_oracles(path, n, w, types, eps, monkeypatch):
+    cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=0, allow_small=True)
+    state = state_from_types(cfg, types)
+    if path == "c":
+        if _kernels.radius_pass is None:
+            pytest.skip(_kernels.load_error)
+        got = region_maps(state, eps)
+    monkeypatch.setattr(_kernels, "radius_pass", None)
+    monkeypatch.setattr(_kernels, "dilate", None)
+    ref = region_maps(state, eps)
+    if path == "numpy":
+        got = ref
+    for path_map, ref_map in zip(got, ref):
+        assert path_map.dtype == ref_map.dtype == np.int32
+        assert np.array_equal(path_map, ref_map)
+
+    r, q, m, mp = got
+    qual = oracle_qualify_levels(types, math.exp(-(cfg.N**eps)))
+    assert np.array_equal(r, oracle_center_radius(types))
+    assert np.array_equal(q, np.max([np.where(lv, rho, 0) for rho, lv in enumerate(qual)], axis=0))
+    assert np.array_equal(mp, oracle_mprime_map(qual))
+    assert all(m[u] == oracle_mono_region(types, u, r) for u in np.ndindex(n, n))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
+@pytest.mark.parametrize("N", [9, 25, 441, 10201])
+def test_minority_bound_is_the_passing_prefix(N, eps):
+    threshold = math.exp(-(N**eps))
+    bound = _minority_bound(threshold, 60)
+    for rho, b in enumerate(bound):
+        area = (2 * rho + 1) ** 2
+        m = np.arange(area // 2 + 1)
+        passing = np.flatnonzero(m <= threshold * (area - m))
+        assert np.array_equal(passing, np.arange(b + 1))
+
+
+def test_summary_bytes_do_not_depend_on_the_kernels(monkeypatch):
+    if _kernels.radius_pass is None:
+        pytest.skip(_kernels.load_error)
+    cfg = GridConfig(n=40, w=2, tau_tilde=0.42, seed=5, allow_small=True)
+    state = new_random(cfg)
+    run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS))
+    with_c = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
+    monkeypatch.setattr(_kernels, "radius_pass", None)
+    monkeypatch.setattr(_kernels, "dilate", None)
+    without = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
+    assert json.dumps(with_c, sort_keys=True) == json.dumps(without, sort_keys=True)
