@@ -10,6 +10,7 @@ it bit-exactly.  Exit codes: 0 success, 2 configuration/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, regions
 from .dynamics import RunLimits
 from .experiments import (
     ConditioningTooRareError,
@@ -152,105 +153,109 @@ def _load_state(args):
     return new_random(config)
 
 
+def _detect_radical(state, args, center, blocks, test=is_radical_region):
+    spec = RadicalSpec(center=center, eps_prime=args.eps_prime, eps=args.block_eps)
+    return {"center": list(center), **test(state, spec).__dict__}
+
+
+def _detect_expandable(state, args, center, blocks):
+    spec = RadicalSpec(center=center, eps_prime=args.eps_prime, eps=args.block_eps)
+    res = is_expandable(state, spec)
+    return {
+        "center": list(center),
+        "expandable": res.target_made_monochromatic,
+        "flips_used": res.flips_used,
+        "witness": [list(c) for c in res.flipped],
+    }
+
+
+def _detect_regions(state, args, center, blocks):
+    summary = regions.compute_region_summary(
+        state, sample_size=args.sample_size, eps=args.eps, seed=state.config.seed
+    )
+    return summary.to_dict()
+
+
+def _detect_firewall(state, args, center, blocks):
+    return {
+        "center": list(center),
+        "r": args.r,
+        "monochromatic": is_firewall(state, center, args.r),
+        "unconditionally_stable": firewall_unconditionally_stable(state, center, args.r),
+    }
+
+
+def _detect_expansion(state, args, center, blocks):
+    v = is_region_of_expansion(
+        state,
+        center,
+        args.region_radius,
+        placements="all" if args.placements is None else args.placements,
+        rng=None if args.placements is None else generator(state.config.seed, STREAM_PERCOLATION),
+    )
+    return {"center": list(center), **_jsonable(v.__dict__)}
+
+
+def _detect_blocks(state, args, center, blocks):
+    m, lattice = blocks()
+    return {
+        "m": m,
+        "m_is_paper_default": m == 6 * state.config.w**3,
+        "eps": args.block_eps,
+        "dims": lattice.dims,
+        "good_fraction": float(lattice.labels.mean()),
+        "bad_cluster_radii": bad_cluster_radii(lattice),
+    }
+
+
+def _detect_chemical_path(state, args, center, blocks):
+    m, lattice = blocks()
+    cp = find_chemical_path(lattice, (center[0] // m, center[1] // m), args.r_blocks)
+    entry = {
+        "m": m,
+        "m_is_paper_default": m == 6 * state.config.w**3,
+        "r_blocks": args.r_blocks,
+        "found": cp is not None,
+    }
+    if cp is not None:
+        entry.update(
+            total_length=cp.total_length,
+            cycle=[list(c) for c in cp.cycle],
+            path=[list(c) for c in cp.path],
+        )
+    return entry
+
+
+# name -> (flags it needs, detector(state, args, center, blocks) -> entry
+# fields); blocks() gives the block size and the block lattice, built once.
+_DETECTORS = {
+    "radical": ((), _detect_radical),
+    "unhappy": ((), functools.partial(_detect_radical, test=is_unhappy_region)),
+    "expandable": ((), _detect_expandable),
+    "regions": ((), _detect_regions),
+    "firewall": (("r",), _detect_firewall),
+    "expansion": (("region_radius",), _detect_expansion),
+    "blocks": ((), _detect_blocks),
+    "chemical-path": (("r_blocks",), _detect_chemical_path),
+}
+
+
 def _cmd_detect(args) -> int:
+    what = [x.strip() for x in args.what.split(",") if x.strip()]
+    for kind in what:
+        if kind not in _DETECTORS:
+            raise ConfigError(f"unknown detector {kind!r}")
+        for flag in _DETECTORS[kind][0]:
+            if getattr(args, flag) is None:
+                raise ConfigError(f"{kind} detection needs --{flag.replace('_', '-')}")
     state = _load_state(args)
     cfg = state.config
     center = tuple(int(x) for x in args.center.split(",")) if args.center else (cfg.n // 2, cfg.n // 2)
-    what = [x.strip() for x in args.what.split(",") if x.strip()]
-    detections = []
-    for kind in what:
-        if kind == "radical":
-            spec = RadicalSpec(center=center, eps_prime=args.eps_prime, eps=args.block_eps)
-            v = is_radical_region(state, spec)
-            detections.append({"kind": kind, "center": list(center), **v.__dict__})
-        elif kind == "unhappy":
-            spec = RadicalSpec(center=center, eps_prime=args.eps_prime, eps=args.block_eps)
-            v = is_unhappy_region(state, spec)
-            detections.append({"kind": kind, "center": list(center), **v.__dict__})
-        elif kind == "expandable":
-            spec = RadicalSpec(center=center, eps_prime=args.eps_prime, eps=args.block_eps)
-            res = is_expandable(state, spec)
-            detections.append(
-                {
-                    "kind": kind,
-                    "center": list(center),
-                    "expandable": res.target_made_monochromatic,
-                    "flips_used": res.flips_used,
-                    "witness": [list(c) for c in res.flipped],
-                }
-            )
-        elif kind == "regions":
-            from .regions import compute_region_summary
-
-            summary = compute_region_summary(
-                state, sample_size=args.sample_size, eps=args.eps, seed=cfg.seed
-            )
-            detections.append({"kind": kind, **summary.to_dict()})
-        elif kind == "firewall":
-            if args.r is None:
-                raise ConfigError("firewall detection needs --r")
-            detections.append(
-                {
-                    "kind": kind,
-                    "center": list(center),
-                    "r": args.r,
-                    "monochromatic": is_firewall(state, center, args.r),
-                    "unconditionally_stable": firewall_unconditionally_stable(
-                        state, center, args.r
-                    ),
-                }
-            )
-        elif kind == "expansion":
-            if args.region_radius is None:
-                raise ConfigError("expansion detection needs --region-radius")
-            v = is_region_of_expansion(
-                state,
-                center,
-                args.region_radius,
-                placements="all" if args.placements is None else args.placements,
-                rng=None if args.placements is None else generator(cfg.seed, STREAM_PERCOLATION),
-            )
-            detections.append({"kind": kind, "center": list(center), **_jsonable(v.__dict__)})
-        elif kind == "blocks":
-            m = _block_size(args, cfg)
-            lattice = renormalize(state, m, args.block_eps)
-            detections.append(
-                {
-                    "kind": kind,
-                    "m": m,
-                    "m_is_paper_default": m == 6 * cfg.w**3,
-                    "eps": args.block_eps,
-                    "dims": lattice.dims,
-                    "good_fraction": float(lattice.labels.mean()),
-                    "bad_cluster_radii": bad_cluster_radii(lattice),
-                }
-            )
-        elif kind == "chemical-path":
-            if args.r_blocks is None:
-                raise ConfigError("chemical-path detection needs --r-blocks")
-            m = _block_size(args, cfg)
-            lattice = renormalize(state, m, args.block_eps)
-            cp = find_chemical_path(
-                lattice, (center[0] // m, center[1] // m), args.r_blocks
-            )
-            entry = {
-                "kind": kind,
-                "m": m,
-                "m_is_paper_default": m == 6 * cfg.w**3,
-                "r_blocks": args.r_blocks,
-                "found": cp is not None,
-            }
-            if cp is not None:
-                entry.update(
-                    {
-                        "total_length": cp.total_length,
-                        "cycle": [list(c) for c in cp.cycle],
-                        "path": [list(c) for c in cp.path],
-                    }
-                )
-            detections.append(entry)
-        else:
-            raise ConfigError(f"unknown detector {kind!r}")
+    m = _block_size(args, cfg) if {"blocks", "chemical-path"} & set(what) else None
+    blocks = functools.cache(lambda: (m, renormalize(state, m, args.block_eps)))
+    detections = [
+        {"kind": kind, **_DETECTORS[kind][1](state, args, center, blocks)} for kind in what
+    ]
     doc = {
         "provenance": _provenance(cfg.seed, cfg.to_dict()),
         "detections": detections,
@@ -266,6 +271,8 @@ def _block_size(args, cfg) -> int:
     host it and must override.
     """
     if args.m is not None:
+        if args.m < 1 or cfg.n % args.m != 0:
+            raise ConfigError(f"block size {args.m} must be positive and divide n={cfg.n}")
         return args.m
     m = 6 * cfg.w**3
     if cfg.n % m != 0:

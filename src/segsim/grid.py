@@ -206,12 +206,14 @@ class TorusPrefix:
         h2 = h - h1
         w1 = np.minimum(w, n - c0)
         w2 = w - w1
-        total = (
-            self._rect_nowrap(r0, c0, h1, w1)
-            + self._rect_nowrap(r0, 0 * c0, h1, w2)
-            + self._rect_nowrap(0 * r0, c0, h2, w1)
-            + self._rect_nowrap(0 * r0, 0 * c0, h2, w2)
-        )
+        # Zero-extent pieces add nothing; the first one has the full shape.
+        total = self._rect_nowrap(r0, c0, h1, w1)
+        if np.any(w2):
+            total = total + self._rect_nowrap(r0, 0 * c0, h1, w2)
+        if np.any(h2):
+            total = total + self._rect_nowrap(0 * r0, c0, h2, w1)
+            if np.any(w2):
+                total = total + self._rect_nowrap(0 * r0, 0 * c0, h2, w2)
         if total.ndim == 0:
             return int(total)
         return total

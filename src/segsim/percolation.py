@@ -8,16 +8,17 @@ time of a path is the sum over its vertices, both endpoints included.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import ndimage
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order as _breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .rng import STREAM_PERCOLATION, generator
-from .unionfind import component_cells, label_grid_components
+from .unionfind import label_grid_components
 
 
 @dataclass
@@ -65,6 +66,54 @@ class WeightLattice:
 _N4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 
+def _n4_neighbors(mask: np.ndarray) -> np.ndarray:
+    """(h, w, 4) int32 array: slot k of a cell holds the flat index of its
+    neighbor in direction _N4[k] when both cells are open, else -1."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    ids = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    nbr = np.full((h, w, 4), -1, dtype=np.int32)
+    for k, (dr, dc) in enumerate(_N4):
+        r0, r1 = max(0, -dr), min(h, h - dr)
+        c0, c1 = max(0, -dc), min(w, w - dc)
+        dst = (slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
+        nbr[r0:r1, c0:c1, k] = np.where(mask[r0:r1, c0:c1] & mask[dst], ids[dst], -1)
+    return nbr
+
+
+def _n4_graph(nbr: np.ndarray) -> csr_matrix:
+    """The directed graph whose adjacency lists are the nonnegative slots of
+    nbr, each kept in slot (_N4) order."""
+    size = nbr.shape[0] * nbr.shape[1]
+    valid = nbr >= 0
+    indices = nbr[valid]
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(valid.reshape(size, 4).sum(axis=1), out=indptr[1:])
+    return csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
+
+
+def _bfs_path(graph: csr_matrix, source: int, targets) -> Optional[list[int]]:
+    """Nodes source .. t of the breadth-first tree path to the first node t
+    of targets (a node index or a sequence of them) that the search
+    discovers, or None.
+
+    The directed csgraph search scans each node's stored neighbors in order,
+    so its discovery order, and with it every tree path, is that of a FIFO
+    search visiting neighbors in _N4 order.
+    """
+    order, pred = _breadth_first_order(graph, source, directed=True, return_predecessors=True)
+    is_target = np.zeros(graph.shape[0], dtype=bool)
+    is_target[targets] = True
+    hits = order[is_target[order]]
+    if hits.size == 0:
+        return None
+    path = [int(hits[0])]
+    while path[-1] != source:
+        path.append(int(pred[path[-1]]))
+    path.reverse()
+    return path
+
+
 def chemical_distance(lattice: SiteLattice, a: tuple[int, int], b: tuple[int, int]) -> Optional[int]:
     """Vertex count of the shortest open 4-adjacent path from a to b, or None.
 
@@ -78,22 +127,8 @@ def chemical_distance(lattice: SiteLattice, a: tuple[int, int], b: tuple[int, in
         raise ValueError("endpoints must lie in the lattice")
     if not (mask[ar, ac] and mask[br, bc]):
         return None
-    if a == b:
-        return 1
-    dist = np.full((h, w), -1, dtype=np.int64)
-    dist[ar, ac] = 1
-    q = deque([(ar, ac)])
-    while q:
-        r, c = q.popleft()
-        d = dist[r, c]
-        for dr, dc in _N4:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w and mask[rr, cc] and dist[rr, cc] < 0:
-                if (rr, cc) == (br, bc):
-                    return int(d + 1)
-                dist[rr, cc] = d + 1
-                q.append((rr, cc))
-    return None
+    path = _bfs_path(_n4_graph(_n4_neighbors(mask)), ar * w + ac, br * w + bc)
+    return None if path is None else len(path)
 
 
 def fpp_min_passage_time(
@@ -141,27 +176,38 @@ def cluster_radii(lattice: SiteLattice, origins: Optional[Sequence[tuple[int, in
     """Cluster radius seen from each origin: max l1 distance reached within the
     origin's open 4-connected cluster; -1 for a closed origin.
 
-    origins defaults to every cell, row-major.
+    origins defaults to every cell, row-major.  With s = r + c and d = r - c,
+    the l1 distance is max(|s - s_o|, |d - d_o|), so the radius from o is the
+    largest of max(s) - s_o, s_o - min(s), max(d) - d_o and d_o - min(d) over
+    o's cluster: four per-label extremes replace a scan of every cluster.
     """
     mask = lattice.open
     h, w = mask.shape
-    labels = label_grid_components(mask, adjacency=4, torus=False)
-    comps = component_cells(labels)
+    lab_flat = label_grid_components(mask, adjacency=4, torus=False).ravel()
     if origins is None:
         origin_flat = np.arange(h * w)
     else:
         origin_flat = np.array([r * w + c for r, c in origins], dtype=np.int64)
+    cells = np.nonzero(lab_flat >= 0)[0]
+    rr, cc = np.divmod(cells, w)
+    # A label is its cluster's first cell, so the roots come sorted and a
+    # binary search gives each cell its cluster's dense index.
+    lab = lab_flat[cells]
+    roots = cells[lab == cells]
+    comp = np.searchsorted(roots, lab)
     radii = np.full(origin_flat.size, -1, dtype=np.int64)
-    lab_flat = labels.ravel()
-    for i, o in enumerate(origin_flat):
-        lab = lab_flat[o]
-        if lab < 0:
-            continue
-        cells = comps[int(lab)]
-        orr, occ = divmod(int(o), w)
-        rr = cells // w
-        cc = cells % w
-        radii[i] = int((np.abs(rr - orr) + np.abs(cc - occ)).max())
+    o_lab = lab_flat[origin_flat]
+    keep = o_lab >= 0
+    o_comp = np.searchsorted(roots, o_lab[keep])
+    orr, occ = np.divmod(origin_flat[keep], w)
+    best = np.zeros(o_comp.size, dtype=np.int64)
+    for v, vo in ((rr + cc, orr + occ), (rr - cc, orr - occ)):
+        hi = np.full(roots.size, np.iinfo(np.int64).min)
+        lo = np.full(roots.size, np.iinfo(np.int64).max)
+        np.maximum.at(hi, comp, v)
+        np.minimum.at(lo, comp, v)
+        best = np.maximum(best, np.maximum(hi[o_comp] - vo, vo - lo[o_comp]))
+    radii[keep] = best
     return radii
 
 
@@ -206,50 +252,34 @@ def fpp_time_to_distance(
 # -- surrounding circuits (shared with the renormalized-block detectors) -----
 
 
-def _annulus_crossing_blocked(mask: np.ndarray, center: tuple[int, int], r_in: int, r_out: int) -> bool:
-    """True iff a closed 8-connected path inside the annulus joins the inner
-    region to the outermost annulus layer (the dual obstruction to an open
-    4-circuit surrounding the center)."""
+def _annulus_frame(mask: np.ndarray, center: tuple[int, int], r_in: int, r_out: int):
+    """(open, linf, blob) on the (2 r_out + 1)^2 window around center: the
+    window's cells, their linf distance to the center, and the dual blob,
+    the inner square {linf <= r_in} joined with every closed annulus cell
+    8-connected to it through closed annulus cells (one ndimage labeling).
+
+    A closed 8-connected path inside the annulus from the inner region to
+    the outermost layer, the dual obstruction to an open 4-circuit
+    surrounding the center, exists iff the blob reaches linf = r_out.
+    """
     h, w = mask.shape
     cr, cc = center
-    side = 2 * r_out + 1
-    seen = np.zeros((side, side), dtype=bool)
-    q = deque()
-    # Seed with the inner region, regardless of openness.
-    for dr in range(-r_in, r_in + 1):
-        for dc in range(-r_in, r_in + 1):
-            seen[dr + r_out, dc + r_out] = True
-            q.append((dr, dc))
-    while q:
-        dr, dc = q.popleft()
-        for er in (-1, 0, 1):
-            for ec in (-1, 0, 1):
-                if er == 0 and ec == 0:
-                    continue
-                nr, nc = dr + er, dc + ec
-                if max(abs(nr), abs(nc)) > r_out:
-                    continue
-                if seen[nr + r_out, nc + r_out]:
-                    continue
-                if mask[cr + nr, cc + nc]:
-                    continue  # open cells block the dual path
-                if max(abs(nr), abs(nc)) == r_out:
-                    return True
-                seen[nr + r_out, nc + r_out] = True
-                q.append((nr, nc))
-    return False
+    if cr - r_out < 0 or cc - r_out < 0 or cr + r_out >= h or cc + r_out >= w:
+        raise ValueError("annulus does not fit in the lattice")
+    local = np.asarray(mask[cr - r_out : cr + r_out + 1, cc - r_out : cc + r_out + 1], dtype=bool)
+    d = np.abs(np.arange(-r_out, r_out + 1))
+    linf = np.maximum(d[:, None], d[None, :])
+    lab, _ = ndimage.label((linf <= r_in) | ~local, structure=np.ones((3, 3), dtype=bool))
+    return local, linf, lab == lab[r_out, r_out]
 
 
 def surrounding_circuit_exists(lattice: SiteLattice, center: tuple[int, int], r_inner: int, r_outer: int) -> bool:
     """True iff an open 4-connected circuit inside the annulus
     {r_inner < linf(x, center) <= r_outer} surrounds the center."""
-    h, w = lattice.dims
-    cr, cc = center
     if not (0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer")
-    if cr - r_outer < 0 or cc - r_outer < 0 or cr + r_outer >= h or cc + r_outer >= w:
-        raise ValueError("annulus does not fit in the lattice")
-    return not _annulus_crossing_blocked(lattice.open, center, r_inner, r_outer)
+    _, linf, blob = _annulus_frame(lattice.open, center, r_inner, r_outer)
+    return not blob[linf == r_outer].any()
 
 
 def _loop_winding(loop_rel: list[tuple[int, int]]) -> int:
@@ -282,23 +312,7 @@ def _wall_follow_cycle(mask: np.ndarray, center: tuple[int, int], r_in: int, r_o
     side = 2 * (r_out + 1) + 1
     off = r_out + 1
     W = np.zeros((side, side), dtype=bool)
-    q = deque()
-    for dr in range(-r_in, r_in + 1):
-        for dc in range(-r_in, r_in + 1):
-            W[dr + off, dc + off] = True
-            q.append((dr, dc))
-    while q:
-        dr, dc = q.popleft()
-        for er in (-1, 0, 1):
-            for ec in (-1, 0, 1):
-                if er == 0 and ec == 0:
-                    continue
-                nr, nc = dr + er, dc + ec
-                if max(abs(nr), abs(nc)) > r_out or W[nr + off, nc + off]:
-                    continue
-                if not mask[cr + nr, cc + nc]:
-                    W[nr + off, nc + off] = True
-                    q.append((nr, nc))
+    W[1:-1, 1:-1] = _annulus_frame(mask, center, r_in, r_out)[2]
 
     # Start just above the topmost W cell in the center column (outer face).
     col = off
@@ -354,54 +368,39 @@ def _wall_follow_cycle(mask: np.ndarray, center: tuple[int, int], r_in: int, r_o
 
 def surrounding_cycle(mask: np.ndarray, center: tuple[int, int], r_in: int, r_out: int) -> Optional[list[tuple[int, int]]]:
     """An ordered simple open 4-cycle inside the annulus surrounding center,
-    or None.  Existence is decided by the closed-8-crossing duality; the
-    cycle itself is the shortest one crossing the reference half-line once
-    (breadth-first search per crossing column), with a contour-trace
-    fallback for configurations the column search cannot close.
+    or None.
+
+    Existence is decided by the closed-8-crossing duality.  The cycle is
+    the shortest one crossing the reference half-line (between rows -1 and 0
+    of the center, at columns > r_in) exactly once: one csgraph
+    breadth-first search per crossing column c, from (0, c) to (-1, c) on
+    the annulus graph with every half-line edge cut, listed from (0, c).
+    Ties go to the shortest cycle, then the smallest column, then the path
+    discovered first when neighbors are visited in _N4 order.
+
+    The column search can fail while a surrounding circuit exists, when
+    every circuit crosses the half-line more than once and no crossing
+    column joins its own two sides (an S-shaped detour across the
+    half-line, for one); a contour trace around the dual blob then gives
+    the cycle.
     """
-    if _annulus_crossing_blocked(mask, center, r_in, r_out):
+    local, linf, blob = _annulus_frame(mask, center, r_in, r_out)
+    if blob[linf == r_out].any():
         return None
-    cr, cc = center
-    h, w = mask.shape
-
-    def is_node(rel):
-        r, c = rel
-        d = max(abs(r), abs(c))
-        if not (r_in < d <= r_out):
-            return False
-        return bool(mask[cr + r, cc + c])
-
-    best: Optional[list[tuple[int, int]]] = None
+    R, side = r_out, 2 * r_out + 1
+    node = local & (linf > r_in)
+    nbr = _n4_neighbors(node)
+    nbr[R - 1, R + r_in + 1 :, 2] = -1  # (-1, c) -> (0, c)
+    nbr[R, R + r_in + 1 :, 3] = -1  # (0, c) -> (-1, c)
+    graph = _n4_graph(nbr)
+    best: Optional[list[int]] = None
     for c in range(r_in + 1, r_out + 1):
-        if not (is_node((0, c)) and is_node((-1, c))):
+        if not (node[R, R + c] and node[R - 1, R + c]):
             continue
-        # BFS from (0, c) to (-1, c) avoiding every cut edge.
-        startv = (0, c)
-        goal = (-1, c)
-        prev = {startv: None}
-        q = deque([startv])
-        found = False
-        while q and not found:
-            cur = q.popleft()
-            for dr, dc in _N4:
-                nxt = (cur[0] + dr, cur[1] + dc)
-                if nxt in prev or not is_node(nxt):
-                    continue
-                # cut edges join rows -1 and 0 at columns > r_in
-                if dc == 0 and cur[1] > r_in and {cur[0], nxt[0]} == {-1, 0}:
-                    continue
-                prev[nxt] = cur
-                if nxt == goal:
-                    found = True
-                    break
-                q.append(nxt)
-        if found:
-            path = [goal]
-            while prev[path[-1]] is not None:
-                path.append(prev[path[-1]])
-            path.reverse()  # startv .. goal, closed by the cut edge
-            if best is None or len(path) < len(best):
-                best = path
-    if best is not None:
-        return [(r + cr, c + cc) for r, c in best]
-    return _wall_follow_cycle(mask, center, r_in, r_out)
+        path = _bfs_path(graph, R * side + R + c, (R - 1) * side + R + c)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path
+    if best is None:
+        return _wall_follow_cycle(mask, center, r_in, r_out)
+    cr, cc = center
+    return [(v // side - R + cr, v % side - R + cc) for v in best]

@@ -151,9 +151,15 @@ def _dilate(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def center_radius_map(state: GridState) -> np.ndarray:
-    """r(c) for every cell: largest rho whose window at c is single-type."""
-    return _radius_pass(_PaddedSAT(state.types > 0, max_region_radius(state.n)))
+def _region_sat(state: GridState) -> _PaddedSAT:
+    """The table both radius passes read: +1 indicators padded by (n-1)/2."""
+    return _PaddedSAT(state.types > 0, max_region_radius(state.n))
+
+
+def center_radius_map(state: GridState, sat: Optional[_PaddedSAT] = None) -> np.ndarray:
+    """r(c) for every cell: largest rho whose window at c is single-type.
+    sat, when given, is _region_sat(state), built once by the caller."""
+    return _radius_pass(_region_sat(state) if sat is None else sat)
 
 
 def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndarray] = None) -> tuple[int, int]:
@@ -208,7 +214,7 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
     N = state.config.N
     threshold = math.exp(-(N**eps))
     R = max_region_radius(n)
-    sat = _PaddedSAT(state.types > 0, R)
+    sat = _region_sat(state)
     ur, uc = u[0] % n, u[1] % n
     for rho in range(R, -1, -1):
         d = np.arange(-rho, rho + 1)
@@ -225,17 +231,17 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
     raise AssertionError("radius 0 always qualifies")  # pragma: no cover
 
 
-def almost_mono_radius_map(state: GridState, eps: float) -> np.ndarray:
+def almost_mono_radius_map(state: GridState, eps: float, sat: Optional[_PaddedSAT] = None) -> np.ndarray:
     """Almost-monochromatic radius for every agent: the largest rho at which
     the agent lies within rho of a center whose radius-rho window has
     minority/majority <= exp(-N^eps), i.e. the dilation of q.  Radius 0
-    always qualifies.
+    always qualifies.  sat, when given, is _region_sat(state).
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
     threshold = math.exp(-(state.config.N**eps))
     R = max_region_radius(state.n)
-    q = _radius_pass(_PaddedSAT(state.types > 0, R), _minority_bound(threshold, R))
+    q = _radius_pass(_region_sat(state) if sat is None else sat, _minority_bound(threshold, R))
     return _dilate(q)
 
 
@@ -296,7 +302,8 @@ def compute_region_summary(
     values are region sizes (cell counts).
     """
     n = state.n
-    r_map = center_radius_map(state)
+    sat = _region_sat(state)
+    r_map = center_radius_map(state, sat)
     largest = {}
     for tname, tval in (("plus", 1), ("minus", -1)):
         hit = largest_mono_region(state, tval, r_map)
@@ -315,7 +322,7 @@ def compute_region_summary(
             cells = np.concatenate([cells, [argmax_flat]])
 
         m_radii = mono_radius_all(state, r_map).ravel()[cells]
-        mp_radii = almost_mono_radius_map(state, eps).ravel()[cells]
+        mp_radii = almost_mono_radius_map(state, eps, sat).ravel()[cells]
         mean_M, stderr_M = _mean_stderr((2 * m_radii.astype(np.float64) + 1) ** 2)
         mean_Mp, stderr_Mp = _mean_stderr((2 * mp_radii.astype(np.float64) + 1) ** 2)
         vals, counts = np.unique(m_radii, return_counts=True)

@@ -13,7 +13,6 @@ open/good paths and circuits, 8-adjacency for blocking/dual structures.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .dynamics import CascadeResult, cascade_closure
 from .grid import GridConfig, GridState, TorusPrefix, round_radius, torus_window_ix
-from .percolation import cycle_winds_around, surrounding_cycle
+from .percolation import _bfs_path, _n4_graph, _n4_neighbors, cycle_winds_around, surrounding_cycle
 from .theory import f_tau, radical_threshold_count, tau_hat
 from .unionfind import component_cells, label_grid_components
 
@@ -323,14 +322,14 @@ class BlockLattice:
     eps: float
 
 
-def classify_block_good(
-    state: GridState, block_origin: tuple[int, int], m: int, eps: float
-) -> bool:
-    """Good iff every intersection I of a (2w+1)-square translate with the
-    block satisfies minority_count(I) - |I|/2 < N^(1/2+eps).
+def _good_blocks(state: GridState, row0: int, col0s: np.ndarray, m: int, eps: float) -> np.ndarray:
+    """Good flags of the m-blocks with top-left corners (row0, c), c in col0s.
 
-    Exact via prefix sums over all (m+2w)^2 translate positions; requires
-    n >= m + 2w + 1 so an intersection is a single rectangle.
+    A block is good iff every intersection I of a (2w+1)-square translate
+    with it satisfies minority_count(I) - |I|/2 < N^(1/2+eps).  Exact via
+    prefix sums over all T x T translate positions, T = m + 2w, for every
+    block at once; requires n >= m + 2w + 1 so an intersection is a single
+    rectangle.
     """
     cfg = state.config
     n, w, N = cfg.n, cfg.w, cfg.N
@@ -342,19 +341,24 @@ def classify_block_good(
     lo = np.clip(t, 0, None)
     hi = np.clip(t + side - 1, None, m - 1)
     L = hi - lo + 1
-    prefix = state.plus_prefix()
-    r0 = (block_origin[0] + lo) % n
-    c0 = (block_origin[1] + lo) % n
-    plus = prefix.rect(r0[:, None], c0[None, :], L[:, None], L[None, :])
+    r0 = (row0 + lo) % n
+    c0 = (np.asarray(col0s)[:, None] + lo[None, :]) % n
+    plus = state.plus_prefix().rect(
+        r0[None, :, None], c0[:, None, :], L[None, :, None], L[None, None, :]
+    )
     n_i = L[:, None] * L[None, :]
-    minus = n_i - plus
-    return bool((2 * minus - n_i < thr2).all())
+    return (2 * (n_i - plus) - n_i < thr2).all(axis=(1, 2))
+
+
+def classify_block_good(state: GridState, block_origin: tuple[int, int], m: int, eps: float) -> bool:
+    """Good-block test of one m-block (see _good_blocks)."""
+    return bool(_good_blocks(state, block_origin[0], [block_origin[1]], m, eps)[0])
 
 
 def renormalize(
     state: GridState, m: int, eps: float, origin: tuple[int, int] = (0, 0)
 ) -> BlockLattice:
-    """Label every m-block of the tiling anchored at origin."""
+    """Label every m-block of the tiling anchored at origin, a block row per query."""
     n = state.n
     if m < 1:
         raise ValueError("block size m must be >= 1")
@@ -362,11 +366,9 @@ def renormalize(
         raise ValueError(f"block size {m} must divide n={n}")
     dims = n // m
     labels = np.zeros((dims, dims), dtype=bool)
-    for bi in range(dims):
-        for bj in range(dims):
-            labels[bi, bj] = classify_block_good(
-                state, ((origin[0] + bi * m) % n, (origin[1] + bj * m) % n), m, eps
-            )
+    cols = (origin[1] + np.arange(dims) * m) % n
+    for bi in range(dims):  # a row at a time keeps the query arrays (dims, T, T)
+        labels[bi] = _good_blocks(state, (origin[0] + bi * m) % n, cols, m, eps)
     return BlockLattice(m=m, dims=dims, labels=labels, origin=origin, eps=eps)
 
 
@@ -385,7 +387,9 @@ def find_chemical_path(
     """Cycle of good blocks in the block-annulus (r_blocks, 3 r_blocks]
     surrounding center_block, plus a shortest good-block path from the center
     to the cycle.  None when the dual bad-block crossing blocks the annulus,
-    the center block is bad, or the center cannot reach the cycle.
+    the center block is bad, or the center cannot reach the cycle.  The
+    connector ends at the first cycle block that a breadth-first search from
+    the center discovers, neighbors visited in _N4 order.
     """
     d = blocks.dims
     if r_blocks < 1:
@@ -406,31 +410,12 @@ def find_chemical_path(
     if not cycle_winds_around(cyc_local, c0):  # defensive
         raise RuntimeError("extracted cycle does not surround the center block")
 
-    cyc_set = set(cyc_local)
-    prev = {c0: None}
-    q = deque([c0])
-    hit = None
-    while q and hit is None:
-        cur = q.popleft()
-        for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            nxt = (cur[0] + dr, cur[1] + dc)
-            if nxt in prev:
-                continue
-            if max(abs(nxt[0] - R), abs(nxt[1] - R)) > R:
-                continue
-            if not local[nxt]:
-                continue
-            prev[nxt] = cur
-            if nxt in cyc_set:
-                hit = nxt
-                break
-            q.append(nxt)
-    if hit is None:
+    side = 2 * R + 1
+    graph = _n4_graph(_n4_neighbors(local))
+    path = _bfs_path(graph, R * side + R, [r * side + c for r, c in cyc_local])
+    if path is None:
         return None
-    path_local = [hit]
-    while prev[path_local[-1]] is not None:
-        path_local.append(prev[path_local[-1]])
-    path_local.reverse()
+    path_local = [divmod(v, side) for v in path]
 
     def to_abs(seq):
         return [(int(rows[r]), int(cols[c])) for r, c in seq]

@@ -208,6 +208,51 @@ class TestDetect:
     def test_detect_needs_input(self):
         assert run_cli("detect", "--what", "radical") == 2
 
+    @pytest.mark.parametrize(
+        "what,flags,message",
+        [
+            ("regions,bogus", [], "unknown detector 'bogus'"),
+            ("regions,firewall", [], "firewall detection needs --r"),
+            ("regions,expansion", [], "expansion detection needs --region-radius"),
+            ("regions,chemical-path", ["--m", "2"], "chemical-path detection needs --r-blocks"),
+            ("regions,blocks", ["--m", "5"], "block size 5 must be positive and divide n=32"),
+        ],
+    )
+    def test_detect_checks_every_name_and_flag_first(self, monkeypatch, capsys, what, flags, message):
+        import segsim.regions
+
+        calls = []
+        monkeypatch.setattr(segsim.regions, "compute_region_summary", lambda *a, **k: calls.append(a))
+        code = run_cli(
+            "detect", "--n", "32", "--w", "1", "--tau", "0.45", "--seed", "6", "--what", what, *flags,
+        )
+        assert code == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+
+    def test_detect_renormalizes_once(self, tmp_path, monkeypatch):
+        import segsim.cli
+
+        calls = []
+        original = segsim.cli.renormalize
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(segsim.cli, "renormalize", spy)
+        out = tmp_path / "d.json"
+        code = run_cli(
+            "detect", "--n", "64", "--w", "1", "--tau", "0.45", "--seed", "2",
+            "--what", "blocks,chemical-path", "--m", "2", "--r-blocks", "3",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert calls == [(2, 0.1)]
+        assert [d["kind"] for d in json.loads(out.read_text())["detections"]] == [
+            "blocks", "chemical-path",
+        ]
+
 
 class TestTheoryCommand:
     def test_f_curve(self, tmp_path):

@@ -288,6 +288,24 @@ class TestRectCounts:
             expected = int(plus[np.ix_(rows, cols)].sum())
             assert plus_count_in_rect(state, (r0, c0, h, w_)) == expected
 
+    def test_array_queries_match_bruteforce(self):
+        # Batches where no rectangle wraps, only rows or columns wrap, or both.
+        state = random_state(16, 1, 0.45, seed=10)
+        prefix = TorusPrefix(state.types > 0)
+        plus = (state.types > 0).astype(int)
+        rng = generator(13)
+        for top in (4, 16):
+            r0 = rng.integers(0, 16, (3, 5))
+            c0 = rng.integers(0, 16, (3, 5))
+            h = np.minimum(rng.integers(0, top + 1, (3, 5)), 16 - r0 if top == 4 else 16)
+            w_ = np.minimum(rng.integers(0, top + 1, (3, 5)), 16 - c0 if top == 4 else 16)
+            for hh, ww in ((h, w_), (h, np.minimum(w_, 16 - c0)), (np.minimum(h, 16 - r0), w_)):
+                got = prefix.rect(r0, c0, hh, ww)
+                for idx in np.ndindex(r0.shape):
+                    rows = np.arange(r0[idx], r0[idx] + hh[idx]) % 16
+                    cols = np.arange(c0[idx], c0[idx] + ww[idx]) % 16
+                    assert got[idx] == plus[np.ix_(rows, cols)].sum()
+
     def test_rect_tracks_flips(self):
         state = random_state(12, 1, 0.45, seed=9)
         before = plus_count_in_rect(state, (0, 0, 12, 12))

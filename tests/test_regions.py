@@ -439,3 +439,26 @@ def test_summary_bytes_do_not_depend_on_the_kernels(monkeypatch):
     monkeypatch.setattr(_kernels, "dilate", None)
     without = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
     assert json.dumps(with_c, sort_keys=True) == json.dumps(without, sort_keys=True)
+
+
+def test_summary_builds_one_padded_table(monkeypatch):
+    import segsim.regions
+
+    built = []
+
+    class Counted(_PaddedSAT):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    cfg = GridConfig(n=40, w=2, tau_tilde=0.42, seed=6, allow_small=True)
+    state = new_random(cfg)
+    run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS))
+    want = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
+    monkeypatch.setattr(segsim.regions, "_PaddedSAT", Counted)
+    got = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
+    assert built == [max_region_radius(40)]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    # Called alone, each map still builds its own table.
+    assert np.array_equal(center_radius_map(state), center_radius_map(state, Counted(state.types > 0, 19)))
+    assert len(built) == 3

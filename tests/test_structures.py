@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -419,6 +420,73 @@ class TestBlocks:
             renormalize(state, 7, 0.1)
 
 
+def oracle_classify_block_good(state, block_origin, m, eps):
+    """One block at a time: prefix sums over its (m+2w)^2 translate positions."""
+    cfg = state.config
+    n, w, N = cfg.n, cfg.w, cfg.N
+    thr2 = 2.0 * N ** (0.5 + eps)
+    side = 2 * w + 1
+    t = np.arange(-side + 1, m)
+    lo = np.clip(t, 0, None)
+    hi = np.clip(t + side - 1, None, m - 1)
+    L = hi - lo + 1
+    r0 = (block_origin[0] + lo) % n
+    c0 = (block_origin[1] + lo) % n
+    plus = state.plus_prefix().rect(r0[:, None], c0[None, :], L[:, None], L[None, :])
+    n_i = L[:, None] * L[None, :]
+    return bool((2 * (n_i - plus) - n_i < thr2).all())
+
+
+def oracle_renormalize_labels(state, m, eps, origin):
+    n = state.n
+    dims = n // m
+    labels = np.zeros((dims, dims), dtype=bool)
+    for bi in range(dims):
+        for bj in range(dims):
+            labels[bi, bj] = oracle_classify_block_good(
+                state, ((origin[0] + bi * m) % n, (origin[1] + bj * m) % n), m, eps
+            )
+    return labels
+
+
+class TestBlocksAgainstLoopOracle:
+    @pytest.mark.parametrize("w,m", [(1, 1), (1, 3), (2, 4), (2, 7), (3, 2)])
+    def test_renormalize_edge_grids(self, w, m):
+        # n = m + 2w + 1 is the smallest grid renormalize accepts; n must
+        # also be a multiple of m, so take the smallest such multiple.
+        n = m * -(-(m + 2 * w + 1) // m)
+        cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=0, allow_small=True)
+        rng = generator(71, w, m)
+        for p in (0.5, 0.6, 0.75, 0.9):
+            types = np.where(rng.random((n, n)) < p, 1, -1).astype(np.int8)
+            state = state_from_types(cfg, types)
+            for origin in ((0, 0), (1, n - 1), (n + 3, 2 * n + 5)):
+                for eps in (0.05, 0.2):
+                    got = renormalize(state, m, eps, origin)
+                    assert got.labels.dtype == bool
+                    assert np.array_equal(got.labels, oracle_renormalize_labels(state, m, eps, origin))
+                    assert classify_block_good(state, origin, m, eps) == oracle_classify_block_good(
+                        state, origin, m, eps
+                    )
+
+    def test_renormalize_random_states(self):
+        seen = set()
+        for seed in range(3):
+            state = new_random(GridConfig(n=60, w=2, tau_tilde=0.42, seed=seed))
+            for m, origin in ((6, (0, 0)), (10, (7, 31)), (12, (59, 1))):
+                labels = renormalize(state, m, 0.05, origin).labels
+                assert np.array_equal(labels, oracle_renormalize_labels(state, m, 0.05, origin))
+                seen.update(labels.ravel().tolist())
+        assert seen == {False, True}
+
+    def test_grid_too_small(self):
+        state = mono_state(8, 2, 0.45)  # n = m + 2w needs one more row
+        with pytest.raises(ValueError):
+            renormalize(state, 4, 0.1)
+        with pytest.raises(ValueError):
+            classify_block_good(state, (0, 0), 4, 0.1)
+
+
 class TestChemicalPath:
     def make_lattice(self, labels):
         labels = np.asarray(labels, dtype=bool)
@@ -500,6 +568,60 @@ class TestChemicalPath:
             for cell in cyc + cp.path:
                 assert labels[cell]
         assert found >= 10
+
+    @staticmethod
+    def oracle_chemical_path(labels, center, r_blocks):
+        """The loop version: oracle cycle, then a FIFO search from the center
+        (neighbors in _N4 order) stopping at the first cycle cell found."""
+        from test_percolation import oracle_surrounding_cycle
+
+        d = labels.shape[0]
+        R = 3 * r_blocks
+        rows = np.arange(center[0] - R, center[0] + R + 1) % d
+        cols = np.arange(center[1] - R, center[1] + R + 1) % d
+        local = labels[np.ix_(rows, cols)]
+        if not local[R, R]:
+            return None
+        cyc = oracle_surrounding_cycle(local, (R, R), r_blocks, R)
+        if cyc is None:
+            return None
+        cyc_set = set(cyc)
+        prev = {(R, R): None}
+        q = deque([(R, R)])
+        hit = None
+        while q and hit is None:
+            cur = q.popleft()
+            for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+                nxt = (cur[0] + dr, cur[1] + dc)
+                if nxt in prev or max(abs(nxt[0] - R), abs(nxt[1] - R)) > R or not local[nxt]:
+                    continue
+                prev[nxt] = cur
+                if nxt in cyc_set:
+                    hit = nxt
+                    break
+                q.append(nxt)
+        if hit is None:
+            return None
+        path = [hit]
+        while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+        to_abs = lambda seq: [(int(rows[r]), int(cols[c])) for r, c in seq]  # noqa: E731
+        return to_abs(cyc), to_abs(path[::-1])
+
+    @pytest.mark.parametrize("p_good", [0.5, 0.65, 0.8, 0.9, 0.95])
+    def test_cycle_and_path_match_loop_oracle(self, p_good):
+        rng = generator(92, int(p_good * 100))
+        d = 27
+        found = 0
+        for _ in range(20):
+            labels = rng.random((d, d)) < p_good
+            labels[13, 13] = True
+            for center, r in (((13, 13), 1), ((13, 13), 2), ((13, 13), 4), ((2, 25), 3)):
+                cp = find_chemical_path(self.make_lattice(labels), center, r)
+                got = None if cp is None else (cp.cycle, cp.path)
+                assert got == self.oracle_chemical_path(labels, center, r)
+                found += cp is not None
+        assert found > 0 or p_good < 0.8  # low densities rarely host a cycle
 
     def test_quality_bound_supercritical(self):
         # p=0.95 open blocks: the extracted structure stays within 1.25x of
