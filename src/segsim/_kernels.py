@@ -10,8 +10,11 @@ The region kernels are the two steps of regions.py: the radius pass gives
 every center its largest single-type radius r(c), or, given the integer
 table of the largest passing minority count per radius, its largest
 almost-monochromatic radius q(c); the own-radius dilation turns r into M and
-q into M'.  They do integer arithmetic only.  Every kernel's results are
-asserted equal to the numpy/python reference by the test suite.
+q into M'.  The radius pass reads the state's one (n+1) x (n+1) prefix
+table of the +1 grid (grid.TorusPrefix) and reaches wrapping windows through
+the table's periodic extension.  They do integer arithmetic only.  Every
+kernel's results are asserted equal to the numpy/python reference by the
+test suite.
 
 The C source below is compiled on first use with ``gcc -O2 -shared -fPIC``
 into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
@@ -153,28 +156,50 @@ int64_t segsim_run_chunk(
     return status;
 }
 
-/* Sum of the (2k+1)^2 window whose top-left corner is (a, b) in padded
-   coordinates; t is the summed-area table of row stride s. */
-static inline int64_t window_sum(const int64_t *t, int64_t s, int64_t a, int64_t b, int64_t side)
+/* P(x, y) for -n < x, y < 2n: the prefix sum of the n-periodic grid whose
+   (n+1) x (n+1) summed-area table is t.  With x = a n + i, y = b n + j,
+   0 <= i, j <= n and a, b in {-1, 0, 1},
+       P(x, y) = a b T + a Col(j) + b Row(i) + t(i, j),
+   where T = t(n, n), Row(i) = t(i, n) and Col(j) = t(n, j).  Proof: P = t
+   when a = b = 0, and a step of n in x adds b T + Col(j), one period of rows
+   over columns [0, y), whatever x is; likewise in y.  So the second
+   differences of P, the cell values, repeat with period n on both axes, and
+   the four corners of any window read its torus sum.  A window of radius
+   <= (n-1)/2 at a torus cell has its corners in (-n, 2n). */
+static inline int64_t periodic_prefix(const int64_t *t, int64_t n, int64_t x, int64_t y)
 {
-    const int64_t *top = t + a * s + b, *bot = t + (a + side) * s + b;
-    return bot[side] - top[side] - bot[0] + top[0];
+    const int64_t s = n + 1;
+    const int64_t a = x < 0 ? -1 : x > n, b = y < 0 ? -1 : y > n;
+    const int64_t i = x - a * n, j = y - b * n;
+    int64_t v = t[i * s + j];
+    if (a)
+        v += a * (t[n * s + j] + b * t[n * s + n]);
+    if (b)
+        v += b * t[i * s + n];
+    return v;
+}
+
+/* Torus sum of the (2k+1)^2 window centered at (i, j). */
+static inline int64_t window_sum(const int64_t *t, int64_t n, int64_t i, int64_t j, int64_t k)
+{
+    const int64_t x0 = i - k, x1 = i + k + 1, y0 = j - k, y1 = j + k + 1;
+    return periodic_prefix(t, n, x1, y1) - periodic_prefix(t, n, x0, y1)
+           - periodic_prefix(t, n, x1, y0) + periodic_prefix(t, n, x0, y0);
 }
 
 /* For every center c of the n x n torus, the largest rho <= R = (n-1)/2
    whose window's minority count is at most bound[rho] (bound >= 0), or,
    without a bound table, the largest single-type radius r(c).  sat is the
-   summed-area table of the +1 indicator, wrap-padded by pad >= R.
+   (n+1) x (n+1) summed-area table of the +1 indicator (grid.TorusPrefix).
    Windows at one center are nested, so their minority count never falls
    as rho grows.  Hence r(c) comes from an upward scan, started at the left
    neighbor's radius minus one (the radius-(rho-1) window at (i, j) lies
    inside the radius-rho window at (i, j-1)); every level up to r(c) has
    minority 0 and passes; and above it, a level whose bound is below the
    minority count just read cannot pass and is skipped unread. */
-void segsim_radius_pass(const int64_t *sat, int64_t n, int64_t pad,
-                        const int64_t *bound, int32_t *out)
+void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int32_t *out)
 {
-    const int64_t R = (n - 1) / 2, s = n + 2 * pad + 1;
+    const int64_t R = (n - 1) / 2;
     for (int64_t i = 0; i < n; i++) {
         int64_t r = 0;
         for (int64_t j = 0; j < n; j++) {
@@ -182,7 +207,7 @@ void segsim_radius_pass(const int64_t *sat, int64_t n, int64_t pad,
                 r--;
             while (r < R) {
                 int64_t k = r + 1, side = 2 * k + 1;
-                int64_t c = window_sum(sat, s, i + pad - k, j + pad - k, side);
+                int64_t c = window_sum(sat, n, i, j, k);
                 if (c != 0 && c != side * side)
                     break;
                 r = k;
@@ -191,7 +216,7 @@ void segsim_radius_pass(const int64_t *sat, int64_t n, int64_t pad,
             if (bound != NULL) {
                 for (int64_t rho = r + 1; rho <= R;) {
                     int64_t side = 2 * rho + 1, area = side * side;
-                    int64_t c = window_sum(sat, s, i + pad - rho, j + pad - rho, side);
+                    int64_t c = window_sum(sat, n, i, j, rho);
                     int64_t minority = c < area - c ? c : area - c;
                     if (minority <= bound[rho])
                         best = rho;
@@ -299,7 +324,7 @@ _SIGNATURES = {
         _arr(np.int64), _arr(np.float64),
     ], _I64),
     # The bound table is optional, so it goes in as a plain (nullable) pointer.
-    "segsim_radius_pass": ([_arr(np.int64), _I64, _I64, ctypes.c_void_p, _arr(np.int32)], None),
+    "segsim_radius_pass": ([_arr(np.int64), _I64, ctypes.c_void_p, _arr(np.int32)], None),
     "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
 }
 
@@ -404,17 +429,14 @@ def _wrap_run_chunk(fn):
 
 
 def _wrap_radius_pass(fn):
-    def radius_pass(sat, n, pad, bound=None):
+    def radius_pass(sat, n, bound=None):
         """Per-center radius map (n x n int32) of the largest rho <= (n-1)/2
         whose window's minority count is at most bound[rho]; with no bound,
-        the largest single-type radius r(c).  sat is the int64 summed-area
-        table of the +1 grid wrap-padded by pad >= (n-1)/2."""
+        the largest single-type radius r(c).  sat is the int64 (n+1) x (n+1)
+        summed-area table of the +1 grid, grid.TorusPrefix.sat."""
         R = (n - 1) // 2
-        if n < 1 or pad < R:
-            raise ValueError("the padding must cover the largest radius: pad >= (n-1)/2")
-        side = n + 2 * pad + 1
-        if sat.dtype != np.int64 or sat.shape != (side, side):
-            raise ValueError(f"the table must be int64 of shape ({side}, {side})")
+        if sat.dtype != np.int64 or sat.shape != (n + 1, n + 1):
+            raise ValueError(f"the table must be int64 of shape ({n + 1}, {n + 1})")
         if bound is not None:
             if bound.dtype != np.int64 or bound.shape != (R + 1,):
                 raise ValueError(f"the bound table must be int64 of length {R + 1}")
@@ -422,7 +444,7 @@ def _wrap_radius_pass(fn):
                 raise ValueError("the bound table must be non-negative")
             bound = np.ascontiguousarray(bound)  # kept referenced through the call
         out = np.zeros((n, n), dtype=np.int32)
-        fn(np.ascontiguousarray(sat), n, pad, None if bound is None else bound.ctypes.data, out)
+        fn(np.ascontiguousarray(sat), n, None if bound is None else bound.ctypes.data, out)
         return out
 
     return radius_pass

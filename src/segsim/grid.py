@@ -176,18 +176,18 @@ class TorusPrefix:
 
     Rebuilt on demand when the owning state has mutated (version check done
     by the caller); wrapping rectangles are decomposed into at most four
-    non-wrapping pieces.  All query arguments may be numpy arrays.
+    non-wrapping pieces.  All query arguments may be numpy arrays.  sat is
+    the (n+1) x (n+1) int64 table: sat[i, j] sums rows [0, i), cols [0, j).
     """
 
     def __init__(self, plus: np.ndarray):
         n = plus.shape[0]
         self.n = n
-        sat = np.zeros((n + 1, n + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(plus.astype(np.int64), axis=0), axis=1, out=sat[1:, 1:])
-        self._sat = sat
+        self.sat = np.zeros((n + 1, n + 1), dtype=np.int64)
+        np.cumsum(np.cumsum(plus.astype(np.int64), axis=0), axis=1, out=self.sat[1:, 1:])
 
     def _rect_nowrap(self, r0, c0, h, w):
-        s = self._sat
+        s = self.sat
         return s[r0 + h, c0 + w] - s[r0, c0 + w] - s[r0 + h, c0] + s[r0, c0]
 
     def rect(self, r0, c0, h, w):

@@ -11,13 +11,15 @@ max{ q(c) : linf(u, c) <= q(c) }, since the largest passing radius at c
 that reaches u is q(c) itself.
 
 Both per-agent maps come from the same two steps.  The radius pass reads
-one summed-area table and gives every center r(c), or q(c) with the ratio
+the state's one prefix table of the +1 grid, state.plus_prefix(), cached
+until the next flip, and gives every center r(c), or q(c) with the ratio
 test turned into an integer table of the largest passing minority count
 per radius.  The own-radius dilation then gives M from r and M' from q.
 Both steps run in the compiled library of _kernels when it loads; the numpy
-code here is the bit-identical reference and runs when it does not.  The
-per-agent functions mono_region_of and almost_mono_radius_of compute the
-same values for one agent by direct search.
+code here is the bit-identical reference and runs when it does not.  For
+one agent, mono_region_of reads M(u) off the r map (running a full radius
+pass when none is given), and almost_mono_radius_of finds M'(u) by direct
+search over radii and centers.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
 cluster measure, not a square-region measure, and is labeled as such.
@@ -33,41 +35,21 @@ import numpy as np
 from scipy import ndimage
 
 from . import _kernels
-from .grid import GridState, torus_window_ix
+from .grid import GridState, TorusPrefix, torus_window_ix
 from .rng import STREAM_MEASURE, generator
 from .unionfind import label_grid_components
 
 
-class _PaddedSAT:
-    """Summed-area table over a wrap-padded +1 indicator grid.
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
 
-    Supports per-center window sums with *vectorized, per-center* radii (the
-    parallel binary search) and every center's sum at one radius (the q
-    level loop).
-    """
 
-    def __init__(self, plus: np.ndarray, pad: int):
-        self.n = plus.shape[0]
-        self.pad = pad
-        padded = np.pad(plus.astype(np.int64), pad, mode="wrap")
-        sat = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(padded, axis=0), axis=1, out=sat[1:, 1:])
-        self.sat = sat
-
-    def window(self, i, j, rho):
-        """Sum over the (2*rho+1)^2 window centered at true coords (i, j)."""
-        a = np.asarray(i) + self.pad - rho
-        b = np.asarray(j) + self.pad - rho
-        side = 2 * np.asarray(rho) + 1
-        s = self.sat
-        return s[a + side, b + side] - s[a, b + side] - s[a + side, b] + s[a, b]
-
-    def sums(self, rho: int) -> np.ndarray:
-        """n x n sums over the (2*rho+1)^2 window at every center (rho <= pad)."""
-        n, s = self.n, self.sat
-        lo = slice(self.pad - rho, self.pad - rho + n)
-        hi = slice(lo.start + 2 * rho + 1, lo.stop + 2 * rho + 1)
-        return s[hi, hi] - s[lo, hi] - s[hi, lo] + s[lo, lo]
+def _check_measure(sample_size: int, eps: float) -> None:
+    """Reject a region measure that cannot run, before any work is done."""
+    if sample_size < 0:
+        raise ValueError(f"sample_size must be >= 0, got {sample_size}")
+    _check_eps(eps)
 
 
 def max_region_radius(n: int) -> int:
@@ -93,26 +75,25 @@ def _minority_bound(threshold: float, R: int) -> np.ndarray:
     return m
 
 
-def _radius_pass(sat: _PaddedSAT, bound: Optional[np.ndarray] = None) -> np.ndarray:
+def _radius_pass(prefix: TorusPrefix, bound: Optional[np.ndarray] = None) -> np.ndarray:
     """For every center, the largest rho <= floor((n-1)/2) whose window's
     minority count is at most bound[rho]; without a bound, the largest
-    single-type radius r(c).
+    single-type radius r(c).  prefix is the state's plus_prefix().
 
     numpy reference: r by a parallel binary search (single-type windows are
-    nested), O(n^2 log n); q by every level in turn, each a slice of the
-    table.
+    nested), O(n^2 log n); q by every level in turn.  Both read windows
+    through TorusPrefix.window.
     """
-    n, R = sat.n, max_region_radius(sat.n)
+    n, R = prefix.n, max_region_radius(prefix.n)
     if _kernels.radius_pass is not None:
-        return _kernels.radius_pass(sat.sat, n, sat.pad, bound)
+        return _kernels.radius_pass(prefix.sat, n, bound)
+    I, J = np.arange(n)[:, None], np.arange(n)[None, :]
     if bound is not None:
         q = np.zeros((n, n), dtype=np.int32)
         for rho in range(R + 1):
-            counts = sat.sums(rho)
+            counts = prefix.window(I, J, rho)
             q[np.minimum(counts, (2 * rho + 1) ** 2 - counts) <= bound[rho]] = rho
         return q
-    I = np.arange(n)[:, None] * np.ones(n, dtype=np.int64)[None, :]
-    J = np.ones(n, dtype=np.int64)[:, None] * np.arange(n)[None, :]
     lo = np.zeros((n, n), dtype=np.int64)
     hi = np.full((n, n), R, dtype=np.int64)
     while True:
@@ -120,7 +101,7 @@ def _radius_pass(sat: _PaddedSAT, bound: Optional[np.ndarray] = None) -> np.ndar
         if not active.any():
             break
         mid = (lo + hi + 1) // 2
-        counts = sat.window(I, J, mid)
+        counts = prefix.window(I, J, mid)
         ok = (counts == 0) | (counts == (2 * mid + 1) ** 2)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid - 1, hi)
@@ -151,15 +132,9 @@ def _dilate(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _region_sat(state: GridState) -> _PaddedSAT:
-    """The table both radius passes read: +1 indicators padded by (n-1)/2."""
-    return _PaddedSAT(state.types > 0, max_region_radius(state.n))
-
-
-def center_radius_map(state: GridState, sat: Optional[_PaddedSAT] = None) -> np.ndarray:
-    """r(c) for every cell: largest rho whose window at c is single-type.
-    sat, when given, is _region_sat(state), built once by the caller."""
-    return _radius_pass(_region_sat(state) if sat is None else sat)
+def center_radius_map(state: GridState) -> np.ndarray:
+    """r(c) for every cell: largest rho whose window at c is single-type."""
+    return _radius_pass(state.plus_prefix())
 
 
 def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndarray] = None) -> tuple[int, int]:
@@ -208,19 +183,18 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
     reported ratio is the minimum over qualifying windows at the maximal
     radius; zero minority reports 0.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
+    _check_eps(eps)
     n = state.n
     N = state.config.N
     threshold = math.exp(-(N**eps))
     R = max_region_radius(n)
-    sat = _region_sat(state)
+    prefix = state.plus_prefix()
     ur, uc = u[0] % n, u[1] % n
     for rho in range(R, -1, -1):
         d = np.arange(-rho, rho + 1)
         I = (ur + d) % n
         J = (uc + d) % n
-        counts = sat.window(I[:, None], J[None, :], rho)
+        counts = prefix.window(I[:, None], J[None, :], rho)
         area = (2 * rho + 1) ** 2
         minority = np.minimum(counts, area - counts)
         majority = area - minority
@@ -231,17 +205,16 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
     raise AssertionError("radius 0 always qualifies")  # pragma: no cover
 
 
-def almost_mono_radius_map(state: GridState, eps: float, sat: Optional[_PaddedSAT] = None) -> np.ndarray:
+def almost_mono_radius_map(state: GridState, eps: float) -> np.ndarray:
     """Almost-monochromatic radius for every agent: the largest rho at which
     the agent lies within rho of a center whose radius-rho window has
     minority/majority <= exp(-N^eps), i.e. the dilation of q.  Radius 0
-    always qualifies.  sat, when given, is _region_sat(state).
+    always qualifies.
     """
-    if not 0.0 < eps < 0.5:
-        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
+    _check_eps(eps)
     threshold = math.exp(-(state.config.N**eps))
     R = max_region_radius(state.n)
-    q = _radius_pass(_region_sat(state) if sat is None else sat, _minority_bound(threshold, R))
+    q = _radius_pass(state.plus_prefix(), _minority_bound(threshold, R))
     return _dilate(q)
 
 
@@ -251,6 +224,9 @@ class RegionMeasure:
 
     sample_size: int = 1024
     eps: float = 0.25
+
+    def __post_init__(self) -> None:
+        _check_measure(self.sample_size, self.eps)
 
 
 @dataclass
@@ -301,9 +277,9 @@ def compute_region_summary(
     exact all-agent maps (mono_radius_all, almost_mono_radius_map).  M
     values are region sizes (cell counts).
     """
+    _check_measure(sample_size, eps)
     n = state.n
-    sat = _region_sat(state)
-    r_map = center_radius_map(state, sat)
+    r_map = center_radius_map(state)
     largest = {}
     for tname, tval in (("plus", 1), ("minus", -1)):
         hit = largest_mono_region(state, tval, r_map)
@@ -322,7 +298,7 @@ def compute_region_summary(
             cells = np.concatenate([cells, [argmax_flat]])
 
         m_radii = mono_radius_all(state, r_map).ravel()[cells]
-        mp_radii = almost_mono_radius_map(state, eps, sat).ravel()[cells]
+        mp_radii = almost_mono_radius_map(state, eps).ravel()[cells]
         mean_M, stderr_M = _mean_stderr((2 * m_radii.astype(np.float64) + 1) ** 2)
         mean_Mp, stderr_Mp = _mean_stderr((2 * mp_radii.astype(np.float64) + 1) ** 2)
         vals, counts = np.unique(m_radii, return_counts=True)

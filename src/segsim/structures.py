@@ -280,7 +280,7 @@ def is_region_of_expansion(
                 ring.append((dr, dc))
     ring = np.asarray(ring)
 
-    prefix = TorusPrefix(state.types < 0)
+    prefix = state.plus_prefix()
 
     types = state.types
     sc = state.same_count
@@ -299,9 +299,9 @@ def is_region_of_expansion(
             chi = min(h, int(dc) + w)
             overlap = 0
             if rlo <= rhi and clo <= chi:
-                overlap = int(
-                    prefix.rect(br + rlo, bc + clo, rhi - rlo + 1, chi - clo + 1)
-                )
+                # -1 agents in the overlap: its area less its +1 agents.
+                height, width = rhi - rlo + 1, chi - clo + 1
+                overlap = height * width - prefix.rect(br + rlo, bc + clo, height, width)
             adjusted = int(sc[vr, vc]) - overlap
             if adjusted >= K:
                 return ExpansionVerdict(False, len(centers), (br, bc), (vr, vc))

@@ -79,6 +79,22 @@ class TestRun:
     def test_config_error_exit_code(self):
         assert run_cli("run", "--n", "4", "--w", "2", "--tau", "0.45") == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--sample-size", "-3"], "sample_size must be >= 0, got -3"),
+        (["--eps", "0.7"], "eps must be in (0, 1/2), got 0.7"),
+        (["--eps", "0"], "eps must be in (0, 1/2), got 0.0"),
+        (["--sample-size", "0", "--eps", "0.5"], "eps must be in (0, 1/2), got 0.5"),
+    ])
+    def test_bad_region_measure_exits_2_before_any_flip(self, monkeypatch, capsys, flags, message):
+        from segsim import dynamics
+
+        calls = []
+        monkeypatch.setattr(dynamics, "run_to_termination", lambda *a, **k: calls.append(a))
+        code = run_cli("run", "--n", "24", "--w", "1", "--tau", "0.45", "--allow-small", *flags)
+        assert code == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert run_cli("run", "--bogus") == 2
 
@@ -204,6 +220,17 @@ class TestDetect:
             "detect", "--snapshot", str(snap), "--what", "radical", "--out", str(out)
         )
         assert code == 0
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--sample-size", "-3"], "sample_size must be >= 0, got -3"),
+        (["--sample-size", "0", "--eps", "0.7"], "eps must be in (0, 1/2), got 0.7"),
+    ])
+    def test_detect_regions_rejects_bad_measure(self, capsys, flags, message):
+        code = run_cli(
+            "detect", "--n", "32", "--w", "1", "--tau", "0.45", "--seed", "6", "--what", "regions", *flags,
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_detect_needs_input(self):
         assert run_cli("detect", "--what", "radical") == 2

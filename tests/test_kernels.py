@@ -93,20 +93,20 @@ def test_wrapper_rejects_short_buffers():
 def test_region_wrappers_reject_bad_tables():
     if _kernels.radius_pass is None:
         pytest.skip(_kernels.load_error)
-    n, pad = 9, 4
-    sat = np.zeros((n + 2 * pad + 1,) * 2, np.int64)
-    bound = np.zeros(pad + 1, np.int64)
-    assert _kernels.radius_pass(sat, n, pad, bound).shape == (n, n)
-    with pytest.raises(ValueError, match="shape"):
-        _kernels.radius_pass(sat[:-1, :-1], n, pad)  # one short
+    n = 9
+    sat = np.zeros((n + 1, n + 1), np.int64)
+    bound = np.zeros(5, np.int64)
+    assert _kernels.radius_pass(sat, n, bound).shape == (n, n)
+    with pytest.raises(ValueError, match=r"shape \(10, 10\)"):
+        _kernels.radius_pass(sat[:-1, :-1], n)  # one short
     with pytest.raises(ValueError, match="int64"):
-        _kernels.radius_pass(sat.astype(np.int32), n, pad)
-    with pytest.raises(ValueError, match="pad"):
-        _kernels.radius_pass(sat, n, pad - 1)
+        _kernels.radius_pass(sat.astype(np.int32), n)
+    with pytest.raises(ValueError, match=r"shape \(10, 10\)"):
+        _kernels.radius_pass(np.zeros((n + 9,) * 2, np.int64), n)  # a wrap-padded table
     with pytest.raises(ValueError, match="length 5"):
-        _kernels.radius_pass(sat, n, pad, bound[:-1])
+        _kernels.radius_pass(sat, n, bound[:-1])
     with pytest.raises(ValueError, match="length 5"):
-        _kernels.radius_pass(sat, n, pad, bound.astype(np.int32))
+        _kernels.radius_pass(sat, n, bound.astype(np.int32))
     v = np.zeros((n, n), np.int32)
     assert np.array_equal(_kernels.dilate(v), v)
     with pytest.raises(ValueError, match="int32"):
@@ -141,9 +141,9 @@ kernels = (_kernels.radius_pass, _kernels.dilate)
 def region_maps(state, eps, use_c):
     _kernels.radius_pass, _kernels.dilate = kernels if use_c else (None, None)
     R = regions.max_region_radius(state.n)
-    sat = regions._PaddedSAT(state.types > 0, R)
-    r = regions._radius_pass(sat)
-    q = regions._radius_pass(sat, regions._minority_bound(math.exp(-(state.config.N**eps)), R))
+    prefix = state.plus_prefix()
+    r = regions._radius_pass(prefix)
+    q = regions._radius_pass(prefix, regions._minority_bound(math.exp(-(state.config.N**eps)), R))
     return r, q, regions._dilate(r), regions._dilate(q)
 
 
@@ -157,7 +157,7 @@ for n, w, tau, seed, limits in ((7, 3, 0.45, 1, RunLimits(record_interval=1)),
     assert rb.engine == "c" and ra.canonical_json() == rb.canonical_json()
     assert np.array_equal(a.types, b.types) and np.array_equal(a.same_count, b.same_count)
 
-for n, w in ((3, 1), (9, 1), (10, 1), (12, 2)):
+for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
     cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=n, allow_small=True)
     done = new_random(cfg)
     run_to_termination(done, generator(n, STREAM_DYNAMICS))

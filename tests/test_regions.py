@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from segsim import GridConfig, _kernels, new_random, state_from_types
-from segsim.dynamics import run_to_termination
+from segsim.dynamics import RunLimits, run_to_termination
 from segsim.regions import (
+    RegionMeasure,
     _dilate,
     _minority_bound,
-    _PaddedSAT,
     _radius_pass,
     almost_mono_radius_map,
     almost_mono_radius_of,
@@ -263,6 +263,11 @@ class TestAlmostMono:
         state = make_state(np.ones((9, 9), np.int8))
         with pytest.raises(ValueError):
             almost_mono_radius_of(state, (0, 0), 0.75)
+        for sample_size, eps in ((-1, 0.25), (16, 0.5), (0, 0.0)):
+            with pytest.raises(ValueError):
+                RegionMeasure(sample_size=sample_size, eps=eps)
+            with pytest.raises(ValueError):
+                compute_region_summary(state, sample_size=sample_size, eps=eps)
 
 
 class TestTranslationInvariance:
@@ -383,9 +388,9 @@ def kernel_states():
 def region_maps(state, eps):
     """(r, q, M, M') from the two steps, on whichever path _kernels provides."""
     R = max_region_radius(state.n)
-    sat = _PaddedSAT(state.types > 0, R)
-    r = _radius_pass(sat)
-    q = _radius_pass(sat, _minority_bound(math.exp(-(state.config.N**eps)), R))
+    prefix = state.plus_prefix()
+    r = _radius_pass(prefix)
+    q = _radius_pass(prefix, _minority_bound(math.exp(-(state.config.N**eps)), R))
     return r, q, _dilate(r), _dilate(q)
 
 
@@ -441,24 +446,31 @@ def test_summary_bytes_do_not_depend_on_the_kernels(monkeypatch):
     assert json.dumps(with_c, sort_keys=True) == json.dumps(without, sort_keys=True)
 
 
-def test_summary_builds_one_padded_table(monkeypatch):
-    import segsim.regions
+def test_one_prefix_table_per_state_version(monkeypatch):
+    import segsim.grid
+    from segsim.grid import apply_flip
+    from segsim.structures import RadicalSpec, is_radical_region, renormalize
 
     built = []
 
-    class Counted(_PaddedSAT):
-        def __init__(self, *args):
-            built.append(args[1])
-            super().__init__(*args)
+    class Counted(segsim.grid.TorusPrefix):
+        def __init__(self, plus):
+            built.append(plus.shape)
+            super().__init__(plus)
 
     cfg = GridConfig(n=40, w=2, tau_tilde=0.42, seed=6, allow_small=True)
     state = new_random(cfg)
-    run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS))
-    want = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
-    monkeypatch.setattr(segsim.regions, "_PaddedSAT", Counted)
+    run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS), RunLimits(max_flips=50))
+    want = compute_region_summary(state.copy(), sample_size=64, eps=0.25).to_dict()
+    monkeypatch.setattr(segsim.grid, "TorusPrefix", Counted)
     got = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
-    assert built == [max_region_radius(40)]
+    is_radical_region(state, RadicalSpec((20, 20), 0.35, 0.1))
+    renormalize(state, 8, 0.1)
+    assert built == [(40, 40)]
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    # Called alone, each map still builds its own table.
-    assert np.array_equal(center_radius_map(state), center_radius_map(state, Counted(state.types > 0, 19)))
-    assert len(built) == 3
+    # One flip makes the table stale: the next reads rebuild it once.
+    apply_flip(state, divmod(int(state.eligible_list()[0]), 40))
+    r = center_radius_map(state)
+    almost_mono_radius_map(state, 0.25)
+    assert len(built) == 2
+    assert np.array_equal(r, oracle_center_radius(state.types))

@@ -296,6 +296,18 @@ class TestRegionOfExpansion:
         got = bool(is_region_of_expansion(state, (12, 12), 4))
         assert got == self.oracle(state, (12, 12), 4)
 
+    @pytest.mark.parametrize("w,p,radius", [(1, 0.5, 1), (1, 0.6, 2), (2, 0.6, 1)])
+    def test_both_verdicts_match_recount_oracle(self, w, p, radius):
+        # Near-balanced states where the block overlap decides some verdicts.
+        verdicts = set()
+        for seed in range(20):
+            cfg = GridConfig(n=24, w=w, tau_tilde=0.45, p=p, seed=seed, allow_small=True)
+            state = new_random(cfg)
+            got = bool(is_region_of_expansion(state, (12, 12), radius))
+            assert got == self.oracle(state, (12, 12), radius), seed
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
     def test_all_minus_region(self):
         # A -1 sea at moderate tau: the hypothetical +1 block must make its
         # rim unhappy; verdict agrees with the recount oracle.
