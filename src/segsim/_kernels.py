@@ -1,10 +1,15 @@
 """Compiled C kernels for the flip loop and the region maps, loaded with ctypes.
 
 The flip kernel consumes pre-drawn (uniform, exponential) batches and
-performs exactly the same sequence of array mutations as the pure-python
-chunk executor in dynamics.py: per flip, same_count updates over the window
-in row-major order, then eligibility removals in row-major order, then
-insertions in row-major order.
+leaves exactly the same state as the pure-python chunk executor in
+dynamics.py.  Per flip, every same_count in the (2w+1)^2 window changes,
+and the eligible list then sees swap-removals of the members whose count
+now exceeds the eligibility bound, in row-major window order, followed by
+appends of the non-members whose count is now within it, in row-major
+window order.  That order is the contract: the python reference
+(grid.apply_flip) keeps it in three passes over the window, and the kernel
+keeps it in one walk that removes as it goes and buffers the appends (the
+proof is in the C comment).
 
 The region kernels are the two steps of regions.py: the radius pass gives
 every center its largest single-type radius r(c), or, given the integer
@@ -56,10 +61,32 @@ enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
 
 /* io[0..2] in: m, phi, flips.  io[0..5] out: m, phi, flips, consumed,
    rec_count, audit_count.  *t is read and written.  Returns the status.
-   row_off[i] = (i % n) * n and col_ix[i] = i % n for 0 <= i < 3n. */
+   cand holds at least (2w+1)^2 entries.
+
+   One row-major walk over the window per flip does what the python
+   reference (grid.apply_flip) does in three: it updates each cell's
+   same_count, swap-removes the cell from the eligible list at once when it
+   is a member whose count now exceeds emax, and appends it to cand when it
+   is not a member and its count is now <= emax; after the walk cand is
+   appended to the list in its order.  The result is bit-identical to
+   three passes (all updates, then removals in row-major order, then
+   insertions in row-major order):
+   - 2w+1 <= n, so each cell appears once in the window, and its count is
+     final after its one update; the count it is tested with is the count
+     the second and third passes would read.
+   - A removal reads only the removed cell's own count and the list
+     positions, and it moves only the last member, which stays a member.
+   - No cell joins the list during the walk (insertions wait for cand), and
+     none leaves it except at its own visit.  So a cell's membership at its
+     visit is its membership before the flip, the removals are the same
+     cells in the same row-major order, and cand is the row-major set the
+     third pass inserts: a removed cell's count exceeds emax, so the third
+     pass never re-inserts it, and the insertions start at the same m.
+   The flipped cell gets N - k before the walk; being of the new type, the
+   walk's +1 leaves it N - k + 1, its count after the flip. */
 int64_t segsim_run_chunk(
     int8_t *types, int32_t *sc, int32_t *elig_pos, int64_t *elig_cells,
-    const int64_t *row_off, const int64_t *col_ix,
+    int64_t *cand,
     int64_t n, int64_t w, int64_t N, int64_t emax,
     int64_t max_flips, int64_t has_time_limit, double max_time,
     const double *u_batch, const double *e_batch, int64_t B,
@@ -72,7 +99,6 @@ int64_t segsim_run_chunk(
     int64_t consumed = 0, rec_count = 0, audit_count = 0;
     int64_t status;
     double t = *t_io;
-    const int64_t *rows = row_off + n, *cols = col_ix + n;
 
     for (;;) {
         if (m <= 0) { status = NO_ELIGIBLE; break; }
@@ -93,47 +119,50 @@ int64_t segsim_run_chunk(
         int32_t k = sc[cell];
         int8_t new_type = (int8_t)-types[cell];
         types[cell] = new_type;
+        sc[cell] = (int32_t)(N - k);
         phi += 2 * (N - 2 * (int64_t)k + 1);
 
-        /* Pass 1: same_count updates, row-major over the window. */
-        for (int64_t dr = -w; dr <= w; dr++) {
-            int64_t base = rows[r0 + dr];
-            for (int64_t dc = -w; dc <= w; dc++) {
-                int64_t v = base + cols[c0 + dc];
-                if (v == cell)
-                    sc[v] = (int32_t)(N - k + 1);
-                else if (types[v] == new_type)
-                    sc[v] += 1;
-                else
-                    sc[v] -= 1;
-            }
+        /* The window's columns, c0 - w .. c0 + w mod n, as at most two
+           contiguous runs, [lo, hi) and then [0, wrap), split at the wrap. */
+        int64_t lo = c0 - w, hi = c0 + w + 1, wrap = 0;
+        if (lo < 0) {
+            wrap = hi;
+            lo += n;
+            hi = n;
+        } else if (hi > n) {
+            wrap = hi - n;
+            hi = n;
         }
-        /* Pass 2: eligibility removals, row-major. */
+        int64_t n_cand = 0;
         for (int64_t dr = -w; dr <= w; dr++) {
-            int64_t base = rows[r0 + dr];
-            for (int64_t dc = -w; dc <= w; dc++) {
-                int64_t v = base + cols[c0 + dc];
-                int32_t pos = elig_pos[v];
-                if (pos >= 0 && sc[v] > emax) {
-                    int64_t last = elig_cells[m - 1];
-                    elig_cells[pos] = last;
-                    elig_pos[last] = pos;
-                    elig_pos[v] = -1;
-                    m--;
+            int64_t r = r0 + dr;
+            r += r < 0 ? n : r >= n ? -n : 0;
+            const int64_t base = r * n;
+            for (int run = 0; run < 2; run++) {
+                const int64_t v0 = base + (run ? 0 : lo), v1 = base + (run ? wrap : hi);
+                for (int64_t v = v0; v < v1; v++) {
+                    int32_t c = sc[v] + (types[v] == new_type ? 1 : -1);
+                    sc[v] = c;
+                    int32_t pos = elig_pos[v];
+                    if (pos >= 0) {
+                        if (c > emax) {
+                            int64_t last = elig_cells[m - 1];
+                            elig_cells[pos] = last;
+                            elig_pos[last] = pos;
+                            elig_pos[v] = -1;
+                            m--;
+                        }
+                    } else if (c <= emax) {
+                        cand[n_cand++] = v;
+                    }
                 }
             }
         }
-        /* Pass 3: eligibility insertions, row-major. */
-        for (int64_t dr = -w; dr <= w; dr++) {
-            int64_t base = rows[r0 + dr];
-            for (int64_t dc = -w; dc <= w; dc++) {
-                int64_t v = base + cols[c0 + dc];
-                if (elig_pos[v] < 0 && sc[v] <= emax) {
-                    elig_pos[v] = (int32_t)m;
-                    elig_cells[m] = v;
-                    m++;
-                }
-            }
+        for (int64_t i = 0; i < n_cand; i++) {
+            int64_t v = cand[i];
+            elig_pos[v] = (int32_t)m;
+            elig_cells[m] = v;
+            m++;
         }
 
         if (audit_on) {
@@ -315,7 +344,7 @@ _I64 = ctypes.c_int64
 _SIGNATURES = {
     "segsim_run_chunk": ([
         _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
-        _arr(np.int64), _arr(np.int64),
+        _arr(np.int64),
         _I64, _I64, _I64, _I64,
         _I64, _I64, ctypes.c_double,
         _arr(np.float64), _arr(np.float64), _I64,
@@ -390,11 +419,13 @@ def _load():
 
 
 def _wrap_run_chunk(fn):
-    def run_chunk(types, sc, elig_pos, elig_cells, m, n, w, N, emax, phi, t, flips,
+    def run_chunk(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, t, flips,
                   max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
                   rec_phi, rec_m, audit_on, audit_cells, audit_pre):
         """One batch of flips in C; same arguments and results as dynamics._run_chunk_py
-        apart from the explicit state arrays and preallocated trace/audit buffers.
+        apart from the explicit state arrays and preallocated buffers: cand, the
+        int64 scratch for one flip's insertions ((2w+1)^2 entries), and the
+        trace and audit buffers.
 
         Returns (m, phi, t, flips, consumed, rec_count, audit_count, status).
         """
@@ -403,6 +434,8 @@ def _wrap_run_chunk(fn):
             raise ValueError("the window must fit the torus: 2w+1 <= n")
         if not (types.size == sc.size == elig_pos.size == elig_cells.size == n * n):
             raise ValueError("state arrays must all hold n*n cells")
+        if cand.size < (2 * w + 1) ** 2:
+            raise ValueError("the candidate buffer is shorter than the (2w+1)^2 window")
         if e_batch.shape[0] != B:
             raise ValueError("uniform and exponential batches differ in length")
         rec_size = min(a.size for a in (rec_flip, rec_time, rec_phi, rec_m))
@@ -410,11 +443,10 @@ def _wrap_run_chunk(fn):
             raise ValueError("trace buffers are shorter than one batch needs")
         if audit_on and min(audit_cells.size, audit_pre.size) < B:
             raise ValueError("audit buffers are shorter than the batch")
-        idx = np.arange(3 * n, dtype=np.int64) % n
         io = np.array([m, phi, flips, 0, 0, 0], dtype=np.int64)
         t_io = np.array([t], dtype=np.float64)
         status = fn(
-            types, sc, elig_pos, elig_cells, idx * n, idx,
+            types, sc, elig_pos, elig_cells, cand,
             n, w, N, emax,
             max_flips, max_time is not None, 0.0 if max_time is None else max_time,
             u_batch, e_batch, B,

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +101,9 @@ def _cmd_run(args) -> int:
     from .regions import RegionMeasure
     from .rng import STREAM_DYNAMICS
 
+    init_start = time.perf_counter()
     state = new_random(config)
+    init_s = time.perf_counter() - init_start
     report = run_to_termination(
         state,
         generator(config.seed, STREAM_DYNAMICS),
@@ -109,6 +112,10 @@ def _cmd_run(args) -> int:
         measure=RegionMeasure(sample_size=args.sample_size, eps=args.eps),
     )
     doc = report.to_dict(include_wall_clock=not args.omit_timing)
+    if not args.omit_timing:
+        # init_s (the fill and its box counts) precedes run_to_termination,
+        # so it is reported here, not in RunReport.timings or a sweep's CSV.
+        doc["timings"] = {**report.timings, "init_s": init_s}
     doc["provenance"] = _provenance(config.seed, config.to_dict())
     if args.report_out:
         _write_text(args.report_out, json.dumps(doc, sort_keys=True))
@@ -121,7 +128,8 @@ def _cmd_run(args) -> int:
         _write_text(args.trace_out, _csv_with_provenance(lines, config.seed, config.to_dict()))
     print(
         f"run n={config.n} w={config.w} K={config.K}/{config.N} seed={config.seed}: "
-        f"{report.flips_total} flips, {report.termination_reason}"
+        f"{report.flips_total} flips, {report.termination_reason}; "
+        f"{report.engine} engine, {report.timings['flips_per_second']:.0f} flips/s"
     )
     return 0
 

@@ -9,8 +9,8 @@ run_to_termination consumes randomness in fixed-size batches of
 (uniform, exponential) pairs (see rng.RUN_CHUNK) and hands each batch to
 one of two chunk executors: the compiled C kernel (_kernels.run_chunk) or
 the pure-python reference _run_chunk_py.  Both consume the identical stream
-and mutate the state in the same order, so trajectories are
-bit-reproducible and independent of which one ran.
+and change the eligible list in the order _kernels states, so trajectories
+are bit-reproducible and independent of which one ran.
 """
 
 from __future__ import annotations
@@ -246,13 +246,14 @@ def run_to_termination(
         rec_m = np.zeros(max_rec, dtype=np.int64)
         a_cells = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int64)
         a_pre = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int32)
+        cand = np.zeros((2 * cfg.w + 1) ** 2, dtype=np.int64)
     while m > 0 and status == _kernels.STATUS_BATCH_DONE:
         u_batch = rng.random(RUN_CHUNK)
         e_batch = rng.standard_exponential(RUN_CHUNK)
         if use_numba:
             prev_flips = flips
             (m, phi, t, flips, consumed, rec_count, audit_count, status) = _kernels.run_chunk(
-                state.types, state.same_count, state.elig_pos, state.elig_cells,
+                state.types, state.same_count, state.elig_pos, state.elig_cells, cand,
                 m, n, cfg.w, N, cfg.eligible_max_count, phi, t, flips, cap, max_time,
                 u_batch, e_batch, rec_every, rec_flip, rec_time, rec_phi, rec_m,
                 audit, a_cells, a_pre,

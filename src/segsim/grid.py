@@ -348,9 +348,10 @@ def apply_flip(state: GridState, u: tuple[int, int]) -> FlipEvent:
     """Flip the eligible agent at u and repair all bookkeeping incrementally.
 
     Exactly the (2w+1)^2 agents whose neighborhood contains u change their
-    same_count; eligibility is re-derived for those agents only, removals
-    before insertions, each pass in row-major window order (the fixed order
-    is part of the determinism contract shared with the compiled kernel).
+    same_count; eligibility is re-derived for those agents only, all
+    removals before all insertions, each in row-major window order.  That
+    order is the determinism contract stated in _kernels, which the
+    compiled kernel keeps in one walk; this is its three-pass reference.
     O(w^2) work per flip.
     """
     cfg = state.config

@@ -353,9 +353,9 @@ def test_criterion_08_intolerance_trend():
     # The low end is limited by n: at tau = 0.36 some seeds never cascade
     # and others fill the torus, while at 0.38 every run starts with 27-68
     # unhappy agents and its largest radius (<= 79) stays below the cap 127.
-    # This grid costs about 5 s with the C engine and 35 s with the python
-    # one; the same protocol at n=1000, w=10, tau 0.40..0.44 gives the same
-    # verdict in about 400 s on the python engine.
+    # This grid costs 1.3-1.8 s with the C engine and about 29 s with the
+    # python one (2 cores); the same protocol at n=1000, w=10, tau
+    # 0.40..0.44 gives the same verdict in about 400 s on the python engine.
     taus = (0.38, 0.40, 0.42)
     n, w = 256, 6
     for tau in taus:

@@ -76,6 +76,33 @@ class TestRun:
         assert engines == ["c", "python"]
         assert outs[0] == outs[1]
 
+    def test_run_reports_engine_rate_and_init_time(self, tmp_path, monkeypatch, capsys):
+        from segsim import dynamics
+
+        reports = []
+        run = dynamics.run_to_termination
+
+        def recording(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(dynamics, "run_to_termination", recording)
+        timed, untimed = tmp_path / "timed.json", tmp_path / "untimed.json"
+        flags = ("run", "--n", "32", "--w", "2", "--tau", "0.45", "--seed", "13",
+                 "--sample-size", "16", "--python-engine")
+        assert run_cli(*flags, "--report-out", str(timed)) == 0
+        line = capsys.readouterr().out.strip()
+        doc = json.loads(timed.read_text())
+        assert line.endswith(f"; python engine, {doc['timings']['flips_per_second']:.0f} flips/s")
+        assert doc["engine"] == "python"
+        assert doc["timings"]["init_s"] > 0
+        assert "init_s" not in reports[0].timings  # the sweep's timings.csv columns stay
+        assert run_cli(*flags, "--report-out", str(untimed), "--omit-timing") == 0
+        untimed_doc = json.loads(untimed.read_text())
+        assert not {"timings", "engine", "wall_clock_seconds"} & set(untimed_doc)
+        canonical = json.loads(reports[1].canonical_json())
+        assert untimed_doc == {**canonical, "provenance": doc["provenance"]}
+
     def test_config_error_exit_code(self):
         assert run_cli("run", "--n", "4", "--w", "2", "--tau", "0.45") == 2
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segsim
 import segsim.dynamics as dyn
@@ -68,26 +70,32 @@ def test_unwritable_cache_falls_back_to_private_temp_dir(tmp_path, monkeypatch):
 def test_wrapper_rejects_short_buffers():
     if _kernels.run_chunk is None:
         pytest.skip(_kernels.load_error)
-    n = 7
+    n, w = 7, 3
     types = np.ones(n * n, np.int8)
     sc = np.zeros(n * n, np.int32)
     pos = np.full(n * n, -1, np.int32)
     cells = np.zeros(n * n - 1, np.int64)  # one short
+    cand = np.zeros((2 * w + 1) ** 2, np.int64)
     batch = np.zeros(4)
     rec = np.zeros(1, np.int64)
+
+    def call(cells=cells, cand=cand, w=w, audit=False, m=0):
+        return _kernels.run_chunk(types, sc, pos, cells, cand, m, n, w, (2 * w + 1) ** 2, 22, 0,
+                                  0.0, 0, 10, None, batch, batch, 0, rec, np.zeros(1), rec, rec,
+                                  audit, rec, np.zeros(1, np.int32))
+
     with pytest.raises(ValueError, match=r"n\*n"):
-        _kernels.run_chunk(types, sc, pos, cells, 0, n, 3, 49, 22, 0, 0.0, 0, 10, None,
-                           batch, batch, 0, rec, np.zeros(1), rec, rec, False, rec,
-                           np.zeros(1, np.int32))
+        call()
     cells = np.zeros(n * n, np.int64)
     with pytest.raises(ValueError, match="2w\\+1"):
-        _kernels.run_chunk(types, sc, pos, cells, 0, n, 4, 81, 40, 0, 0.0, 0, 10, None,
-                           batch, batch, 0, rec, np.zeros(1), rec, rec, False, rec,
-                           np.zeros(1, np.int32))
+        call(cells, np.zeros(81, np.int64), w=4)
     with pytest.raises(ValueError, match="audit"):
-        _kernels.run_chunk(types, sc, pos, cells, 0, n, 3, 49, 22, 0, 0.0, 0, 10, None,
-                           batch, batch, 0, rec, np.zeros(1), rec, rec, True, rec,
-                           np.zeros(1, np.int32))
+        call(cells, audit=True)
+    pos[0] = 0  # cell 0 eligible: a call that reached C would flip it
+    with pytest.raises(ValueError, match="candidate buffer"):
+        call(cells, cand[:-1], m=1)  # one short of (2w+1)^2
+    assert (types == 1).all() and not sc.any()  # rejected before the C call
+    assert call(cells)[-1] == _kernels.STATUS_NO_ELIGIBLE
 
 
 def test_region_wrappers_reject_bad_tables():
@@ -149,7 +157,8 @@ def region_maps(state, eps, use_c):
 
 for n, w, tau, seed, limits in ((7, 3, 0.45, 1, RunLimits(record_interval=1)),
                                 (40, 2, 0.6, 4, RunLimits(record_interval=50)),
-                                (48, 2, 0.45, 1, RunLimits(max_continuous_time=0.5))):
+                                (48, 2, 0.45, 1, RunLimits(max_continuous_time=0.5)),
+                                (21, 10, 0.45, 4, RunLimits(record_interval=10))):
     cfg = GridConfig(n=n, w=w, tau_tilde=tau, seed=seed, allow_small=True)
     a, b = new_random(cfg), new_random(cfg)
     ra = run_to_termination(a, generator(seed, STREAM_DYNAMICS), limits, use_numba=False, audit=True)
@@ -220,6 +229,9 @@ EDGE_CASES = {
     "smallest_torus": (7, 3, 0.45, 1, RunLimits(record_interval=1), None, "NoEligibleAgents"),
     "tau_above_half": (40, 2, 0.6, 4, RunLimits(record_interval=50), 64, "NoEligibleAgents"),
     "w10": (84, 10, 0.45, 5, RunLimits(record_interval=500), None, "NoEligibleAgents"),
+    # n = 2w+1: every window is the whole torus, and its rows split at the
+    # wrap unless the flipped cell is in column w; seeds 1-3 make no flip.
+    "full_torus_w10": (21, 10, 0.45, 4, RunLimits(record_interval=10), None, "NoEligibleAgents"),
 }
 
 
@@ -260,5 +272,35 @@ def test_c_kernel_matches_python(case, monkeypatch):
     assert b.audit_consistent()
     if case == "tau_above_half":
         assert cfg.eligible_max_count == cfg.N + 1 - cfg.K < cfg.K - 1
-    if case == "smallest_torus":
+    if case in ("smallest_torus", "full_torus_w10"):
         assert n == 2 * w + 1
+
+
+@st.composite
+def _small_tori(draw):
+    w = draw(st.integers(1, 4))
+    n = draw(st.integers(2 * w + 1, 2 * w + 8))
+    return n, w
+
+
+@given(torus=_small_tori(), tau=st.sampled_from([0.3, 0.4, 0.45, 0.5, 0.6]),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_engines_agree_on_small_tori(torus, tau, seed):
+    """The one-walk C flip and the three-pass python flip leave the same
+    report and state on tori down to n = 2w+1, where rows split at the wrap."""
+    if _kernels.run_chunk is None:
+        pytest.skip(_kernels.load_error)
+    n, w = torus
+    cfg = GridConfig(n=n, w=w, tau_tilde=tau, seed=seed, allow_small=True)
+    a = new_random(cfg)
+    b = a.copy()
+    ra = run_to_termination(a, generator(seed, STREAM_DYNAMICS), use_numba=False)
+    rb = run_to_termination(b, generator(seed, STREAM_DYNAMICS), use_numba=True)
+    assert (ra.engine, rb.engine) == ("python", "c")
+    assert ra.canonical_json() == rb.canonical_json()
+    assert np.array_equal(a.types, b.types)
+    assert np.array_equal(a.same_count, b.same_count)
+    assert np.array_equal(a.elig_pos, b.elig_pos)
+    assert a.elig_count == b.elig_count
+    assert np.array_equal(a.elig_cells[: a.elig_count], b.elig_cells[: b.elig_count])
