@@ -8,8 +8,9 @@ now exceeds the eligibility bound, in row-major window order, followed by
 appends of the non-members whose count is now within it, in row-major
 window order.  That order is the contract: the python reference
 (grid.apply_flip) keeps it in three passes over the window, and the kernel
-keeps it in one walk that removes as it goes and buffers the appends (the
-proof is in the C comment).
+keeps it in one walk that removes as it goes and buffers the appends, and
+runs that membership walk only over the column runs where a count crossed
+the bound or the flipped cell lies (the proof is in the C comment).
 
 The region kernels are the two steps of regions.py: the radius pass gives
 every center its largest single-type radius r(c), or, given the integer
@@ -21,7 +22,7 @@ the table's periodic extension.  They do integer arithmetic only.  Every
 kernel's results are asserted equal to the numpy/python reference by the
 test suite.
 
-The C source below is compiled on first use with ``gcc -O2 -shared -fPIC``
+The C source below is compiled on first use with ``gcc -O3 -shared -fPIC``
 into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
 private ``segsim-<uid>`` directory under the system temp directory when
 that cannot be written.  The library's file name is a sha256 of the source,
@@ -83,9 +84,27 @@ enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
      third pass inserts: a removed cell's count exceeds emax, so the third
      pass never re-inserts it, and the insertions start at the same m.
    The flipped cell gets N - k before the walk; being of the new type, the
-   walk's +1 leaves it N - k + 1, its count after the flip. */
+   walk's +1 leaves it N - k + 1, its count after the flip.
+
+   Each column run is walked in two steps: a branch-free loop updates every
+   count of the run and notes whether any count crossed emax, and the
+   membership walk above runs over the run only when one did, or when the
+   run holds the flipped cell.  Skipping the other runs changes nothing:
+   - every count in the window moves by exactly +-1 except the flipped
+     cell's, so the update loop reads each other cell's count before the
+     flip and after it;
+   - a cell's membership at its visit is its membership before the flip
+     (above), which is count <= emax before the flip;
+   - so in a run where no count crosses emax, every member keeps a count
+     <= emax and every non-member a count > emax, and the walk would
+     neither remove nor append;
+   - the flipped cell, a member, leaves the list, but its count is N - k
+     before the update, not k, so the crossing test cannot see it: its run
+     is always walked.
+   The walked runs are the same runs in the same row-major order, so the
+   removals and cand keep their order. */
 int64_t segsim_run_chunk(
-    int8_t *types, int32_t *sc, int32_t *elig_pos, int64_t *elig_cells,
+    int8_t *restrict types, int32_t *restrict sc, int32_t *elig_pos, int64_t *elig_cells,
     int64_t *cand,
     int64_t n, int64_t w, int64_t N, int64_t emax,
     int64_t max_flips, int64_t has_time_limit, double max_time,
@@ -99,6 +118,7 @@ int64_t segsim_run_chunk(
     int64_t consumed = 0, rec_count = 0, audit_count = 0;
     int64_t status;
     double t = *t_io;
+    const int32_t em = (int32_t)emax;
 
     for (;;) {
         if (m <= 0) { status = NO_ELIGIBLE; break; }
@@ -140,19 +160,26 @@ int64_t segsim_run_chunk(
             const int64_t base = r * n;
             for (int run = 0; run < 2; run++) {
                 const int64_t v0 = base + (run ? 0 : lo), v1 = base + (run ? wrap : hi);
+                int crossed = 0;
                 for (int64_t v = v0; v < v1; v++) {
-                    int32_t c = sc[v] + (types[v] == new_type ? 1 : -1);
+                    const int32_t old = sc[v], c = old + (types[v] == new_type ? 1 : -1);
                     sc[v] = c;
+                    crossed |= (old <= em) != (c <= em);
+                }
+                if (!crossed && !(v0 <= cell && cell < v1))
+                    continue;
+                for (int64_t v = v0; v < v1; v++) {
+                    const int32_t c = sc[v];
                     int32_t pos = elig_pos[v];
                     if (pos >= 0) {
-                        if (c > emax) {
+                        if (c > em) {
                             int64_t last = elig_cells[m - 1];
                             elig_cells[pos] = last;
                             elig_pos[last] = pos;
                             elig_pos[v] = -1;
                             m--;
                         }
-                    } else if (c <= emax) {
+                    } else if (c <= em) {
                         cand[n_cand++] = v;
                     }
                 }
@@ -225,7 +252,9 @@ static inline int64_t window_sum(const int64_t *t, int64_t n, int64_t i, int64_t
    neighbor's radius minus one (the radius-(rho-1) window at (i, j) lies
    inside the radius-rho window at (i, j-1)); every level up to r(c) has
    minority 0 and passes; and above it, a level whose bound is below the
-   minority count just read cannot pass and is skipped unread. */
+   minority count just read cannot pass and is skipped unread.  bound never
+   falls as rho grows (the wrapper checks it), so once the minority count
+   exceeds bound[R] no higher level can pass and the scan stops. */
 void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int32_t *out)
 {
     const int64_t R = (n - 1) / 2;
@@ -247,6 +276,8 @@ void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int
                     int64_t side = 2 * rho + 1, area = side * side;
                     int64_t c = window_sum(sat, n, i, j, rho);
                     int64_t minority = c < area - c ? c : area - c;
+                    if (minority > bound[R])
+                        break;
                     if (minority <= bound[rho])
                         best = rho;
                     for (rho++; rho <= R && bound[rho] < minority; rho++)
@@ -331,8 +362,12 @@ int64_t segsim_dilate(const int32_t *v, int64_t n, int32_t *out)
 """
 
 # The runtime build takes no warning flags, so a new compiler warning cannot
-# disable the engine; the test suite compiles the source with -Werror.
-CFLAGS = ("-O2", "-shared", "-fPIC")
+# disable the engine; the test suite compiles the source with these flags and
+# -Werror.  -O3 vectorises the flip's count update for the baseline
+# instruction set of the machine type; -march=native is left out because the
+# library's cache key names only that type, so a shared cache could hand the
+# library to another CPU.
+CFLAGS = ("-O3", "-shared", "-fPIC")
 
 
 def _arr(dtype):
@@ -472,8 +507,8 @@ def _wrap_radius_pass(fn):
         if bound is not None:
             if bound.dtype != np.int64 or bound.shape != (R + 1,):
                 raise ValueError(f"the bound table must be int64 of length {R + 1}")
-            if bound.min() < 0:
-                raise ValueError("the bound table must be non-negative")
+            if bound.min() < 0 or (np.diff(bound) < 0).any():
+                raise ValueError("the bound table must be non-negative and non-decreasing")
             bound = np.ascontiguousarray(bound)  # kept referenced through the call
         out = np.zeros((n, n), dtype=np.int32)
         fn(np.ascontiguousarray(sat), n, None if bound is None else bound.ctypes.data, out)

@@ -75,25 +75,48 @@ def _minority_bound(threshold: float, R: int) -> np.ndarray:
     return m
 
 
+def _periodic_prefix(prefix: TorusPrefix) -> np.ndarray:
+    """P(x, y) for -R <= x, y <= n + R, R = floor((n-1)/2), stored at
+    [x + R, y + R]: the prefix sum of the n-periodic +1 grid, built from
+    prefix.sat by the identity P(a n + i, b n + j) = a b T + a Col(j) +
+    b Row(i) + sat(i, j) proved at periodic_prefix in _kernels.  Every window
+    of radius <= R at a torus cell has its four corners in the table."""
+    n, R = prefix.n, max_region_radius(prefix.n)
+    t = prefix.sat
+    x = np.arange(-R, n + R + 1)
+    a = np.where(x < 0, -1, (x > n).astype(np.int64))
+    i = x - a * n
+    col, row = t[n, i][None, :], t[i, n][:, None]
+    return t[np.ix_(i, i)] + a[:, None] * (col + a[None, :] * t[n, n]) + a[None, :] * row
+
+
+def _corner_sums(P: np.ndarray, x0, x1, y0, y1) -> np.ndarray:
+    """Window sums from a _periodic_prefix table, rows [x0, x1) and columns
+    [y0, y1) in table coordinates; the corners are slices or index arrays."""
+    return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
+
+
 def _radius_pass(prefix: TorusPrefix, bound: Optional[np.ndarray] = None) -> np.ndarray:
     """For every center, the largest rho <= floor((n-1)/2) whose window's
     minority count is at most bound[rho]; without a bound, the largest
     single-type radius r(c).  prefix is the state's plus_prefix().
 
     numpy reference: r by a parallel binary search (single-type windows are
-    nested), O(n^2 log n); q by every level in turn.  Both read windows
-    through TorusPrefix.window.
+    nested), O(n^2 log n); q by every level in turn.  Both read windows from
+    one call-local _periodic_prefix table.
     """
     n, R = prefix.n, max_region_radius(prefix.n)
     if _kernels.radius_pass is not None:
         return _kernels.radius_pass(prefix.sat, n, bound)
-    I, J = np.arange(n)[:, None], np.arange(n)[None, :]
+    P = _periodic_prefix(prefix)
     if bound is not None:
         q = np.zeros((n, n), dtype=np.int32)
         for rho in range(R + 1):
-            counts = prefix.window(I, J, rho)
+            lo, hi = slice(R - rho, R - rho + n), slice(R + rho + 1, R + rho + 1 + n)
+            counts = _corner_sums(P, lo, hi, lo, hi)
             q[np.minimum(counts, (2 * rho + 1) ** 2 - counts) <= bound[rho]] = rho
         return q
+    I, J = np.arange(n)[:, None] + R, np.arange(n)[None, :] + R
     lo = np.zeros((n, n), dtype=np.int64)
     hi = np.full((n, n), R, dtype=np.int64)
     while True:
@@ -101,7 +124,7 @@ def _radius_pass(prefix: TorusPrefix, bound: Optional[np.ndarray] = None) -> np.
         if not active.any():
             break
         mid = (lo + hi + 1) // 2
-        counts = prefix.window(I, J, mid)
+        counts = _corner_sums(P, I - mid, I + mid + 1, J - mid, J + mid + 1)
         ok = (counts == 0) | (counts == (2 * mid + 1) ** 2)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid - 1, hi)
@@ -188,13 +211,13 @@ def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> t
     N = state.config.N
     threshold = math.exp(-(N**eps))
     R = max_region_radius(n)
-    prefix = state.plus_prefix()
+    P = _periodic_prefix(state.plus_prefix())
     ur, uc = u[0] % n, u[1] % n
     for rho in range(R, -1, -1):
         d = np.arange(-rho, rho + 1)
-        I = (ur + d) % n
-        J = (uc + d) % n
-        counts = prefix.window(I[:, None], J[None, :], rho)
+        I = ((ur + d) % n + R)[:, None]
+        J = ((uc + d) % n + R)[None, :]
+        counts = _corner_sums(P, I - rho, I + rho + 1, J - rho, J + rho + 1)
         area = (2 * rho + 1) ** 2
         minority = np.minimum(counts, area - counts)
         majority = area - minority

@@ -26,7 +26,7 @@ def test_source_compiles_without_warnings(tmp_path):
     if gcc is None:
         pytest.skip("gcc not found on PATH")
     proc = subprocess.run(
-        [gcc, "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
+        [gcc, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror",
          "-x", "c", "-", "-o", str(tmp_path / "kernel.so")],
         input=_kernels.C_SOURCE, capture_output=True, text=True,
     )
@@ -115,6 +115,8 @@ def test_region_wrappers_reject_bad_tables():
         _kernels.radius_pass(sat, n, bound[:-1])
     with pytest.raises(ValueError, match="length 5"):
         _kernels.radius_pass(sat, n, bound.astype(np.int32))
+    with pytest.raises(ValueError, match="non-decreasing"):
+        _kernels.radius_pass(sat, n, np.array([0, 1, 2, 1, 3], np.int64))
     v = np.zeros((n, n), np.int32)
     assert np.array_equal(_kernels.dilate(v), v)
     with pytest.raises(ValueError, match="int32"):
@@ -277,22 +279,17 @@ def test_c_kernel_matches_python(case, monkeypatch):
 
 
 @st.composite
-def _small_tori(draw):
-    w = draw(st.integers(1, 4))
-    n = draw(st.integers(2 * w + 1, 2 * w + 8))
+def _tori(draw, w_min, w_max, extra):
+    """(n, w) with w_min <= w <= w_max and 2w+1 <= n <= 2w+1 + extra."""
+    w = draw(st.integers(w_min, w_max))
+    n = draw(st.integers(2 * w + 1, 2 * w + 1 + extra))
     return n, w
 
 
-@given(torus=_small_tori(), tau=st.sampled_from([0.3, 0.4, 0.45, 0.5, 0.6]),
-       seed=st.integers(0, 2**64 - 1))
-@settings(max_examples=150, deadline=None)
-def test_engines_agree_on_small_tori(torus, tau, seed):
-    """The one-walk C flip and the three-pass python flip leave the same
-    report and state on tori down to n = 2w+1, where rows split at the wrap."""
+def _assert_engines_agree(n, w, tau, seed, p=0.5):
     if _kernels.run_chunk is None:
         pytest.skip(_kernels.load_error)
-    n, w = torus
-    cfg = GridConfig(n=n, w=w, tau_tilde=tau, seed=seed, allow_small=True)
+    cfg = GridConfig(n=n, w=w, tau_tilde=tau, p=p, seed=seed, allow_small=True)
     a = new_random(cfg)
     b = a.copy()
     ra = run_to_termination(a, generator(seed, STREAM_DYNAMICS), use_numba=False)
@@ -304,3 +301,26 @@ def test_engines_agree_on_small_tori(torus, tau, seed):
     assert np.array_equal(a.elig_pos, b.elig_pos)
     assert a.elig_count == b.elig_count
     assert np.array_equal(a.elig_cells[: a.elig_count], b.elig_cells[: b.elig_count])
+    return b
+
+
+@given(torus=_tori(1, 4, 7), tau=st.sampled_from([0.3, 0.4, 0.45, 0.5, 0.6]),
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_engines_agree_on_small_tori(torus, tau, seed):
+    """The one-walk C flip and the three-pass python flip leave the same
+    report and state on tori down to n = 2w+1, where rows split at the wrap."""
+    _assert_engines_agree(*torus, tau, seed)
+
+
+@given(torus=_tori(5, 12, 5), tau=st.sampled_from([0.4, 0.45, 0.6]),
+       p=st.sampled_from([0.3, 0.4, 0.5, 0.6, 0.7]), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_engines_agree_on_wide_windows(torus, tau, p, seed):
+    """Window rows of 11 to 25 cells, longer than one vector of the count
+    update plus its tail, so column runs that skip the membership walk and
+    runs that take it both occur; tau = 0.6 makes emax = N + 1 - K.  On
+    such small tori every window covers most of the grid, so a fill away
+    from p = 1/2 is what makes most runs flip."""
+    b = _assert_engines_agree(*torus, tau, seed, p)
+    assert b.audit_consistent()
