@@ -1,16 +1,17 @@
 """Compiled C kernels for the flip loop and the region maps, loaded with ctypes.
 
-The flip kernel consumes pre-drawn (uniform, exponential) batches and
-leaves exactly the same state as the pure-python chunk executor in
-dynamics.py.  Per flip, every same_count in the (2w+1)^2 window changes,
-and the eligible list then sees swap-removals of the members whose count
-now exceeds the eligibility bound, in row-major window order, followed by
-appends of the non-members whose count is now within it, in row-major
-window order.  That order is the contract: the python reference
-(grid.apply_flip) keeps it in three passes over the window, and the kernel
-keeps it in one walk that removes as it goes and buffers the appends, and
-runs that membership walk only over the column runs where a count crossed
-the bound or the flipped cell lies (the proof is in the C comment).
+The flip kernel takes the same arguments and gives the same results as the
+pure-python chunk executor dynamics._run_chunk_py: from one pre-drawn
+(uniform, exponential) batch both leave the same state.  Per flip, every
+same_count in the (2w+1)^2 window changes, and the eligible list then sees
+swap-removals of the members whose count now exceeds the eligibility
+bound, in row-major window order, followed by appends of the non-members
+whose count is now within it, in row-major window order.  That order is
+the contract: the python reference (grid._flip_cell) keeps it in three
+passes over the window, and the kernel keeps it in one walk that removes
+as it goes and buffers the appends, and runs that membership walk only
+over the column runs where a count crossed the bound or the flipped cell
+lies (the proof is in the C comment).
 
 The region kernels are the two steps of regions.py: the radius pass gives
 every center its largest single-type radius r(c), or, given the integer
@@ -31,9 +32,6 @@ the flags and the machine type, and it is written through a temp file and
 later runs only hash, stat and load.  Without gcc, or when the build or
 load fails, ``run_chunk``, ``radius_pass`` and ``dilate`` are None,
 ``load_error`` says why, and the python/numpy reference code runs instead.
-
-Set SEGSIM_DISABLE_NUMBA=1 to make the default flip engine the python one;
-the region maps use the library whenever it loads.
 """
 
 from __future__ import annotations
@@ -60,12 +58,13 @@ C_SOURCE = r"""
 
 enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
 
-/* io[0..2] in: m, phi, flips.  io[0..5] out: m, phi, flips, consumed,
-   rec_count, audit_count.  *t is read and written.  Returns the status.
-   cand holds at least (2w+1)^2 entries.
+/* io[0..2] in: m, phi, flips.  io[0..4] out: m, phi, flips, rec_count,
+   audit_count.  *t is read and written.  Returns the status.  cand holds
+   at least (2w+1)^2 entries.  Same arguments and results as the python
+   reference executor (dynamics._run_chunk_py).
 
    One row-major walk over the window per flip does what the python
-   reference (grid.apply_flip) does in three: it updates each cell's
+   reference flip (grid._flip_cell) does in three: it updates each cell's
    same_count, swap-removes the cell from the eligible list at once when it
    is a member whose count now exceeds emax, and appends it to cand when it
    is not a member and its count is now <= emax; after the walk cand is
@@ -207,7 +206,7 @@ int64_t segsim_run_chunk(
         }
     }
     io[0] = m; io[1] = phi; io[2] = flips;
-    io[3] = consumed; io[4] = rec_count; io[5] = audit_count;
+    io[3] = rec_count; io[4] = audit_count;
     *t_io = t;
     return status;
 }
@@ -457,12 +456,12 @@ def _wrap_run_chunk(fn):
     def run_chunk(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, t, flips,
                   max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
                   rec_phi, rec_m, audit_on, audit_cells, audit_pre):
-        """One batch of flips in C; same arguments and results as dynamics._run_chunk_py
-        apart from the explicit state arrays and preallocated buffers: cand, the
-        int64 scratch for one flip's insertions ((2w+1)^2 entries), and the
-        trace and audit buffers.
+        """One batch of flips in C; same arguments and results as the python
+        reference dynamics._run_chunk_py, whose flip is the three-pass
+        grid._flip_cell.  cand is the int64 scratch for one flip's insertions
+        ((2w+1)^2 entries); the trace and audit buffers are filled from index 0.
 
-        Returns (m, phi, t, flips, consumed, rec_count, audit_count, status).
+        Returns (m, phi, t, flips, rec_count, audit_count, status).
         """
         B = u_batch.shape[0]
         if not 1 <= 2 * w + 1 <= n:
@@ -478,7 +477,7 @@ def _wrap_run_chunk(fn):
             raise ValueError("trace buffers are shorter than one batch needs")
         if audit_on and min(audit_cells.size, audit_pre.size) < B:
             raise ValueError("audit buffers are shorter than the batch")
-        io = np.array([m, phi, flips, 0, 0, 0], dtype=np.int64)
+        io = np.array([m, phi, flips, 0, 0], dtype=np.int64)
         t_io = np.array([t], dtype=np.float64)
         status = fn(
             types, sc, elig_pos, elig_cells, cand,
@@ -489,8 +488,8 @@ def _wrap_run_chunk(fn):
             bool(audit_on), audit_cells, audit_pre,
             io, t_io,
         )
-        m, phi, flips, consumed, rec_count, audit_count = (int(x) for x in io)
-        return m, phi, float(t_io[0]), flips, consumed, rec_count, audit_count, int(status)
+        m, phi, flips, rec_count, audit_count = (int(x) for x in io)
+        return m, phi, float(t_io[0]), flips, rec_count, audit_count, int(status)
 
     return run_chunk
 
@@ -560,14 +559,11 @@ def __getattr__(name):
 
 
 def numba_available() -> bool:
-    """True when the compiled C kernel is loaded and SEGSIM_DISABLE_NUMBA is unset.
+    """True when the compiled C kernel is loaded.
 
     The name dates from an earlier numba kernel and is kept for callers
     that read it, such as the benchmark's environment record.
     """
-    flag = os.environ.get("SEGSIM_DISABLE_NUMBA", "")
-    if flag.strip().lower() in {"1", "true", "yes", "on"}:
-        return False
     if "run_chunk" not in globals():
         _resolve()
     return globals()["run_chunk"] is not None

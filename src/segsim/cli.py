@@ -152,7 +152,11 @@ def _cmd_sweep(args) -> int:
 
 def _load_state(args):
     if args.snapshot:
-        return snapshot_read(Path(args.snapshot).read_bytes())
+        try:
+            data = Path(args.snapshot).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read snapshot {args.snapshot}: {exc.strerror or exc}") from exc
+        return snapshot_read(data)
     if args.n is None or args.w is None or args.tau is None:
         raise ConfigError("detect needs --snapshot or all of --n/--w/--tau")
     config = GridConfig(
@@ -256,9 +260,10 @@ def _cmd_detect(args) -> int:
         for flag in _DETECTORS[kind][0]:
             if getattr(args, flag) is None:
                 raise ConfigError(f"{kind} detection needs --{flag.replace('_', '-')}")
+    center = _int_pair("center", args.center) if args.center else None
     state = _load_state(args)
     cfg = state.config
-    center = tuple(int(x) for x in args.center.split(",")) if args.center else (cfg.n // 2, cfg.n // 2)
+    center = center or (cfg.n // 2, cfg.n // 2)
     m = _block_size(args, cfg) if {"blocks", "chemical-path"} & set(what) else None
     blocks = functools.cache(lambda: (m, renormalize(state, m, args.block_eps)))
     detections = [
@@ -270,6 +275,17 @@ def _cmd_detect(args) -> int:
     }
     _write_text(args.out, json.dumps(doc, sort_keys=True))
     return 0
+
+
+def _int_pair(flag: str, text: str) -> tuple[int, int]:
+    """The two integers of a flag's "a,b" value; ConfigError otherwise."""
+    try:
+        pair = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        pair = ()
+    if len(pair) != 2:
+        raise ConfigError(f"--{flag} must be two comma-separated integers, got {text!r}")
+    return pair
 
 
 def _block_size(args, cfg) -> int:
@@ -305,6 +321,8 @@ def _jsonable(d: dict) -> dict:
 
 
 def _cmd_theory(args) -> int:
+    if not args.step > 0:
+        raise ConfigError(f"--step must be > 0, got {args.step}")
     # Round away arange's accumulated float error so grid endpoints like 0.5
     # land exactly on domain boundaries.
     taus = np.round(np.arange(args.tau_from, args.tau_to + 1e-12, args.step), 12)
@@ -326,11 +344,12 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_percolation(args) -> int:
+    if not 0.0 <= args.p <= 1.0:
+        raise ConfigError(f"--p must be in [0, 1], got {args.p}")
     lines = []
     if args.mode == "chemdist":
-        h, w = (int(x) for x in args.dims.split(","))
-        a = tuple(int(x) for x in args.a.split(","))
-        b = tuple(int(x) for x in args.b.split(","))
+        h, w = _int_pair("dims", args.dims)
+        a, b = _int_pair("a", args.a), _int_pair("b", args.b)
         l1 = abs(a[0] - b[0]) + abs(a[1] - b[1])
         lines.append("sample,connected,distance,l1")
         for i in range(args.samples):
@@ -343,7 +362,7 @@ def _cmd_percolation(args) -> int:
             t = fpp_time_to_distance(args.k, args.half_width, args.mean, args.seed, key=(i,))
             lines.append(f"{i},{args.k},{t!r}")
     elif args.mode == "radius":
-        h, w = (int(x) for x in args.dims.split(","))
+        h, w = _int_pair("dims", args.dims)
         lines.append("sample,radius")
         idx = 0
         for i in range(args.samples):
@@ -352,7 +371,7 @@ def _cmd_percolation(args) -> int:
                 lines.append(f"{idx},{int(rad)}")
                 idx += 1
     elif args.mode == "circuit":
-        h, w = (int(x) for x in args.dims.split(","))
+        h, w = _int_pair("dims", args.dims)
         center = (h // 2, w // 2)
         lines.append("sample,exists")
         for i in range(args.samples):

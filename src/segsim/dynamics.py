@@ -7,10 +7,12 @@ independent-Poisson-clocks model without simulating idle clocks.
 
 run_to_termination consumes randomness in fixed-size batches of
 (uniform, exponential) pairs (see rng.RUN_CHUNK) and hands each batch to
-one of two chunk executors: the compiled C kernel (_kernels.run_chunk) or
-the pure-python reference _run_chunk_py.  Both consume the identical stream
-and change the eligible list in the order _kernels states, so trajectories
-are bit-reproducible and independent of which one ran.
+one of two chunk executors with the same arguments and results: the
+compiled C kernel (_kernels.run_chunk) or the pure-python reference
+_run_chunk_py, which flips through the three-pass grid._flip_cell.  Both
+consume the identical stream and change the eligible list in the order
+_kernels states, so trajectories are bit-reproducible and independent of
+which one ran.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .grid import FlipEvent, GridState, apply_flip, torus_window_ix
+from .grid import FlipEvent, GridState, _flip_cell, apply_flip, torus_window_ix
 from .rng import RUN_CHUNK
 
 
@@ -140,20 +142,20 @@ def step(state: GridState, rng: np.random.Generator) -> Optional[FlipEvent]:
     return apply_flip(state, (cell // state.n, cell % state.n))
 
 
-def _run_chunk_py(state, m, phi, t, flips, max_flips, max_time, u_batch, e_batch,
-                  rec_every, audit_on):
+def _run_chunk_py(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, t, flips,
+                  max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
+                  rec_phi, rec_m, audit_on, audit_cells, audit_pre):
     """Pure-python chunk executor, the reference for the compiled C kernel.
 
-    Flips through apply_flip, whose mutation order _kernels.run_chunk
-    repeats, so both executors produce the same trajectory from one batch.
+    Same arguments, buffers and results as _kernels.run_chunk; cand, the
+    kernel's scratch buffer, is not used.  Flips through grid._flip_cell,
+    whose mutation order the kernel repeats, so both executors produce the
+    same trajectory from one batch.
+
+    Returns (m, phi, t, flips, rec_count, audit_count, status).
     """
-    n = state.n
-    rec_rows = []
-    audit_cells = []
-    audit_pre = []
-    status = _kernels.STATUS_BATCH_DONE
     B = u_batch.shape[0]
-    consumed = 0
+    consumed = rec_count = audit_count = 0
     while True:
         if m <= 0:
             status = _kernels.STATUS_NO_ELIGIBLE
@@ -173,20 +175,21 @@ def _run_chunk_py(state, m, phi, t, flips, max_flips, max_time, u_batch, e_batch
             status = _kernels.STATUS_TIME_LIMIT
             break
         t += dt
-        j = int(u * m)
-        cell = int(state.elig_cells[j])
-        state.time = t
-        ev = apply_flip(state, (cell // n, cell % n))
-        k = ev.pre_count
-        phi += 2 * (state.config.N - 2 * k + 1)
-        m = state.elig_count
+        cell = int(elig_cells[int(u * m)])
+        k, m = _flip_cell(types, sc, elig_pos, elig_cells, m, n, w, N, emax, cell)
+        phi += 2 * (N - 2 * k + 1)
         if audit_on:
-            audit_cells.append(cell)
-            audit_pre.append(k)
+            audit_cells[audit_count] = cell
+            audit_pre[audit_count] = k
+            audit_count += 1
         flips += 1
         if rec_every > 0 and flips % rec_every == 0:
-            rec_rows.append((flips, t, phi, m))
-    return m, phi, t, flips, consumed, rec_rows, audit_cells, audit_pre, status
+            rec_flip[rec_count] = flips
+            rec_time[rec_count] = t
+            rec_phi[rec_count] = phi
+            rec_m[rec_count] = m
+            rec_count += 1
+    return m, phi, float(t), flips, rec_count, audit_count, status
 
 
 def run_to_termination(
@@ -206,10 +209,10 @@ def run_to_termination(
     report.
 
     use_numba picks the chunk executor: None runs the compiled C kernel when
-    _kernels.numba_available() (loaded, SEGSIM_DISABLE_NUMBA unset) and the
-    python one otherwise; True requires the C kernel and raises RuntimeError
-    with the build or load reason when it is missing; False runs python.
-    The keyword keeps its name from an earlier numba kernel.
+    it loaded and the python one otherwise; True requires the C kernel and
+    raises RuntimeError with the build or load reason when it is missing;
+    False runs python.  The keyword keeps its name from an earlier numba
+    kernel.
     """
     limits = limits or RunLimits()
     cfg = state.config
@@ -223,9 +226,11 @@ def run_to_termination(
     unhappy0 = state.unhappy_count()
 
     if use_numba is None:
-        use_numba = _kernels.numba_available()
+        use_numba = _kernels.run_chunk is not None
     if use_numba and _kernels.run_chunk is None:
         raise RuntimeError(_kernels.load_error)
+    # Looked up per call, so a patched executor (the benchmark counts calls) runs.
+    execute = _kernels.run_chunk if use_numba else _run_chunk_py
 
     m = state.elig_count
     phi = phi0
@@ -237,47 +242,34 @@ def run_to_termination(
     if rec_every > 0:
         trace_rows.append((0, t, phi, m))
 
+    max_rec = RUN_CHUNK // rec_every + 2 if rec_every > 0 else 1
+    rec_flip = np.zeros(max_rec, dtype=np.int64)
+    rec_time = np.zeros(max_rec, dtype=np.float64)
+    rec_phi = np.zeros(max_rec, dtype=np.int64)
+    rec_m = np.zeros(max_rec, dtype=np.int64)
+    a_cells = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int64)
+    a_pre = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int32)
+    cand = np.zeros((2 * cfg.w + 1) ** 2, dtype=np.int64)
     status = _kernels.STATUS_NO_ELIGIBLE if m == 0 else _kernels.STATUS_BATCH_DONE
-    if use_numba:
-        max_rec = RUN_CHUNK // rec_every + 2 if rec_every > 0 else 1
-        rec_flip = np.zeros(max_rec, dtype=np.int64)
-        rec_time = np.zeros(max_rec, dtype=np.float64)
-        rec_phi = np.zeros(max_rec, dtype=np.int64)
-        rec_m = np.zeros(max_rec, dtype=np.int64)
-        a_cells = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int64)
-        a_pre = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int32)
-        cand = np.zeros((2 * cfg.w + 1) ** 2, dtype=np.int64)
     while m > 0 and status == _kernels.STATUS_BATCH_DONE:
         u_batch = rng.random(RUN_CHUNK)
         e_batch = rng.standard_exponential(RUN_CHUNK)
-        if use_numba:
-            prev_flips = flips
-            (m, phi, t, flips, consumed, rec_count, audit_count, status) = _kernels.run_chunk(
-                state.types, state.same_count, state.elig_pos, state.elig_cells, cand,
-                m, n, cfg.w, N, cfg.eligible_max_count, phi, t, flips, cap, max_time,
-                u_batch, e_batch, rec_every, rec_flip, rec_time, rec_phi, rec_m,
-                audit, a_cells, a_pre,
-            )
-            chunk_delta = flips - prev_flips
-            state.elig_count = m
-            state.time = t
-            state.flips_done += chunk_delta
-            state.version += chunk_delta
-            state._prefix_cache = None
-            for i in range(rec_count):
-                trace_rows.append((int(rec_flip[i]), float(rec_time[i]), int(rec_phi[i]), int(rec_m[i])))
-            if audit and audit_count:
-                audit_cells.append(a_cells[:audit_count].copy())
-                audit_pre.append(a_pre[:audit_count].copy())
-        else:
-            (m, phi, t, flips, consumed, rec_rows, a_cells, a_pre, status) = _run_chunk_py(
-                state, m, phi, t, flips, cap, max_time, u_batch, e_batch, rec_every, audit
-            )
-            state.time = t
-            trace_rows.extend(rec_rows)
-            if audit and a_cells:
-                audit_cells.append(np.asarray(a_cells, dtype=np.int64))
-                audit_pre.append(np.asarray(a_pre, dtype=np.int32))
+        prev_flips = flips
+        m, phi, t, flips, rec_count, audit_count, status = execute(
+            state.types, state.same_count, state.elig_pos, state.elig_cells, cand,
+            m, n, cfg.w, N, cfg.eligible_max_count, phi, t, flips, cap, max_time,
+            u_batch, e_batch, rec_every, rec_flip, rec_time, rec_phi, rec_m,
+            audit, a_cells, a_pre,
+        )
+        state.elig_count = m
+        state.time = t
+        state.flips_done += flips - prev_flips
+        state.version += flips - prev_flips
+        trace_rows.extend(zip(rec_flip[:rec_count].tolist(), rec_time[:rec_count].tolist(),
+                              rec_phi[:rec_count].tolist(), rec_m[:rec_count].tolist()))
+        if audit and audit_count:
+            audit_cells.append(a_cells[:audit_count].copy())
+            audit_pre.append(a_pre[:audit_count].copy())
 
     if status == _kernels.STATUS_NO_ELIGIBLE or m == 0:
         reason = TerminationReason.NO_ELIGIBLE_AGENTS
@@ -285,7 +277,6 @@ def run_to_termination(
         reason = TerminationReason.FLIP_LIMIT
     else:
         reason = TerminationReason.TIME_LIMIT
-    state.time = t
     dynamics_s = _time.perf_counter() - wall_start
 
     region_summary = None

@@ -59,17 +59,13 @@ def run_single(
     limits: Optional[RunLimits] = None,
     sample_size: int = 1024,
     eps: float = 0.25,
-    audit: bool = False,
-    use_numba: Optional[bool] = None,
     measure_regions: bool = True,
 ) -> RunReport:
     """Fresh random state driven to termination, with region summary."""
     state = new_random(config)
     rng = generator(config.seed, STREAM_DYNAMICS)
     measure = RegionMeasure(sample_size=sample_size, eps=eps) if measure_regions else None
-    return run_to_termination(
-        state, rng, limits, use_numba=use_numba, audit=audit, measure=measure
-    )
+    return run_to_termination(state, rng, limits, measure=measure)
 
 
 def _is_int(x) -> bool:
@@ -417,6 +413,7 @@ def fig2_trend_test(
     """
     from scipy.stats import spearmanr
 
+    _require_positive(replicates=replicates)
     means = []
     for cell_idx, tau in enumerate(taus):
         vals = []

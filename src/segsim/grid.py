@@ -344,50 +344,58 @@ def happiness_state(state: GridState, u: tuple[int, int]) -> Happiness:
     return Happiness.UNHAPPY_INELIGIBLE
 
 
-def apply_flip(state: GridState, u: tuple[int, int]) -> FlipEvent:
-    """Flip the eligible agent at u and repair all bookkeeping incrementally.
+def _flip_cell(types, sc, elig_pos, elig_cells, m, n, w, N, emax, cell):
+    """Flip the eligible agent at flat index cell on the bare state arrays
+    holding m eligible agents; returns (its pre-flip same_count, new m).
 
-    Exactly the (2w+1)^2 agents whose neighborhood contains u change their
-    same_count; eligibility is re-derived for those agents only, all
-    removals before all insertions, each in row-major window order.  That
-    order is the determinism contract stated in _kernels, which the
-    compiled kernel keeps in one walk; this is its three-pass reference.
-    O(w^2) work per flip.
+    Exactly the (2w+1)^2 counts around cell change; then eligibility is
+    re-derived for those agents only, all removals before all insertions,
+    each in row-major window order.  That order is the determinism contract
+    stated in _kernels, which the compiled kernel keeps in one walk; this is
+    its three-pass reference.  O(w^2) work per flip.
     """
+    types = types.reshape(-1)
+    sc = sc.reshape(-1)
+    r0, c0 = divmod(cell, n)
+    k = int(sc[cell])
+    new_type = -int(types[cell])
+    types[cell] = new_type
+
+    rows = (np.arange(r0 - w, r0 + w + 1)) % n
+    cols = (np.arange(c0 - w, c0 + w + 1)) % n
+    ids = (rows[:, None] * n + cols[None, :]).ravel()
+    sc[ids] += np.where(types[ids] == new_type, 1, -1).astype(np.int32)
+    sc[cell] = N - k + 1
+
+    now_elig = sc[ids] <= emax
+    was_member = elig_pos[ids] >= 0
+    for v in ids[was_member & ~now_elig]:
+        pos = elig_pos[v]
+        last = elig_cells[m - 1]
+        elig_cells[pos] = last
+        elig_pos[last] = pos
+        elig_pos[v] = -1
+        m -= 1
+    for v in ids[~was_member & now_elig]:
+        elig_pos[v] = m
+        elig_cells[m] = v
+        m += 1
+    return k, m
+
+
+def apply_flip(state: GridState, u: tuple[int, int]) -> FlipEvent:
+    """Flip the eligible agent at u and repair all bookkeeping incrementally
+    (through _flip_cell)."""
     cfg = state.config
-    n, w, N, K = cfg.n, cfg.w, cfg.N, cfg.K
+    n = cfg.n
     r0, c0 = u[0] % n, u[1] % n
     cell = r0 * n + c0
     if state.elig_pos[cell] < 0:
         raise IneligibleFlipError(f"agent {(r0, c0)} is not eligible to flip")
-
-    k = int(state.same_count[r0, c0])
-    new_type = -int(state.types[r0, c0])
-    state.types[r0, c0] = new_type
-
-    rows = (np.arange(r0 - w, r0 + w + 1)) % n
-    cols = (np.arange(c0 - w, c0 + w + 1)) % n
-    ix = np.ix_(rows, cols)
-    win_types = state.types[ix]
-    state.same_count[ix] += np.where(win_types == new_type, 1, -1).astype(np.int32)
-    state.same_count[r0, c0] = N - k + 1
-
-    ids = (rows[:, None] * n + cols[None, :]).ravel()
-    now_elig = (state.same_count[ix].ravel() <= cfg.eligible_max_count)
-    was_member = state.elig_pos[ids] >= 0
-
-    for v in ids[was_member & ~now_elig]:
-        pos = state.elig_pos[v]
-        last = state.elig_cells[state.elig_count - 1]
-        state.elig_cells[pos] = last
-        state.elig_pos[last] = pos
-        state.elig_pos[v] = -1
-        state.elig_count -= 1
-    for v in ids[~was_member & now_elig]:
-        state.elig_pos[v] = state.elig_count
-        state.elig_cells[state.elig_count] = v
-        state.elig_count += 1
-
+    k, state.elig_count = _flip_cell(
+        state.types, state.same_count, state.elig_pos, state.elig_cells, state.elig_count,
+        n, cfg.w, cfg.N, cfg.eligible_max_count, cell,
+    )
     state.flips_done += 1
     state.version += 1
     return FlipEvent((r0, c0), k, state.flips_done, state.time)

@@ -437,3 +437,24 @@ class TestStatsCommand:
             warnings.simplefilter("error")
             assert run_cli("stats", "--test", test, *args) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--snapshot", "/nonexistent-dir/missing.bin", "--what", "radical"],
+    ["detect", "--n", "32", "--w", "1", "--tau", "0.45", "--what", "radical", "--center", "1"],
+    ["detect", "--n", "32", "--w", "1", "--tau", "0.45", "--what", "radical", "--center", "1,2,3"],
+    ["theory", "--curve", "f", "--tau-from", "0.3", "--tau-to", "0.4", "--step", "0"],
+    ["theory", "--curve", "f", "--tau-from", "0.3", "--tau-to", "0.4", "--step", "-0.01"],
+    ["stats", "--test", "fig2-trend", "--n", "32", "--w", "1", "--replicates", "0"],
+    ["percolation", "--mode", "radius", "--p", "1.5", "--samples", "1"],
+    ["percolation", "--mode", "chemdist", "--p", "-0.1", "--samples", "1"],
+    ["percolation", "--mode", "chemdist", "--a", "1", "--samples", "1"],
+], ids=["missing-snapshot", "one-coordinate-center", "three-coordinate-center", "zero-step",
+        "negative-step", "zero-replicates", "p-above-1", "p-below-0", "one-coordinate-endpoint"])
+def test_bad_inputs_exit_2_with_a_message(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert "configuration error" in err
+    assert out == ""

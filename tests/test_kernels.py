@@ -1,8 +1,9 @@
 """The compiled C kernels: warning-free source, build cache, argument
 checks, a sanitizer run, and bit-equality of the flip kernel with the python
-reference executor on edge cases (the region kernels are compared with their
-numpy reference in test_regions.py)."""
+reference executor, chunk by chunk and on edge cases (the region kernels
+are compared with their numpy reference in test_regions.py)."""
 
+import inspect
 import os
 import shutil
 import subprocess
@@ -221,6 +222,44 @@ def test_forced_c_engine_without_kernel_raises(monkeypatch):
         run_to_termination(state, generator(1, STREAM_DYNAMICS), use_numba=True)
     report = run_to_termination(state, generator(1, STREAM_DYNAMICS))
     assert report.engine == "python"
+
+
+@pytest.mark.parametrize("max_flips,max_time,expected", [
+    (45, None, _kernels.STATUS_FLIP_LIMIT),
+    (10**6, 0.3, _kernels.STATUS_TIME_LIMIT),
+    (10**6, None, _kernels.STATUS_BATCH_DONE),
+])
+def test_executors_share_one_contract(max_flips, max_time, expected):
+    """_kernels.run_chunk and dynamics._run_chunk_py take the same arguments,
+    fill the same buffers and return the same tuple from one state and batch."""
+    if _kernels.run_chunk is None:
+        pytest.skip(_kernels.load_error)
+    assert (list(inspect.signature(_kernels.run_chunk).parameters)
+            == list(inspect.signature(dyn._run_chunk_py).parameters))
+    cfg = GridConfig(n=48, w=2, tau_tilde=0.45, seed=1)
+    state = new_random(cfg)
+    rng = generator(1, STREAM_DYNAMICS)
+    B, rec_every = 64, 7
+    u_batch, e_batch = rng.random(B), rng.standard_exponential(B)
+    results = []
+    for execute in (_kernels.run_chunk, dyn._run_chunk_py):
+        s = state.copy()
+        bufs = [np.zeros(B // rec_every + 2, dt) for dt in (np.int64, np.float64, np.int64, np.int64)]
+        audit = [np.zeros(B, np.int64), np.zeros(B, np.int32)]
+        out = execute(s.types, s.same_count, s.elig_pos, s.elig_cells,
+                      np.zeros((2 * cfg.w + 1) ** 2, np.int64), s.elig_count, cfg.n, cfg.w, cfg.N,
+                      cfg.eligible_max_count, dyn.lyapunov(s), 0.25, 5, max_flips, max_time,
+                      u_batch, e_batch, rec_every, *bufs, True, *audit)
+        rec_count, audit_count = out[4], out[5]
+        results.append((out, [b[:rec_count] for b in bufs], [a[:audit_count] for a in audit], s))
+    (out_c, rec_c, audit_c, c), (out_py, rec_py, audit_py, py) = results
+    assert len(out_c) == 7 and out_c == out_py
+    assert out_c[-1] == expected
+    assert out_c[4] > 0 and out_c[5] > 0
+    for x, y in zip(rec_c + audit_c, rec_py + audit_py):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    for name in ("types", "same_count", "elig_pos", "elig_cells"):
+        assert np.array_equal(getattr(c, name), getattr(py, name)), name
 
 
 # (n, w, tau, seed, limits, batch size, expected termination)
