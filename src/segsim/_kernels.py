@@ -13,15 +13,16 @@ as it goes and buffers the appends, and runs that membership walk only
 over the column runs where a count crossed the bound or the flipped cell
 lies (the proof is in the C comment).
 
-The region kernels are the two steps of regions.py: the radius pass gives
-every center its largest single-type radius r(c), or, given the integer
-table of the largest passing minority count per radius, its largest
-almost-monochromatic radius q(c); the own-radius dilation turns r into M and
-q into M'.  The radius pass reads the state's one (n+1) x (n+1) prefix
-table of the +1 grid (grid.TorusPrefix) and reaches wrapping windows through
-the table's periodic extension.  They do integer arithmetic only.  Every
-kernel's results are asserted equal to the numpy/python reference by the
-test suite.
+The region kernels are the two steps of regions.py.  The radius pass gives
+every center the largest radius whose minority count is within an integer
+table of the largest passing count per radius: at the all-zero table that
+is r(c), the largest single-type radius, and at the ratio test's table
+q(c), the largest almost-monochromatic radius.  The own-radius dilation
+turns r into M and q into M'.  The radius pass reads the state's one
+(n+1) x (n+1) prefix table of the +1 grid (grid.TorusPrefix) and reaches
+wrapping windows through the table's periodic extension.  They do integer
+arithmetic only.  Every kernel's results are asserted equal to the
+numpy/python reference by the test suite.
 
 The C source below is compiled on first use with ``gcc -O3 -shared -fPIC``
 into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
@@ -59,9 +60,10 @@ C_SOURCE = r"""
 enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
 
 /* io[0..2] in: m, phi, flips.  io[0..4] out: m, phi, flips, rec_count,
-   audit_count.  *t is read and written.  Returns the status.  cand holds
-   at least (2w+1)^2 entries.  Same arguments and results as the python
-   reference executor (dynamics._run_chunk_py).
+   audit_count.  *t is read and written; max_time is +inf when time is not
+   limited.  Returns the status.  cand holds at least (2w+1)^2 entries.
+   Same arguments and results as the python reference executor
+   (dynamics._run_chunk_py).
 
    One row-major walk over the window per flip does what the python
    reference flip (grid._flip_cell) does in three: it updates each cell's
@@ -106,7 +108,7 @@ int64_t segsim_run_chunk(
     int8_t *restrict types, int32_t *restrict sc, int32_t *elig_pos, int64_t *elig_cells,
     int64_t *cand,
     int64_t n, int64_t w, int64_t N, int64_t emax,
-    int64_t max_flips, int64_t has_time_limit, double max_time,
+    int64_t max_flips, double max_time,
     const double *u_batch, const double *e_batch, int64_t B,
     int64_t rec_every, int64_t *rec_flip, double *rec_time,
     int64_t *rec_phi, int64_t *rec_m,
@@ -127,7 +129,7 @@ int64_t segsim_run_chunk(
         double e = e_batch[consumed];
         consumed++;
         double dt = e / (double)m;
-        if (has_time_limit && t + dt > max_time) {
+        if (t + dt > max_time) {
             t = max_time;
             status = TIME_LIMIT;
             break;
@@ -234,26 +236,31 @@ static inline int64_t periodic_prefix(const int64_t *t, int64_t n, int64_t x, in
     return v;
 }
 
-/* Torus sum of the (2k+1)^2 window centered at (i, j). */
-static inline int64_t window_sum(const int64_t *t, int64_t n, int64_t i, int64_t j, int64_t k)
+/* Minority count of the (2k+1)^2 torus window centered at (i, j). */
+static inline int64_t window_minority(const int64_t *t, int64_t n, int64_t i, int64_t j, int64_t k)
 {
     const int64_t x0 = i - k, x1 = i + k + 1, y0 = j - k, y1 = j + k + 1;
-    return periodic_prefix(t, n, x1, y1) - periodic_prefix(t, n, x0, y1)
-           - periodic_prefix(t, n, x1, y0) + periodic_prefix(t, n, x0, y0);
+    const int64_t area = (2 * k + 1) * (2 * k + 1);
+    const int64_t c = periodic_prefix(t, n, x1, y1) - periodic_prefix(t, n, x0, y1)
+                      - periodic_prefix(t, n, x1, y0) + periodic_prefix(t, n, x0, y0);
+    return c < area - c ? c : area - c;
 }
 
 /* For every center c of the n x n torus, the largest rho <= R = (n-1)/2
-   whose window's minority count is at most bound[rho] (bound >= 0), or,
-   without a bound table, the largest single-type radius r(c).  sat is the
-   (n+1) x (n+1) summed-area table of the +1 indicator (grid.TorusPrefix).
+   whose window's minority count is at most bound[rho]; bound is
+   non-negative and never falls as rho grows (the wrapper checks both).  At
+   the all-zero table this is the largest single-type radius r(c).  sat is
+   the (n+1) x (n+1) summed-area table of the +1 indicator (grid.TorusPrefix).
    Windows at one center are nested, so their minority count never falls
-   as rho grows.  Hence r(c) comes from an upward scan, started at the left
-   neighbor's radius minus one (the radius-(rho-1) window at (i, j) lies
-   inside the radius-rho window at (i, j-1)); every level up to r(c) has
-   minority 0 and passes; and above it, a level whose bound is below the
-   minority count just read cannot pass and is skipped unread.  bound never
-   falls as rho grows (the wrapper checks it), so once the minority count
-   exceeds bound[R] no higher level can pass and the scan stops. */
+   as rho grows.  The scan at each center has two parts.  The first climbs
+   while the window is single-type, from the left neighbor's single-type
+   radius minus one (the radius-(rho-1) window at (i, j) lies inside the
+   radius-rho window at (i, j-1)); it stops at r(c), and every level up to
+   r(c) has minority 0 and passes.  The second goes on from the count at
+   which the first stopped, so no window is read twice: a level whose bound
+   is below the minority count just read cannot pass and is skipped unread,
+   and once the count exceeds bound[R] no higher level can pass and the
+   scan stops. */
 void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int32_t *out)
 {
     const int64_t R = (n - 1) / 2;
@@ -262,26 +269,19 @@ void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int
         for (int64_t j = 0; j < n; j++) {
             if (r > 0)
                 r--;
-            while (r < R) {
-                int64_t k = r + 1, side = 2 * k + 1;
-                int64_t c = window_sum(sat, n, i, j, k);
-                if (c != 0 && c != side * side)
-                    break;
-                r = k;
-            }
+            int64_t minority = 0;
+            while (r < R && (minority = window_minority(sat, n, i, j, r + 1)) == 0)
+                r++;
+            /* Below R, minority is now the count at radius r + 1. */
             int64_t best = r;
-            if (bound != NULL) {
-                for (int64_t rho = r + 1; rho <= R;) {
-                    int64_t side = 2 * rho + 1, area = side * side;
-                    int64_t c = window_sum(sat, n, i, j, rho);
-                    int64_t minority = c < area - c ? c : area - c;
-                    if (minority > bound[R])
-                        break;
-                    if (minority <= bound[rho])
-                        best = rho;
-                    for (rho++; rho <= R && bound[rho] < minority; rho++)
-                        ;
-                }
+            for (int64_t rho = r + 1; rho <= R && minority <= bound[R];) {
+                if (minority <= bound[rho])
+                    best = rho;
+                for (rho++; rho <= R && bound[rho] < minority; rho++)
+                    ;
+                if (rho > R)
+                    break;
+                minority = window_minority(sat, n, i, j, rho);
             }
             out[i * n + j] = (int32_t)best;
         }
@@ -380,14 +380,13 @@ _SIGNATURES = {
         _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
         _arr(np.int64),
         _I64, _I64, _I64, _I64,
-        _I64, _I64, ctypes.c_double,
+        _I64, ctypes.c_double,
         _arr(np.float64), _arr(np.float64), _I64,
         _I64, _arr(np.int64), _arr(np.float64), _arr(np.int64), _arr(np.int64),
         _I64, _arr(np.int64), _arr(np.int32),
         _arr(np.int64), _arr(np.float64),
     ], _I64),
-    # The bound table is optional, so it goes in as a plain (nullable) pointer.
-    "segsim_radius_pass": ([_arr(np.int64), _I64, ctypes.c_void_p, _arr(np.int32)], None),
+    "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32)], None),
     "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
 }
 
@@ -459,7 +458,8 @@ def _wrap_run_chunk(fn):
         """One batch of flips in C; same arguments and results as the python
         reference dynamics._run_chunk_py, whose flip is the three-pass
         grid._flip_cell.  cand is the int64 scratch for one flip's insertions
-        ((2w+1)^2 entries); the trace and audit buffers are filled from index 0.
+        ((2w+1)^2 entries); the trace and audit buffers are filled from index 0;
+        max_time is math.inf when time is not limited.
 
         Returns (m, phi, t, flips, rec_count, audit_count, status).
         """
@@ -482,7 +482,7 @@ def _wrap_run_chunk(fn):
         status = fn(
             types, sc, elig_pos, elig_cells, cand,
             n, w, N, emax,
-            max_flips, max_time is not None, 0.0 if max_time is None else max_time,
+            max_flips, max_time,
             u_batch, e_batch, B,
             rec_every, rec_flip, rec_time, rec_phi, rec_m,
             bool(audit_on), audit_cells, audit_pre,
@@ -495,22 +495,21 @@ def _wrap_run_chunk(fn):
 
 
 def _wrap_radius_pass(fn):
-    def radius_pass(sat, n, bound=None):
+    def radius_pass(sat, n, bound):
         """Per-center radius map (n x n int32) of the largest rho <= (n-1)/2
-        whose window's minority count is at most bound[rho]; with no bound,
-        the largest single-type radius r(c).  sat is the int64 (n+1) x (n+1)
-        summed-area table of the +1 grid, grid.TorusPrefix.sat."""
+        whose window's minority count is at most bound[rho]; at the all-zero
+        table, the largest single-type radius r(c).  sat is the int64
+        (n+1) x (n+1) summed-area table of the +1 grid, grid.TorusPrefix.sat;
+        bound is an int64 table of length (n-1)/2 + 1."""
         R = (n - 1) // 2
         if sat.dtype != np.int64 or sat.shape != (n + 1, n + 1):
             raise ValueError(f"the table must be int64 of shape ({n + 1}, {n + 1})")
-        if bound is not None:
-            if bound.dtype != np.int64 or bound.shape != (R + 1,):
-                raise ValueError(f"the bound table must be int64 of length {R + 1}")
-            if bound.min() < 0 or (np.diff(bound) < 0).any():
-                raise ValueError("the bound table must be non-negative and non-decreasing")
-            bound = np.ascontiguousarray(bound)  # kept referenced through the call
+        if bound.dtype != np.int64 or bound.shape != (R + 1,):
+            raise ValueError(f"the bound table must be int64 of length {R + 1}")
+        if bound.min() < 0 or (np.diff(bound) < 0).any():
+            raise ValueError("the bound table must be non-negative and non-decreasing")
         out = np.zeros((n, n), dtype=np.int32)
-        fn(np.ascontiguousarray(sat), n, None if bound is None else bound.ctypes.data, out)
+        fn(np.ascontiguousarray(sat), n, np.ascontiguousarray(bound), out)
         return out
 
     return radius_pass

@@ -182,9 +182,7 @@ def _detect_expandable(state, args, center, blocks):
 
 
 def _detect_regions(state, args, center, blocks):
-    summary = regions.compute_region_summary(
-        state, sample_size=args.sample_size, eps=args.eps, seed=state.config.seed
-    )
+    summary = regions.compute_region_summary(state, sample_size=args.sample_size, eps=args.eps)
     return summary.to_dict()
 
 
@@ -323,6 +321,8 @@ def _jsonable(d: dict) -> dict:
 def _cmd_theory(args) -> int:
     if not args.step > 0:
         raise ConfigError(f"--step must be > 0, got {args.step}")
+    if args.tau_to < args.tau_from:
+        raise ConfigError(f"--tau-to {args.tau_to} is below --tau-from {args.tau_from}")
     # Round away arange's accumulated float error so grid endpoints like 0.5
     # land exactly on domain boundaries.
     taus = np.round(np.arange(args.tau_from, args.tau_to + 1e-12, args.step), 12)
@@ -346,6 +346,8 @@ def _cmd_theory(args) -> int:
 def _cmd_percolation(args) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise ConfigError(f"--p must be in [0, 1], got {args.p}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     lines = []
     if args.mode == "chemdist":
         h, w = _int_pair("dims", args.dims)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import heapq
 import json
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -147,10 +148,11 @@ def _run_chunk_py(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, 
                   rec_phi, rec_m, audit_on, audit_cells, audit_pre):
     """Pure-python chunk executor, the reference for the compiled C kernel.
 
-    Same arguments, buffers and results as _kernels.run_chunk; cand, the
-    kernel's scratch buffer, is not used.  Flips through grid._flip_cell,
-    whose mutation order the kernel repeats, so both executors produce the
-    same trajectory from one batch.
+    Same arguments, buffers and results as _kernels.run_chunk (max_time is
+    math.inf when time is not limited); cand, the kernel's scratch buffer,
+    is not used.  Flips through grid._flip_cell, whose mutation order the
+    kernel repeats, so both executors produce the same trajectory from one
+    batch.
 
     Returns (m, phi, t, flips, rec_count, audit_count, status).
     """
@@ -170,7 +172,7 @@ def _run_chunk_py(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, 
         e = e_batch[consumed]
         consumed += 1
         dt = e / m
-        if max_time is not None and t + dt > max_time:
+        if t + dt > max_time:
             t = max_time
             status = _kernels.STATUS_TIME_LIMIT
             break
@@ -218,7 +220,7 @@ def run_to_termination(
     cfg = state.config
     n, N = cfg.n, cfg.N
     cap = limits.max_flips if limits.max_flips is not None else 4 * n * n * N
-    max_time = limits.max_continuous_time
+    max_time = math.inf if limits.max_continuous_time is None else limits.max_continuous_time
     rec_every = limits.record_interval
 
     wall_start = _time.perf_counter()
@@ -264,7 +266,6 @@ def run_to_termination(
         state.elig_count = m
         state.time = t
         state.flips_done += flips - prev_flips
-        state.version += flips - prev_flips
         trace_rows.extend(zip(rec_flip[:rec_count].tolist(), rec_time[:rec_count].tolist(),
                               rec_phi[:rec_count].tolist(), rec_m[:rec_count].tolist()))
         if audit and audit_count:
@@ -284,10 +285,7 @@ def run_to_termination(
         from .regions import compute_region_summary
 
         region_summary = compute_region_summary(
-            state,
-            sample_size=measure.sample_size,
-            eps=measure.eps,
-            seed=cfg.seed,
+            state, sample_size=measure.sample_size, eps=measure.eps
         ).to_dict()
     measure_s = _time.perf_counter() - wall_start - dynamics_s
 
@@ -341,7 +339,6 @@ def cascade_closure(
     target_type: int,
     center: tuple[int, int],
     max_flips: Optional[int] = None,
-    target_radius: Optional[int] = None,
     order_rng: Optional[np.random.Generator] = None,
     stop_when_monochromatic: bool = False,
 ) -> CascadeResult:
@@ -352,8 +349,7 @@ def cascade_closure(
     eligible under the full-grid happiness rule at its instant.  Default
     order is closest-to-center first (ties row-major); pass order_rng to
     flip in uniformly random candidate order instead.  Reports whether the
-    central block of radius target_radius (default round(w/2), half-up)
-    ended entirely target_type.
+    central block of radius round(w/2), half-up, ended entirely target_type.
 
     For tau <= 1/2 the eligibility of a non-target agent is monotone under
     other flips toward target_type, so the full closure set is independent
@@ -365,15 +361,13 @@ def cascade_closure(
         raise ValueError("target_type must be +1 or -1")
     if max_flips is None:
         max_flips = (w + 1) ** 2
-    if target_radius is None:
-        target_radius = (w + 1) // 2
 
     work = state.copy()
     allowed = np.asarray(allowed, dtype=bool)
     if allowed.shape != (n, n):
         raise ValueError("allowed mask must be n x n")
 
-    block_ix = torus_window_ix(n, center[0] % n, center[1] % n, target_radius)
+    block_ix = torus_window_ix(n, center[0] % n, center[1] % n, (w + 1) // 2)
     remaining = int(np.count_nonzero(work.types[block_ix] != target_type))
     block_mask = np.zeros((n, n), dtype=bool)
     block_mask[block_ix] = True

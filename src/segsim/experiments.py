@@ -266,6 +266,10 @@ class StatTestReport:
 
 
 _MAX_CONDITION_DRAWS = 50_000_000
+# Pass rules of pu_match_test (binomial standard deviations) and of
+# fig2_trend_test (one-sided significance level).
+_PU_SIGMA_LIMIT = 3.0
+_FIG2_ALPHA = 0.05
 
 
 def _require_positive(**values) -> None:
@@ -351,13 +355,12 @@ def pu_match_test(
     tau_tilde: float,
     seed: int,
     p: float = 0.5,
-    sigma_limit: float = 3.0,
 ) -> StatTestReport:
     """Empirical initial unhappy fraction versus the exact closed form.
 
-    The pass window is sigma_limit binomial standard deviations over the n^2
-    agents (neighborhood overlap correlations are ignored by convention, so
-    the check is run on fixed recorded seeds).
+    The pass window is _PU_SIGMA_LIMIT binomial standard deviations over
+    the n^2 agents (neighborhood overlap correlations are ignored by
+    convention, so the check is run on fixed recorded seeds).
     """
     from .theory import p_unhappy_exact
 
@@ -377,10 +380,10 @@ def pu_match_test(
             "N": config.N,
             "p": p,
             "seed": seed,
-            "sigma_limit": sigma_limit,
+            "sigma_limit": _PU_SIGMA_LIMIT,
         },
         sample_size=n * n,
-        passed=dev < sigma_limit,
+        passed=dev < _PU_SIGMA_LIMIT,
         statistics={
             "empirical_fraction": frac,
             "exact_probability": pu,
@@ -398,7 +401,6 @@ def fig2_trend_test(
     base_seed: int,
     sample_size: int = 1024,
     eps: float = 0.25,
-    alpha: float = 0.05,
 ) -> StatTestReport:
     """Mean sampled region size versus intolerance: one-sided Spearman test
     that the means are decreasing across the tau grid.
@@ -410,10 +412,15 @@ def fig2_trend_test(
     dominate the o(N) terms); expect it only where every grid point has
     N/2 - K >= sqrt(N). Closer to 1/2 the dynamics coarsen like the
     tau = 1/2 quench and the means can invert.
+
+    Needs at least three taus.  Equal means have no rank correlation: rho
+    is then reported as None (null in JSON) with p = 1.
     """
     from scipy.stats import spearmanr
 
     _require_positive(replicates=replicates)
+    if len(taus) < 3:
+        raise ConfigError(f"the trend test needs at least three taus, got {len(taus)}")
     means = []
     for cell_idx, tau in enumerate(taus):
         vals = []
@@ -424,8 +431,8 @@ def fig2_trend_test(
             vals.append(report.region_summary["mean_M"])
         means.append(float(np.mean(vals)))
     rho, pvalue = spearmanr(list(taus), means, alternative="less")
-    if math.isnan(pvalue):  # fewer than 3 grid points cannot reach significance
-        pvalue = 1.0
+    # Equal means have no ordering, so no trend.
+    rho, pvalue = (None, 1.0) if math.isnan(rho) else (float(rho), float(pvalue))
     return StatTestReport(
         test_id="fig2_trend",
         parameters={
@@ -436,11 +443,11 @@ def fig2_trend_test(
             "base_seed": base_seed,
             "sample_size": sample_size,
             "eps": eps,
-            "alpha": alpha,
+            "alpha": _FIG2_ALPHA,
         },
         sample_size=len(taus) * replicates,
-        passed=bool(pvalue < alpha),
-        statistics={"means": means, "spearman_rho": float(rho), "p_value": float(pvalue)},
+        passed=bool(pvalue < _FIG2_ALPHA),
+        statistics={"means": means, "spearman_rho": rho, "p_value": pvalue},
     )
 
 

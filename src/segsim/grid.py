@@ -174,10 +174,11 @@ def same_counts_bruteforce(types: np.ndarray, w: int) -> np.ndarray:
 class TorusPrefix:
     """O(1) rectangle sums of +1 indicators on the torus, after an O(n^2) build.
 
-    Rebuilt on demand when the owning state has mutated (version check done
-    by the caller); wrapping rectangles are decomposed into at most four
-    non-wrapping pieces.  All query arguments may be numpy arrays.  sat is
-    the (n+1) x (n+1) int64 table: sat[i, j] sums rows [0, i), cols [0, j).
+    Rebuilt on demand when the owning state has flipped (the check is done
+    by GridState.plus_prefix); wrapping rectangles are decomposed into at
+    most four non-wrapping pieces.  All query arguments may be numpy arrays.
+    sat is the (n+1) x (n+1) int64 table: sat[i, j] sums rows [0, i), cols
+    [0, j).
     """
 
     def __init__(self, plus: np.ndarray):
@@ -243,7 +244,6 @@ class GridState:
         "elig_count",
         "flips_done",
         "time",
-        "version",
         "_prefix_cache",
     )
 
@@ -258,7 +258,6 @@ class GridState:
         self.same_count = box_same_counts(self.types, config.w)
         self.flips_done = 0
         self.time = 0.0
-        self.version = 0
         self._prefix_cache = None
         self._rebuild_eligible()
 
@@ -295,15 +294,17 @@ class GridState:
         new.elig_count = self.elig_count
         new.flips_done = self.flips_done
         new.time = self.time
-        new.version = self.version
         new._prefix_cache = None
         return new
 
     def plus_prefix(self) -> TorusPrefix:
-        """Prefix-sum service over the +1 indicator; rebuilt when stale."""
+        """Prefix-sum service over the +1 indicator; rebuilt when stale.
+
+        Every mutation is a flip and counts in flips_done, so the table is
+        keyed on it."""
         cache = self._prefix_cache
-        if cache is None or cache[0] != self.version:
-            self._prefix_cache = (self.version, TorusPrefix(self.types > 0))
+        if cache is None or cache[0] != self.flips_done:
+            self._prefix_cache = (self.flips_done, TorusPrefix(self.types > 0))
         return self._prefix_cache[1]
 
     def audit_consistent(self) -> bool:
@@ -397,7 +398,6 @@ def apply_flip(state: GridState, u: tuple[int, int]) -> FlipEvent:
         n, cfg.w, cfg.N, cfg.eligible_max_count, cell,
     )
     state.flips_done += 1
-    state.version += 1
     return FlipEvent((r0, c0), k, state.flips_done, state.time)
 
 

@@ -12,14 +12,16 @@ that reaches u is q(c) itself.
 
 Both per-agent maps come from the same two steps.  The radius pass reads
 the state's one prefix table of the +1 grid, state.plus_prefix(), cached
-until the next flip, and gives every center r(c), or q(c) with the ratio
-test turned into an integer table of the largest passing minority count
-per radius.  The own-radius dilation then gives M from r and M' from q.
-Both steps run in the compiled library of _kernels when it loads; the numpy
-code here is the bit-identical reference and runs when it does not.  For
-one agent, mono_region_of reads M(u) off the r map (running a full radius
-pass when none is given), and almost_mono_radius_of finds M'(u) by direct
-search over radii and centers.
+until the next flip, and gives every center the largest radius whose
+minority count is within an integer table of the largest passing count
+per radius (_minority_bound).  r(c) is that pass at threshold 0, whose
+table is all zeros, and q(c) the pass at threshold exp(-N^eps); the two
+differ in nothing else.  The own-radius dilation then gives M from r and
+M' from q.  Both steps run in the compiled library of _kernels when it
+loads; the numpy code here is the bit-identical reference and runs when it
+does not.  For one agent, mono_region_of reads M(u) off the r map (running
+a full radius pass when none is given), and almost_mono_radius_of finds
+M'(u) by direct search over radii and centers.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
 cluster measure, not a square-region measure, and is labeled as such.
@@ -96,39 +98,31 @@ def _corner_sums(P: np.ndarray, x0, x1, y0, y1) -> np.ndarray:
     return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
 
 
-def _radius_pass(prefix: TorusPrefix, bound: Optional[np.ndarray] = None) -> np.ndarray:
+def _radius_pass(prefix: TorusPrefix, bound: np.ndarray) -> np.ndarray:
     """For every center, the largest rho <= floor((n-1)/2) whose window's
-    minority count is at most bound[rho]; without a bound, the largest
-    single-type radius r(c).  prefix is the state's plus_prefix().
+    minority count is at most bound[rho], a _minority_bound table; at the
+    all-zero table, threshold 0, that is the largest single-type radius
+    r(c).  prefix is the state's plus_prefix().
 
-    numpy reference: r by a parallel binary search (single-type windows are
-    nested), O(n^2 log n); q by every level in turn.  Both read windows from
-    one call-local _periodic_prefix table.
+    numpy reference: every level in turn, read from one call-local
+    _periodic_prefix table, until every window's minority count exceeds
+    bound[R].  Windows at one center are nested, so their minority count
+    never falls as rho grows, and the table never falls either: no higher
+    level can pass.
     """
     n, R = prefix.n, max_region_radius(prefix.n)
     if _kernels.radius_pass is not None:
         return _kernels.radius_pass(prefix.sat, n, bound)
     P = _periodic_prefix(prefix)
-    if bound is not None:
-        q = np.zeros((n, n), dtype=np.int32)
-        for rho in range(R + 1):
-            lo, hi = slice(R - rho, R - rho + n), slice(R + rho + 1, R + rho + 1 + n)
-            counts = _corner_sums(P, lo, hi, lo, hi)
-            q[np.minimum(counts, (2 * rho + 1) ** 2 - counts) <= bound[rho]] = rho
-        return q
-    I, J = np.arange(n)[:, None] + R, np.arange(n)[None, :] + R
-    lo = np.zeros((n, n), dtype=np.int64)
-    hi = np.full((n, n), R, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
+    q = np.zeros((n, n), dtype=np.int32)
+    for rho in range(R + 1):
+        lo, hi = slice(R - rho, R - rho + n), slice(R + rho + 1, R + rho + 1 + n)
+        counts = _corner_sums(P, lo, hi, lo, hi)
+        minority = np.minimum(counts, (2 * rho + 1) ** 2 - counts)
+        q[minority <= bound[rho]] = rho
+        if (minority > bound[R]).all():
             break
-        mid = (lo + hi + 1) // 2
-        counts = _corner_sums(P, I - mid, I + mid + 1, J - mid, J + mid + 1)
-        ok = (counts == 0) | (counts == (2 * mid + 1) ** 2)
-        lo = np.where(active & ok, mid, lo)
-        hi = np.where(active & ~ok, mid - 1, hi)
-    return lo.astype(np.int32)
+    return q
 
 
 def _dilate(v: np.ndarray) -> np.ndarray:
@@ -156,8 +150,9 @@ def _dilate(v: np.ndarray) -> np.ndarray:
 
 
 def center_radius_map(state: GridState) -> np.ndarray:
-    """r(c) for every cell: largest rho whose window at c is single-type."""
-    return _radius_pass(state.plus_prefix())
+    """r(c) for every cell: largest rho whose window at c is single-type,
+    the radius pass at the all-zero table of threshold 0."""
+    return _radius_pass(state.plus_prefix(), _minority_bound(0.0, max_region_radius(state.n)))
 
 
 def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndarray] = None) -> tuple[int, int]:
@@ -291,14 +286,13 @@ def compute_region_summary(
     state: GridState,
     sample_size: int = 1024,
     eps: float = 0.25,
-    seed: Optional[int] = None,
 ) -> RegionSummary:
     """Region statistics of a quiescent state.
 
     Per-agent M and M' are reported on sample_size uniformly random agents
-    plus the global argmax center; the sampled values are read from the
-    exact all-agent maps (mono_radius_all, almost_mono_radius_map).  M
-    values are region sizes (cell counts).
+    plus the global argmax center, drawn from the state's seed; the sampled
+    values are read from the exact all-agent maps (mono_radius_all,
+    almost_mono_radius_map).  M values are region sizes (cell counts).
     """
     _check_measure(sample_size, eps)
     n = state.n
@@ -314,7 +308,7 @@ def compute_region_summary(
     hist: dict = {}
     k = min(sample_size, n * n)
     if k > 0:
-        rng = generator(state.config.seed if seed is None else seed, STREAM_MEASURE)
+        rng = generator(state.config.seed, STREAM_MEASURE)
         cells = rng.choice(n * n, size=k, replace=False)
         argmax_flat = int(np.argmax(r_map))
         if argmax_flat not in cells:

@@ -270,6 +270,8 @@ def is_region_of_expansion(
     else:
         if rng is None:
             raise ValueError("sampled placements require an rng")
+        if int(placements) < 1:
+            raise ValueError(f"sampled placements must number >= 1, got {placements}")
         centers = rng.integers(-span, span + 1, size=(int(placements), 2))
 
     ring = []

@@ -419,12 +419,33 @@ class TestStatsCommand:
         out = tmp_path / "s.json"
         code = run_cli(
             "stats", "--test", "fig2-trend", "--n", "32", "--w", "1",
-            "--taus", "0.38,0.42", "--replicates", "2", "--sample-size", "8",
+            "--taus", "0.38,0.40,0.42", "--replicates", "2", "--sample-size", "8",
             "--seed", "3", "--out", str(out),
         )
         doc = json.loads(out.read_text())
         assert doc["test_id"] == "fig2_trend"
         assert code in (0, 1)  # verdict-dependent exit
+
+    def test_fig2_trend_with_equal_means_writes_strict_json(self, tmp_path):
+        # n = 3 caps every region at radius 1, the whole torus, and at these
+        # taus every agent starts happy: every sampled M is 1.
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns of the constant input
+            code = run_cli(
+                "stats", "--test", "fig2-trend", "--n", "3", "--w", "1",
+                "--taus", "0.1,0.15,0.2", "--replicates", "1", "--sample-size", "8",
+                "--out", str(out),
+            )
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert code == 1
+        assert doc["statistics"]["means"] == [1.0, 1.0, 1.0]
+        assert doc["statistics"]["spearman_rho"] is None
+        assert doc["statistics"]["p_value"] == 1.0
 
     def test_missing_n_for_prop1(self):
         assert run_cli("stats", "--test", "prop1") == 2
@@ -449,8 +470,16 @@ class TestStatsCommand:
     ["percolation", "--mode", "radius", "--p", "1.5", "--samples", "1"],
     ["percolation", "--mode", "chemdist", "--p", "-0.1", "--samples", "1"],
     ["percolation", "--mode", "chemdist", "--a", "1", "--samples", "1"],
+    ["detect", "--n", "32", "--w", "1", "--tau", "0.45", "--what", "expansion",
+     "--region-radius", "3", "--placements", "0"],
+    ["percolation", "--mode", "radius", "--samples", "-1"],
+    ["percolation", "--mode", "fpp", "--samples", "0"],
+    ["theory", "--curve", "f", "--tau-from", "0.5", "--tau-to", "0.3", "--step", "0.01"],
+    ["stats", "--test", "fig2-trend", "--n", "32", "--w", "1", "--taus", "0.38,0.42",
+     "--replicates", "1", "--sample-size", "8"],
 ], ids=["missing-snapshot", "one-coordinate-center", "three-coordinate-center", "zero-step",
-        "negative-step", "zero-replicates", "p-above-1", "p-below-0", "one-coordinate-endpoint"])
+        "negative-step", "zero-replicates", "p-above-1", "p-below-0", "one-coordinate-endpoint",
+        "zero-placements", "negative-samples", "zero-samples", "reversed-tau-range", "two-taus"])
 def test_bad_inputs_exit_2_with_a_message(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -4,6 +4,7 @@ reference executor, chunk by chunk and on edge cases (the region kernels
 are compared with their numpy reference in test_regions.py)."""
 
 import inspect
+import math
 import os
 import shutil
 import subprocess
@@ -82,7 +83,7 @@ def test_wrapper_rejects_short_buffers():
 
     def call(cells=cells, cand=cand, w=w, audit=False, m=0):
         return _kernels.run_chunk(types, sc, pos, cells, cand, m, n, w, (2 * w + 1) ** 2, 22, 0,
-                                  0.0, 0, 10, None, batch, batch, 0, rec, np.zeros(1), rec, rec,
+                                  0.0, 0, 10, math.inf, batch, batch, 0, rec, np.zeros(1), rec, rec,
                                   audit, rec, np.zeros(1, np.int32))
 
     with pytest.raises(ValueError, match=r"n\*n"):
@@ -107,11 +108,11 @@ def test_region_wrappers_reject_bad_tables():
     bound = np.zeros(5, np.int64)
     assert _kernels.radius_pass(sat, n, bound).shape == (n, n)
     with pytest.raises(ValueError, match=r"shape \(10, 10\)"):
-        _kernels.radius_pass(sat[:-1, :-1], n)  # one short
+        _kernels.radius_pass(sat[:-1, :-1], n, bound)  # one short
     with pytest.raises(ValueError, match="int64"):
-        _kernels.radius_pass(sat.astype(np.int32), n)
+        _kernels.radius_pass(sat.astype(np.int32), n, bound)
     with pytest.raises(ValueError, match=r"shape \(10, 10\)"):
-        _kernels.radius_pass(np.zeros((n + 9,) * 2, np.int64), n)  # a wrap-padded table
+        _kernels.radius_pass(np.zeros((n + 9,) * 2, np.int64), n, bound)  # a wrap-padded table
     with pytest.raises(ValueError, match="length 5"):
         _kernels.radius_pass(sat, n, bound[:-1])
     with pytest.raises(ValueError, match="length 5"):
@@ -153,7 +154,7 @@ def region_maps(state, eps, use_c):
     _kernels.radius_pass, _kernels.dilate = kernels if use_c else (None, None)
     R = regions.max_region_radius(state.n)
     prefix = state.plus_prefix()
-    r = regions._radius_pass(prefix)
+    r = regions._radius_pass(prefix, regions._minority_bound(0.0, R))
     q = regions._radius_pass(prefix, regions._minority_bound(math.exp(-(state.config.N**eps)), R))
     return r, q, regions._dilate(r), regions._dilate(q)
 
@@ -234,6 +235,7 @@ def test_executors_share_one_contract(max_flips, max_time, expected):
     fill the same buffers and return the same tuple from one state and batch."""
     if _kernels.run_chunk is None:
         pytest.skip(_kernels.load_error)
+    max_time = math.inf if max_time is None else max_time  # None: no time limit
     assert (list(inspect.signature(_kernels.run_chunk).parameters)
             == list(inspect.signature(dyn._run_chunk_py).parameters))
     cfg = GridConfig(n=48, w=2, tau_tilde=0.45, seed=1)
@@ -302,7 +304,7 @@ def test_c_kernel_matches_python(case, monkeypatch):
     assert a.elig_count == b.elig_count
     assert np.array_equal(a.elig_cells[: a.elig_count], b.elig_cells[: b.elig_count])
     assert np.array_equal(a.elig_pos, b.elig_pos)
-    assert (a.flips_done, a.version) == (b.flips_done, b.version)
+    assert a.flips_done == b.flips_done
     if limits.record_interval:
         assert ra.trace.shape == rb.trace.shape and len(ra.trace) > 1
         assert np.array_equal(ra.trace, rb.trace)

@@ -389,7 +389,7 @@ def region_maps(state, eps):
     """(r, q, M, M') from the two steps, on whichever path _kernels provides."""
     R = max_region_radius(state.n)
     prefix = state.plus_prefix()
-    r = _radius_pass(prefix)
+    r = _radius_pass(prefix, _minority_bound(0.0, R))
     q = _radius_pass(prefix, _minority_bound(math.exp(-(state.config.N**eps)), R))
     return r, q, _dilate(r), _dilate(q)
 
@@ -419,6 +419,34 @@ def test_region_maps_match_oracles(path, n, w, types, eps, monkeypatch):
     assert np.array_equal(q, np.max([np.where(lv, rho, 0) for rho, lv in enumerate(qual)], axis=0))
     assert np.array_equal(mp, oracle_mprime_map(qual))
     assert all(m[u] == oracle_mono_region(types, u, r) for u in np.ndindex(n, n))
+
+
+@pytest.mark.parametrize("eps", [None, 0.1, 0.4])
+def test_numpy_pass_stops_at_the_first_level_past_bound_R(eps, monkeypatch):
+    """The numpy radius pass reads levels 0..L, where L is the first level at
+    which every window's minority count exceeds bound[R] (no later level can
+    pass); eps None is the zero table of r(c)."""
+    import segsim.regions
+
+    cfg = GridConfig(n=40, w=2, tau_tilde=0.42, seed=5, allow_small=True)
+    state = new_random(cfg)
+    run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS))
+    n, R = cfg.n, max_region_radius(cfg.n)
+    bound = _minority_bound(0.0 if eps is None else math.exp(-(cfg.N**eps)), R)
+    prefix = state.plus_prefix()
+    I, J = np.indices((n, n))
+    past = []
+    for rho in range(R + 1):
+        plus = prefix.window(I, J, rho)
+        past.append(bool((np.minimum(plus, (2 * rho + 1) ** 2 - plus) > bound[R]).all()))
+    assert True in past[:-1]  # the stop saves levels on this state
+
+    levels = []
+    corner_sums = segsim.regions._corner_sums
+    monkeypatch.setattr(segsim.regions, "_corner_sums", lambda *a: levels.append(1) or corner_sums(*a))
+    monkeypatch.setattr(_kernels, "radius_pass", None)
+    _radius_pass(prefix, bound)
+    assert len(levels) == past.index(True) + 1
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
