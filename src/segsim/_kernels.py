@@ -13,12 +13,15 @@ as it goes and buffers the appends, and runs that membership walk only
 over the column runs where a count crossed the bound or the flipped cell
 lies (the proof is in the C comment).
 
-The region kernels are the two steps of regions.py.  The radius pass gives
-every center the largest radius whose minority count is within an integer
-table of the largest passing count per radius: at the all-zero table that
-is r(c), the largest single-type radius, and at the ratio test's table
-q(c), the largest almost-monochromatic radius.  The own-radius dilation
-turns r into M and q into M'.  The radius pass reads the state's one
+The region kernels are the two steps of regions.py.  One radius pass gives
+every center two radii: r(c), the largest single-type radius, and q(c),
+the largest radius whose minority count is within an integer table of the
+largest passing count per radius; at the ratio test's table q(c) is the
+largest almost-monochromatic radius, and at the all-zero table q = r.
+Along each row the pass climbs single-type windows center by center and
+then reads the remaining windows grouped by level, so the reads of one
+level share two table rows.  The own-radius dilation turns r into M and q
+into M'.  The radius pass reads the state's one
 (n+1) x (n+1) prefix table of the +1 grid (grid.TorusPrefix) and reaches
 wrapping windows through the table's periodic extension.  They do integer
 arithmetic only.  Every kernel's results are asserted equal to the
@@ -213,8 +216,10 @@ int64_t segsim_run_chunk(
     return status;
 }
 
-/* P(x, y) for -n < x, y < 2n: the prefix sum of the n-periodic grid whose
-   (n+1) x (n+1) summed-area table is t.  With x = a n + i, y = b n + j,
+/* The rows x0 and x1 of P, the prefix sum of the n-periodic grid whose
+   (n+1) x (n+1) summed-area table is t, as one strip: D(y) = P(x1, y) -
+   P(x0, y) for -n < x0, x1, y < 2n, so that a window of rows [x0, x1) and
+   columns [y0, y1) holds D(y1) - D(y0).  With x = a n + i, y = b n + j,
    0 <= i, j <= n and a, b in {-1, 0, 1},
        P(x, y) = a b T + a Col(j) + b Row(i) + t(i, j),
    where T = t(n, n), Row(i) = t(i, n) and Col(j) = t(n, j).  Proof: P = t
@@ -222,49 +227,125 @@ int64_t segsim_run_chunk(
    over columns [0, y), whatever x is; likewise in y.  So the second
    differences of P, the cell values, repeat with period n on both axes, and
    the four corners of any window read its torus sum.  A window of radius
-   <= (n-1)/2 at a torus cell has its corners in (-n, 2n). */
-static inline int64_t periodic_prefix(const int64_t *t, int64_t n, int64_t x, int64_t y)
+   <= (n-1)/2 at a torus cell has its corners in (-n, 2n).  Along one row,
+   P(x, y) = t(i, j) + a Col(j) + b P(x, n): the strip keeps the two table
+   rows, Col, and the difference of the row totals P(x, n) = Row(i) + a T,
+   so a read costs two entries of each table row, and of Col when the rows
+   wrap. */
+typedef struct {
+    const int64_t *lo, *hi, *col;
+    int64_t da, dtotal;
+} strip;
+
+static inline strip prefix_strip(const int64_t *t, int64_t n, int64_t x0, int64_t x1)
 {
     const int64_t s = n + 1;
-    const int64_t a = x < 0 ? -1 : x > n, b = y < 0 ? -1 : y > n;
-    const int64_t i = x - a * n, j = y - b * n;
-    int64_t v = t[i * s + j];
-    if (a)
-        v += a * (t[n * s + j] + b * t[n * s + n]);
-    if (b)
-        v += b * t[i * s + n];
+    const int64_t a0 = x0 < 0 ? -1 : x0 > n, a1 = x1 < 0 ? -1 : x1 > n;
+    strip st = {t + (x0 - a0 * n) * s, t + (x1 - a1 * n) * s, t + n * s, a1 - a0, 0};
+    st.dtotal = st.hi[n] - st.lo[n] + st.da * st.col[n];
+    return st;
+}
+
+static inline int64_t strip_prefix(const strip *st, int64_t n, int64_t y)
+{
+    const int64_t b = y < 0 ? -1 : y > n;
+    const int64_t j = y - b * n;
+    int64_t v = st->hi[j] - st->lo[j] + b * st->dtotal;
+    if (st->da)
+        v += st->da * st->col[j];
     return v;
+}
+
+/* Minority count of the (2k+1)^2 torus window centered at column j of the
+   strip of rows [i - k, i + k + 1). */
+static inline int64_t strip_minority(const strip *st, int64_t n, int64_t j, int64_t k)
+{
+    const int64_t area = (2 * k + 1) * (2 * k + 1);
+    const int64_t c = strip_prefix(st, n, j + k + 1) - strip_prefix(st, n, j - k);
+    return c < area - c ? c : area - c;
 }
 
 /* Minority count of the (2k+1)^2 torus window centered at (i, j). */
 static inline int64_t window_minority(const int64_t *t, int64_t n, int64_t i, int64_t j, int64_t k)
 {
-    const int64_t x0 = i - k, x1 = i + k + 1, y0 = j - k, y1 = j + k + 1;
-    const int64_t area = (2 * k + 1) * (2 * k + 1);
-    const int64_t c = periodic_prefix(t, n, x1, y1) - periodic_prefix(t, n, x0, y1)
-                      - periodic_prefix(t, n, x1, y0) + periodic_prefix(t, n, x0, y0);
-    return c < area - c ? c : area - c;
+    const strip st = prefix_strip(t, n, i - k, i + k + 1);
+    return strip_minority(&st, n, j, k);
 }
 
-/* For every center c of the n x n torus, the largest rho <= R = (n-1)/2
-   whose window's minority count is at most bound[rho]; bound is
-   non-negative and never falls as rho grows (the wrapper checks both).  At
-   the all-zero table this is the largest single-type radius r(c).  sat is
-   the (n+1) x (n+1) summed-area table of the +1 indicator (grid.TorusPrefix).
+/* Center j of a row has read minority count m at level L.  Record L as its
+   q when m passes, and file j in the bucket of the next level its scan
+   reads: the first level above L whose bound is >= m, first[m] or L + 1,
+   since a level whose bound is below m cannot pass.  Once m exceeds
+   bound[R], no level passes and the scan of j ends. */
+static inline void after_read(const int64_t *bound, const int32_t *first, int64_t R, int64_t L,
+                              int64_t m, int64_t j, int32_t *q_row, int32_t *head, int32_t *link)
+{
+    if (m > bound[R])
+        return;
+    if (m <= bound[L])
+        q_row[j] = (int32_t)L;
+    const int64_t next = first[m] > L ? first[m] : L + 1;
+    if (next <= R) {
+        link[j] = head[next];
+        head[next] = (int32_t)j;
+    }
+}
+
+/* For every center c of the n x n torus, r(c), the largest rho <= R =
+   (n-1)/2 whose window is single-type, into r_out, and q(c), the largest
+   rho <= R whose window's minority count is at most bound[rho], into q_out.
+   bound is non-negative and never falls as rho grows (the wrapper checks
+   both); at the all-zero table q = r.  sat is the (n+1) x (n+1)
+   summed-area table of the +1 indicator (grid.TorusPrefix).  Returns -1
+   when the pass's buffers cannot be allocated.
+
    Windows at one center are nested, so their minority count never falls
-   as rho grows.  The scan at each center has two parts.  The first climbs
-   while the window is single-type, from the left neighbor's single-type
-   radius minus one (the radius-(rho-1) window at (i, j) lies inside the
-   radius-rho window at (i, j-1)); it stops at r(c), and every level up to
-   r(c) has minority 0 and passes.  The second goes on from the count at
-   which the first stopped, so no window is read twice: a level whose bound
-   is below the minority count just read cannot pass and is skipped unread,
-   and once the count exceeds bound[R] no higher level can pass and the
-   scan stops. */
-void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int32_t *out)
+   as rho grows.  The scan of one center reads levels in increasing order.
+   It climbs while the window is single-type, from the left neighbor's r
+   minus one (the radius-(rho-1) window at (i, j) lies inside the radius-rho
+   window at (i, j-1)); it stops at r(c), and every level up to r(c) has
+   minority 0 and passes.  It goes on from the count at which the climb
+   stopped (after_read), so no window is read twice, and jumps over every
+   level whose bound is below the count just read, through the table first
+   of the first level whose bound reaches each count; q(c) is the largest
+   read level that passes.
+
+   The climb runs along the row, center by center.  The rest of the scan is
+   grouped by level: a center whose next read is at level L waits in bucket
+   L of its row, and the buckets drain in increasing L; each read files the
+   center into the bucket of its next level, which lies above L, so it is
+   drained later in the same sweep.  Every read of bucket L is then a window
+   of rows [i - L, i + L + 1): the same two table rows and Col, whose strip
+   is built once per bucket, where a scan center by center jumps between
+   rows far apart.  The grouping cannot change the maps: which levels a
+   center reads and what it records depend only on the table, bound and the
+   counts of its own windows, never on another center's reads, so grouping
+   reorders reads across centers only.  Each center reads exactly the
+   levels of its own scan, in the same order, and gets the same q. */
+int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
+                           int32_t *r_out, int32_t *q_out)
 {
     const int64_t R = (n - 1) / 2;
+    /* head[L]: a center of bucket L, or -1; link[j]: the next center in
+       j's bucket, or -1; first[m]: the first level whose bound is >= m. */
+    int32_t *head = malloc((size_t)(R + 1) * sizeof *head);
+    int32_t *link = malloc((size_t)n * sizeof *link);
+    int32_t *first = malloc((size_t)(bound[R] + 1) * sizeof *first);
+    if (head == NULL || link == NULL || first == NULL) {
+        free(head);
+        free(link);
+        free(first);
+        return -1;
+    }
+    for (int64_t m = 0, L = 0; m <= bound[R]; m++) {
+        while (bound[L] < m)
+            L++;
+        first[m] = (int32_t)L;
+    }
     for (int64_t i = 0; i < n; i++) {
+        int32_t *r_row = r_out + i * n, *q_row = q_out + i * n;
+        for (int64_t L = 0; L <= R; L++)
+            head[L] = -1;
         int64_t r = 0;
         for (int64_t j = 0; j < n; j++) {
             if (r > 0)
@@ -272,20 +353,25 @@ void segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound, int
             int64_t minority = 0;
             while (r < R && (minority = window_minority(sat, n, i, j, r + 1)) == 0)
                 r++;
-            /* Below R, minority is now the count at radius r + 1. */
-            int64_t best = r;
-            for (int64_t rho = r + 1; rho <= R && minority <= bound[R];) {
-                if (minority <= bound[rho])
-                    best = rho;
-                for (rho++; rho <= R && bound[rho] < minority; rho++)
-                    ;
-                if (rho > R)
-                    break;
-                minority = window_minority(sat, n, i, j, rho);
+            r_row[j] = q_row[j] = (int32_t)r;
+            /* Below R, minority is now the count at level r + 1. */
+            if (r < R)
+                after_read(bound, first, R, r + 1, minority, j, q_row, head, link);
+        }
+        for (int64_t L = 0; L <= R; L++) {
+            if (head[L] < 0)
+                continue;
+            const strip st = prefix_strip(sat, n, i - L, i + L + 1);
+            for (int64_t j = head[L], next; j >= 0; j = next) {
+                next = link[j];
+                after_read(bound, first, R, L, strip_minority(&st, n, j, L), j, q_row, head, link);
             }
-            out[i * n + j] = (int32_t)best;
         }
     }
+    free(head);
+    free(link);
+    free(first);
+    return 0;
 }
 
 /* One cyclic line: out[j] = max{ x[b] : cyclic |j - b| <= x[b] } for
@@ -386,7 +472,8 @@ _SIGNATURES = {
         _I64, _arr(np.int64), _arr(np.int32),
         _arr(np.int64), _arr(np.float64),
     ], _I64),
-    "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32)], None),
+    "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _arr(np.int32)],
+                           _I64),
     "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
 }
 
@@ -496,11 +583,12 @@ def _wrap_run_chunk(fn):
 
 def _wrap_radius_pass(fn):
     def radius_pass(sat, n, bound):
-        """Per-center radius map (n x n int32) of the largest rho <= (n-1)/2
-        whose window's minority count is at most bound[rho]; at the all-zero
-        table, the largest single-type radius r(c).  sat is the int64
-        (n+1) x (n+1) summed-area table of the +1 grid, grid.TorusPrefix.sat;
-        bound is an int64 table of length (n-1)/2 + 1."""
+        """(r, q), two per-center radius maps (n x n int32) from one pass: r(c)
+        the largest single-type radius <= (n-1)/2, and q(c) the largest
+        rho <= (n-1)/2 whose window's minority count is at most bound[rho]
+        (q = r at the all-zero table).  sat is the int64 (n+1) x (n+1)
+        summed-area table of the +1 grid, grid.TorusPrefix.sat; bound is an
+        int64 table of length (n-1)/2 + 1."""
         R = (n - 1) // 2
         if sat.dtype != np.int64 or sat.shape != (n + 1, n + 1):
             raise ValueError(f"the table must be int64 of shape ({n + 1}, {n + 1})")
@@ -508,9 +596,10 @@ def _wrap_radius_pass(fn):
             raise ValueError(f"the bound table must be int64 of length {R + 1}")
         if bound.min() < 0 or (np.diff(bound) < 0).any():
             raise ValueError("the bound table must be non-negative and non-decreasing")
-        out = np.zeros((n, n), dtype=np.int32)
-        fn(np.ascontiguousarray(sat), n, np.ascontiguousarray(bound), out)
-        return out
+        r, q = np.empty((n, n), dtype=np.int32), np.empty((n, n), dtype=np.int32)
+        if fn(np.ascontiguousarray(sat), n, np.ascontiguousarray(bound), r, q) != 0:
+            raise MemoryError("row buffers for the radius pass")
+        return r, q
 
     return radius_pass
 

@@ -413,8 +413,9 @@ def fig2_trend_test(
     N/2 - K >= sqrt(N). Closer to 1/2 the dynamics coarsen like the
     tau = 1/2 quench and the means can invert.
 
-    Needs at least three taus.  Equal means have no rank correlation: rho
-    is then reported as None (null in JSON) with p = 1.
+    Needs at least three taus.  Equal means (or equal taus) have no rank
+    correlation: rho is then reported as None (null in JSON) with p = 1,
+    and spearmanr is not called, so it prints no warning.
     """
     from scipy.stats import spearmanr
 
@@ -430,9 +431,12 @@ def fig2_trend_test(
             report = run_single(config, sample_size=sample_size, eps=eps)
             vals.append(report.region_summary["mean_M"])
         means.append(float(np.mean(vals)))
-    rho, pvalue = spearmanr(list(taus), means, alternative="less")
-    # Equal means have no ordering, so no trend.
-    rho, pvalue = (None, 1.0) if math.isnan(rho) else (float(rho), float(pvalue))
+    if len(set(means)) > 1 and len(set(taus)) > 1:
+        rho, pvalue = spearmanr(list(taus), means, alternative="less")
+        rho, pvalue = float(rho), float(pvalue)
+    else:
+        # A constant input has no ranks to correlate, so no trend.
+        rho, pvalue = None, 1.0
     return StatTestReport(
         test_id="fig2_trend",
         parameters={

@@ -144,19 +144,19 @@ def torus_window_ix(n: int, r: int, c: int, radius: int):
 
 
 def box_same_counts(types: np.ndarray, w: int) -> np.ndarray:
-    """From-scratch same_count for every agent, via a wrap-padded summed-area table."""
+    """From-scratch same_count for every agent, via separable window sums.
+
+    Each axis in turn is wrap-extended by w + 1 cells before and w after and
+    summed cumulatively in int32; the difference of two cumulative sums
+    2w + 1 apart is the wrapped window sum along that axis.
+    """
     n = types.shape[0]
-    N = (2 * w + 1) ** 2
-    plus = (types > 0).astype(np.int64)
-    padded = np.pad(plus, w, mode="wrap")
-    sat = np.zeros((n + 2 * w + 1, n + 2 * w + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(padded, axis=0), axis=1, out=sat[1:, 1:])
     side = 2 * w + 1
-    plus_in_window = (
-        sat[side:, side:] - sat[:-side, side:] - sat[side:, :-side] + sat[:-side, :-side]
-    )
-    same = np.where(types > 0, plus_in_window, N - plus_in_window)
-    return same.astype(np.int32)
+    ext = np.arange(-w - 1, n + w)
+    cs = np.take(types > 0, ext, axis=1, mode="wrap").cumsum(axis=1, dtype=np.int32)
+    cs = np.take(cs[:, side:] - cs[:, :n], ext, axis=0, mode="wrap").cumsum(axis=0, dtype=np.int32)
+    plus_in_window = cs[side:] - cs[:n]
+    return np.where(types > 0, plus_in_window, side * side - plus_in_window)
 
 
 def same_counts_bruteforce(types: np.ndarray, w: int) -> np.ndarray:

@@ -12,19 +12,24 @@ that reaches u is q(c) itself.
 
 Both per-agent maps come from the same two steps.  The radius pass reads
 the state's one prefix table of the +1 grid, state.plus_prefix(), cached
-until the next flip, and gives every center the largest radius whose
-minority count is within an integer table of the largest passing count
-per radius (_minority_bound).  r(c) is that pass at threshold 0, whose
-table is all zeros, and q(c) the pass at threshold exp(-N^eps); the two
-differ in nothing else.  The own-radius dilation then gives M from r and
-M' from q.  Both steps run in the compiled library of _kernels when it
-loads; the numpy code here is the bit-identical reference and runs when it
-does not.  For one agent, mono_region_of reads M(u) off the r map (running
-a full radius pass when none is given), and almost_mono_radius_of finds
-M'(u) by direct search over radii and centers.
+until the next flip, and gives every center two radii in one call: r(c),
+and the largest radius whose minority count is within an integer table of
+the largest passing count per radius (_minority_bound).  At threshold
+exp(-N^eps) that is q(c); at threshold 0 the table is all zeros and it is
+r(c) again.  The compiled pass reads the windows past the single-type
+climb grouped by level, row by row; each center still reads exactly the
+levels of its own scan.  The own-radius dilation then gives M from r and
+M' from q, and compute_region_summary makes one pass for both.  Both steps
+run in the compiled library of _kernels when it loads; the numpy code here
+is the bit-identical reference and runs when it does not.  For one agent,
+mono_region_of reads M(u) off the r map (running a full radius pass when
+none is given), and almost_mono_radius_of finds M'(u) by direct search
+over radii and centers.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
-cluster measure, not a square-region measure, and is labeled as such.
+cluster measure, not a square-region measure, and is labeled as such.  Only
+the size of the largest component per type is reported, so the summary
+counts component sizes without labelling cells.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from scipy import ndimage
 from . import _kernels
 from .grid import GridState, TorusPrefix, torus_window_ix
 from .rng import STREAM_MEASURE, generator
-from .unionfind import label_grid_components
+# label_grid_components stays bound here: perfbench/tracing.py times it through
+# this module.
+from .unionfind import component_sizes, label_grid_components  # noqa: F401
 
 
 def _check_eps(eps: float) -> None:
@@ -77,11 +84,18 @@ def _minority_bound(threshold: float, R: int) -> np.ndarray:
     return m
 
 
+def _ratio_bound(state: GridState, eps: float) -> np.ndarray:
+    """The _minority_bound table of the ratio test minority/majority <=
+    exp(-N^eps) of almost-monochromatic windows."""
+    _check_eps(eps)
+    return _minority_bound(math.exp(-(state.config.N**eps)), max_region_radius(state.n))
+
+
 def _periodic_prefix(prefix: TorusPrefix) -> np.ndarray:
     """P(x, y) for -R <= x, y <= n + R, R = floor((n-1)/2), stored at
     [x + R, y + R]: the prefix sum of the n-periodic +1 grid, built from
     prefix.sat by the identity P(a n + i, b n + j) = a b T + a Col(j) +
-    b Row(i) + sat(i, j) proved at periodic_prefix in _kernels.  Every window
+    b Row(i) + sat(i, j) proved at prefix_strip in _kernels.  Every window
     of radius <= R at a torus cell has its four corners in the table."""
     n, R = prefix.n, max_region_radius(prefix.n)
     t = prefix.sat
@@ -98,31 +112,35 @@ def _corner_sums(P: np.ndarray, x0, x1, y0, y1) -> np.ndarray:
     return P[x1, y1] - P[x0, y1] - P[x1, y0] + P[x0, y0]
 
 
-def _radius_pass(prefix: TorusPrefix, bound: np.ndarray) -> np.ndarray:
-    """For every center, the largest rho <= floor((n-1)/2) whose window's
-    minority count is at most bound[rho], a _minority_bound table; at the
-    all-zero table, threshold 0, that is the largest single-type radius
-    r(c).  prefix is the state's plus_prefix().
+def _radius_pass(prefix: TorusPrefix, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, q) from one pass: for every center, r(c) the largest
+    single-type radius <= floor((n-1)/2), and q(c) the largest such rho whose
+    window's minority count is at most bound[rho], a _minority_bound table;
+    at the all-zero table of threshold 0, q = r.  prefix is the state's
+    plus_prefix().
 
     numpy reference: every level in turn, read from one call-local
     _periodic_prefix table, until every window's minority count exceeds
     bound[R].  Windows at one center are nested, so their minority count
     never falls as rho grows, and the table never falls either: no higher
-    level can pass.
+    level can pass.  r(c) is the last level at which c's count is still 0;
+    a zero count passes every table, so the loop reaches it.
     """
     n, R = prefix.n, max_region_radius(prefix.n)
     if _kernels.radius_pass is not None:
         return _kernels.radius_pass(prefix.sat, n, bound)
     P = _periodic_prefix(prefix)
+    r = np.zeros((n, n), dtype=np.int32)
     q = np.zeros((n, n), dtype=np.int32)
     for rho in range(R + 1):
         lo, hi = slice(R - rho, R - rho + n), slice(R + rho + 1, R + rho + 1 + n)
         counts = _corner_sums(P, lo, hi, lo, hi)
         minority = np.minimum(counts, (2 * rho + 1) ** 2 - counts)
+        r[minority == 0] = rho
         q[minority <= bound[rho]] = rho
         if (minority > bound[R]).all():
             break
-    return q
+    return r, q
 
 
 def _dilate(v: np.ndarray) -> np.ndarray:
@@ -152,7 +170,7 @@ def _dilate(v: np.ndarray) -> np.ndarray:
 def center_radius_map(state: GridState) -> np.ndarray:
     """r(c) for every cell: largest rho whose window at c is single-type,
     the radius pass at the all-zero table of threshold 0."""
-    return _radius_pass(state.plus_prefix(), _minority_bound(0.0, max_region_radius(state.n)))
+    return _radius_pass(state.plus_prefix(), _minority_bound(0.0, max_region_radius(state.n)))[0]
 
 
 def mono_region_of(state: GridState, u: tuple[int, int], r_map: Optional[np.ndarray] = None) -> tuple[int, int]:
@@ -229,11 +247,7 @@ def almost_mono_radius_map(state: GridState, eps: float) -> np.ndarray:
     minority/majority <= exp(-N^eps), i.e. the dilation of q.  Radius 0
     always qualifies.
     """
-    _check_eps(eps)
-    threshold = math.exp(-(state.config.N**eps))
-    R = max_region_radius(state.n)
-    q = _radius_pass(state.plus_prefix(), _minority_bound(threshold, R))
-    return _dilate(q)
+    return _dilate(_radius_pass(state.plus_prefix(), _ratio_bound(state, eps))[1])
 
 
 @dataclass
@@ -291,12 +305,13 @@ def compute_region_summary(
 
     Per-agent M and M' are reported on sample_size uniformly random agents
     plus the global argmax center, drawn from the state's seed; the sampled
-    values are read from the exact all-agent maps (mono_radius_all,
-    almost_mono_radius_map).  M values are region sizes (cell counts).
+    values are read from the exact all-agent maps, the dilations of r and q
+    from one radius pass (mono_radius_all, and almost_mono_radius_map
+    without its own pass).  M values are region sizes (cell counts).
     """
     _check_measure(sample_size, eps)
     n = state.n
-    r_map = center_radius_map(state)
+    r_map, q_map = _radius_pass(state.plus_prefix(), _ratio_bound(state, eps))
     largest = {}
     for tname, tval in (("plus", 1), ("minus", -1)):
         hit = largest_mono_region(state, tval, r_map)
@@ -315,7 +330,7 @@ def compute_region_summary(
             cells = np.concatenate([cells, [argmax_flat]])
 
         m_radii = mono_radius_all(state, r_map).ravel()[cells]
-        mp_radii = almost_mono_radius_map(state, eps).ravel()[cells]
+        mp_radii = _dilate(q_map).ravel()[cells]
         mean_M, stderr_M = _mean_stderr((2 * m_radii.astype(np.float64) + 1) ** 2)
         mean_Mp, stderr_Mp = _mean_stderr((2 * mp_radii.astype(np.float64) + 1) ** 2)
         vals, counts = np.unique(m_radii, return_counts=True)
@@ -323,8 +338,7 @@ def compute_region_summary(
 
     components = {"note": "auxiliary cluster statistic (4-adjacent components), not a square-region measure"}
     for tname, tval in (("plus", 1), ("minus", -1)):
-        labels = label_grid_components(state.types == tval, adjacency=4, torus=True)
-        _, sizes = np.unique(labels[labels >= 0], return_counts=True)
+        sizes = component_sizes(state.types == tval, adjacency=4, torus=True)
         components[f"largest_{tname}"] = int(sizes.max(initial=0))
 
     return RegionSummary(

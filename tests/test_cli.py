@@ -426,17 +426,18 @@ class TestStatsCommand:
         assert doc["test_id"] == "fig2_trend"
         assert code in (0, 1)  # verdict-dependent exit
 
-    def test_fig2_trend_with_equal_means_writes_strict_json(self, tmp_path):
+    def test_fig2_trend_with_equal_means_writes_strict_json(self, tmp_path, capfd):
         # n = 3 caps every region at radius 1, the whole torus, and at these
         # taus every agent starts happy: every sampled M is 1.
         out = tmp_path / "s.json"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy warns of the constant input
+            warnings.simplefilter("error")  # no warning of the constant input
             code = run_cli(
                 "stats", "--test", "fig2-trend", "--n", "3", "--w", "1",
                 "--taus", "0.1,0.15,0.2", "--replicates", "1", "--sample-size", "8",
                 "--out", str(out),
             )
+        assert capfd.readouterr().err == ""
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")

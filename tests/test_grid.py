@@ -333,3 +333,14 @@ def test_box_same_counts_matches_oracle():
     rng = generator(77)
     types = np.where(rng.random((11, 11)) < 0.5, 1, -1).astype(np.int8)
     assert np.array_equal(box_same_counts(types, 2), same_counts_bruteforce(types, 2))
+
+
+@pytest.mark.parametrize("n,w", [(3, 1), (21, 10), (64, 3), (400, 10)])
+def test_box_same_counts_matches_oracle_across_windows(n, w):
+    """Windows from the whole torus (n = 2w+1) down to small ones on a large
+    torus; the output keeps its int32 dtype."""
+    rng = generator(1000 + n + w)
+    types = np.where(rng.random((n, n)) < 0.3, 1, -1).astype(np.int8)
+    got = box_same_counts(types, w)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, same_counts_bruteforce(types, w))

@@ -106,7 +106,8 @@ def test_region_wrappers_reject_bad_tables():
     n = 9
     sat = np.zeros((n + 1, n + 1), np.int64)
     bound = np.zeros(5, np.int64)
-    assert _kernels.radius_pass(sat, n, bound).shape == (n, n)
+    r, q = _kernels.radius_pass(sat, n, bound)
+    assert r.shape == q.shape == (n, n) and r.dtype == q.dtype == np.int32
     with pytest.raises(ValueError, match=r"shape \(10, 10\)"):
         _kernels.radius_pass(sat[:-1, :-1], n, bound)  # one short
     with pytest.raises(ValueError, match="int64"):
@@ -131,9 +132,19 @@ def test_region_wrappers_reject_bad_tables():
             _kernels.dilate(v)
 
 
+def test_region_wrappers_raise_memory_error_when_c_cannot_allocate():
+    n = 9
+    with pytest.raises(MemoryError, match="radius pass"):
+        _kernels._wrap_radius_pass(lambda *args: -1)(np.zeros((n + 1, n + 1), np.int64), n,
+                                                     np.zeros(5, np.int64))
+    with pytest.raises(MemoryError, match="dilation"):
+        _kernels._wrap_dilate(lambda *args: -1)(np.zeros((n, n), np.int32))
+
+
 # Runs in a child process against a sanitizer build of C_SOURCE (argv[1]):
 # the flip kernel and both region kernels on edge states, each compared with
-# the python/numpy reference.
+# the python/numpy reference.  The radius pass runs at the zero table and at
+# the ratio test's tables, on tori down to n = 3 and on n = 2w+1.
 SANITIZED_RUN = r"""
 import math
 import sys
@@ -150,13 +161,21 @@ assert _kernels.load_error is None, _kernels.load_error
 kernels = (_kernels.radius_pass, _kernels.dilate)
 
 
+# (r, q, M, M') from one pass at the zero table, then from one at eps's.
 def region_maps(state, eps, use_c):
     _kernels.radius_pass, _kernels.dilate = kernels if use_c else (None, None)
     R = regions.max_region_radius(state.n)
     prefix = state.plus_prefix()
-    r = regions._radius_pass(prefix, regions._minority_bound(0.0, R))
-    q = regions._radius_pass(prefix, regions._minority_bound(math.exp(-(state.config.N**eps)), R))
-    return r, q, regions._dilate(r), regions._dilate(q)
+    maps = []
+    for threshold in (0.0, math.exp(-(state.config.N**eps))):
+        r, q = regions._radius_pass(prefix, regions._minority_bound(threshold, R))
+        maps += [r, q, regions._dilate(r), regions._dilate(q)]
+    return maps
+
+
+def assert_region_maps_agree(state, eps):
+    got, ref = region_maps(state, eps, True), region_maps(state, eps, False)
+    assert all(np.array_equal(x, y) for x, y in zip(got, ref)), (state.n, eps)
 
 
 for n, w, tau, seed, limits in ((7, 3, 0.45, 1, RunLimits(record_interval=1)),
@@ -169,6 +188,7 @@ for n, w, tau, seed, limits in ((7, 3, 0.45, 1, RunLimits(record_interval=1)),
     rb = run_to_termination(b, generator(seed, STREAM_DYNAMICS), limits, use_numba=True, audit=True)
     assert rb.engine == "c" and ra.canonical_json() == rb.canonical_json()
     assert np.array_equal(a.types, b.types) and np.array_equal(a.same_count, b.same_count)
+    assert_region_maps_agree(b, 0.1)  # n = 2w+1 at (7, 3) and (21, 10)
 
 for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
     cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=n, allow_small=True)
@@ -182,8 +202,7 @@ for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
                   done.types):
         state = state_from_types(cfg, types)
         for eps in (0.1, 0.25, 0.4):
-            got, ref = region_maps(state, eps, True), region_maps(state, eps, False)
-            assert all(np.array_equal(x, y) for x, y in zip(got, ref)), (n, eps)
+            assert_region_maps_agree(state, eps)
 print("sanitized run ok")
 """
 

@@ -386,12 +386,13 @@ def kernel_states():
 
 
 def region_maps(state, eps):
-    """(r, q, M, M') from the two steps, on whichever path _kernels provides."""
+    """(r, q, M, M') from the two steps, on whichever path _kernels provides:
+    one radius pass at the ratio test's table gives r and q.  Then (r, q)
+    of a pass at the zero table."""
     R = max_region_radius(state.n)
     prefix = state.plus_prefix()
-    r = _radius_pass(prefix, _minority_bound(0.0, R))
-    q = _radius_pass(prefix, _minority_bound(math.exp(-(state.config.N**eps)), R))
-    return r, q, _dilate(r), _dilate(q)
+    r, q = _radius_pass(prefix, _minority_bound(math.exp(-(state.config.N**eps)), R))
+    return (r, q, _dilate(r), _dilate(q), *_radius_pass(prefix, _minority_bound(0.0, R)))
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
@@ -413,9 +414,11 @@ def test_region_maps_match_oracles(path, n, w, types, eps, monkeypatch):
         assert path_map.dtype == ref_map.dtype == np.int32
         assert np.array_equal(path_map, ref_map)
 
-    r, q, m, mp = got
+    r, q, m, mp, r_zero, q_zero = got
     qual = oracle_qualify_levels(types, math.exp(-(cfg.N**eps)))
     assert np.array_equal(r, oracle_center_radius(types))
+    # r does not depend on the bound table, and the zero table gives q = r.
+    assert np.array_equal(r_zero, r) and np.array_equal(q_zero, r)
     assert np.array_equal(q, np.max([np.where(lv, rho, 0) for rho, lv in enumerate(qual)], axis=0))
     assert np.array_equal(mp, oracle_mprime_map(qual))
     assert all(m[u] == oracle_mono_region(types, u, r) for u in np.ndindex(n, n))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from segsim.rng import generator
-from segsim.unionfind import label_grid_components
+from segsim.unionfind import component_sizes, label_grid_components
 
 
 def oracle_labels(mask, adjacency, torus):
@@ -40,12 +40,16 @@ def oracle_labels(mask, adjacency, torus):
 @pytest.mark.parametrize("adjacency", [4, 8])
 @pytest.mark.parametrize("torus", [True, False])
 def test_labels_match_bfs_oracle(shape, adjacency, torus):
+    """Labels, and the component sizes counted without labels."""
     rng = generator(sum(shape) * 10 + adjacency + torus)
-    for density in (0.2, 0.45, 0.6, 0.9):
+    for density in (0.0, 0.2, 0.45, 0.6, 0.9, 1.0):
         for _ in range(8):
             mask = rng.random(shape) < density
-            got = label_grid_components(mask, adjacency, torus)
-            assert np.array_equal(got, oracle_labels(mask, adjacency, torus))
+            want = oracle_labels(mask, adjacency, torus)
+            assert np.array_equal(label_grid_components(mask, adjacency, torus), want)
+            sizes = component_sizes(mask, adjacency, torus)
+            assert sizes.dtype == np.int64
+            assert np.array_equal(np.sort(sizes), np.sort(np.unique(want[want >= 0], return_counts=True)[1]))
 
 
 def test_seams_join_on_torus_only():
@@ -61,5 +65,8 @@ def test_seams_join_on_torus_only():
 
 def test_empty_mask_and_bad_adjacency():
     assert (label_grid_components(np.zeros((3, 4), bool), 4, True) == -1).all()
+    assert component_sizes(np.zeros((3, 4), bool), 4, True).size == 0
     with pytest.raises(ValueError):
         label_grid_components(np.ones((3, 3), bool), 6, True)
+    with pytest.raises(ValueError):
+        component_sizes(np.ones((3, 3), bool), 6, True)
