@@ -1,4 +1,5 @@
-"""Compiled C kernels for the flip loop and the region maps, loaded with ctypes.
+"""Compiled C kernels for the flip loop, the region maps and first-passage
+times, loaded with ctypes.
 
 The flip kernel takes the same arguments and gives the same results as the
 pure-python chunk executor dynamics._run_chunk_py: from one pre-drawn
@@ -24,8 +25,16 @@ level share two table rows.  The own-radius dilation turns r into M and q
 into M'.  The radius pass reads the state's one
 (n+1) x (n+1) prefix table of the +1 grid (grid.TorusPrefix) and reaches
 wrapping windows through the table's periodic extension.  They do integer
-arithmetic only.  Every kernel's results are asserted equal to the
-numpy/python reference by the test suite.
+arithmetic only.
+
+The passage-time kernel is a Dijkstra on the implicit 4-neighbour grid with
+a lazy binary heap, for percolation.fpp_min_passage_time, whose csgraph
+Dijkstra through a virtual source is the reference.  It returns the same
+float, not an approximation of it: a path's time is the left fold of its
+site weights, a rounded sum that never falls as the running time grows, so
+every correct Dijkstra settles each site at the same minimum (the proof is
+in the C comment).  Every kernel's results are asserted equal to the
+numpy/python/csgraph reference by the test suite.
 
 The C source below is compiled on first use with ``gcc -O3 -shared -fPIC``
 into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
@@ -34,8 +43,8 @@ that cannot be written.  The library's file name is a sha256 of the source,
 the flags and the machine type, and it is written through a temp file and
 ``os.replace``, so concurrent processes never load a half-written file and
 later runs only hash, stat and load.  Without gcc, or when the build or
-load fails, ``run_chunk``, ``radius_pass`` and ``dilate`` are None,
-``load_error`` says why, and the python/numpy reference code runs instead.
+load fails, ``run_chunk``, ``radius_pass``, ``dilate`` and ``passage_time``
+are None, ``load_error`` says why, and the reference code runs instead.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ STATUS_FLIP_LIMIT = 2
 STATUS_TIME_LIMIT = 3
 
 C_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -444,6 +454,120 @@ int64_t segsim_dilate(const int32_t *v, int64_t n, int32_t *out)
     free(line);
     return 0;
 }
+
+/* A passage-time heap entry: a tentative time and its site. */
+typedef struct {
+    double d;
+    int32_t r, c;
+} pt_entry;
+
+static inline void pt_push(pt_entry *heap, int64_t *len, pt_entry e)
+{
+    int64_t i = (*len)++;
+    while (i > 0 && heap[(i - 1) / 2].d > e.d) {
+        heap[i] = heap[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    heap[i] = e;
+}
+
+static inline pt_entry pt_pop(pt_entry *heap, int64_t *len)
+{
+    const pt_entry top = heap[0], last = heap[--*len];
+    int64_t i = 0;
+    for (int64_t k = 1; k < *len; k = 2 * i + 1) {
+        if (k + 1 < *len && heap[k + 1].d < heap[k].d)
+            k++;
+        if (heap[k].d >= last.d)
+            break;
+        heap[i] = heap[k];
+        i = k;
+    }
+    heap[i] = last;
+    return top;
+}
+
+/* The minimum over 4-neighbour paths of the h x wd grid from a site of src
+   (ns flat indices) to a site of tgt (nt flat indices) of the summed site
+   weights w, both endpoints included, into *out (+inf when no target is
+   reached).  w is non-negative or +inf, never NaN; the indices lie in the
+   grid, src and tgt are disjoint, and h, wd < 2^31 (the wrapper checks
+   all of these).  Returns -1 when the buffers cannot be allocated.
+
+   Dijkstra on the implicit grid with a lazy binary heap: a site may sit in
+   the heap several times, and only its first pop, at its smallest time,
+   settles it.  Each source is seeded at 0.0 + w[s], as a virtual source
+   joined to every source by an edge of weight w[s] would give it; a push
+   needs a strict decrease of the site's time, and every push after the
+   seeds comes from a settled neighbour, of which a site has at most 4, so
+   the heap never holds more than 4 h wd + ns entries.  The first settled
+   target ends the search: sites settle in non-decreasing time, so its time
+   is the minimum over the targets.
+
+   The result is exact, equal to the float of any other correct Dijkstra
+   over the same grid (csgraph's, in percolation.py): a path's time is the
+   left fold fl(...fl(w_s + w_1)... + w_t), and the rounded sum fl(a + x)
+   never falls as a grows and is >= a for x >= 0.  Extending a path can
+   therefore never lower its time, and a shorter prefix time never gives a
+   longer path a larger one, so each site settles at the minimum of that
+   fold over all paths to it, whatever the heap's tie order. */
+int64_t segsim_passage_time(const double *w, int64_t h, int64_t wd, const int64_t *src,
+                            int64_t ns, const int64_t *tgt, int64_t nt, double *out)
+{
+    enum { TARGET = 1, SETTLED = 2 };
+    static const int32_t dr[4] = {0, 0, 1, -1}, dc[4] = {1, -1, 0, 0};
+    const int64_t size = h * wd;
+    double *dist = malloc((size_t)size * sizeof *dist);
+    uint8_t *flag = calloc((size_t)size, sizeof *flag);
+    pt_entry *heap = malloc((size_t)(4 * size + ns) * sizeof *heap);
+    if (dist == NULL || flag == NULL || heap == NULL) {
+        free(dist);
+        free(flag);
+        free(heap);
+        return -1;
+    }
+    for (int64_t v = 0; v < size; v++)
+        dist[v] = INFINITY;
+    for (int64_t i = 0; i < nt; i++)
+        flag[tgt[i]] = TARGET;
+    int64_t len = 0;
+    for (int64_t i = 0; i < ns; i++) {
+        const int64_t s = src[i];
+        const double d = 0.0 + w[s];
+        if (d < dist[s]) {
+            dist[s] = d;
+            pt_push(heap, &len, (pt_entry){d, (int32_t)(s / wd), (int32_t)(s % wd)});
+        }
+    }
+    double best = INFINITY;
+    while (len > 0) {
+        const pt_entry e = pt_pop(heap, &len);
+        const int64_t v = (int64_t)e.r * wd + e.c;
+        if (flag[v] & SETTLED)
+            continue;
+        if (flag[v] & TARGET) {
+            best = e.d;
+            break;
+        }
+        flag[v] |= SETTLED;
+        for (int k = 0; k < 4; k++) {
+            const int32_t r = e.r + dr[k], c = e.c + dc[k];
+            if (r < 0 || r >= h || c < 0 || c >= wd)
+                continue;
+            const int64_t u = (int64_t)r * wd + c;
+            const double d = e.d + w[u];
+            if (d < dist[u]) {
+                dist[u] = d;
+                pt_push(heap, &len, (pt_entry){d, r, c});
+            }
+        }
+    }
+    *out = best;
+    free(dist);
+    free(flag);
+    free(heap);
+    return 0;
+}
 """
 
 # The runtime build takes no warning flags, so a new compiler warning cannot
@@ -475,6 +599,8 @@ _SIGNATURES = {
     "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _arr(np.int32)],
                            _I64),
     "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
+    "segsim_passage_time": ([_arr(np.float64), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64),
+                             _I64, _arr(np.float64)], _I64),
 }
 
 
@@ -621,10 +747,36 @@ def _wrap_dilate(fn):
     return dilate
 
 
+def _wrap_passage_time(fn):
+    def passage_time(weights, sources, targets):
+        """The minimum over 4-neighbour paths of the h x wd float64 site
+        weights from a flat index of sources to one of targets, both ends'
+        weights included; +inf when no target is reached.  The weights are
+        non-negative or +inf, and the two index sets are disjoint (checked by
+        percolation.fpp_min_passage_time)."""
+        h, wd = weights.shape
+        if weights.dtype != np.float64:
+            raise ValueError("the weights must be float64")
+        if max(h, wd) >= 2**31:
+            raise ValueError("lattice sides must be below 2^31")
+        src = np.ascontiguousarray(sources, dtype=np.int64)
+        tgt = np.ascontiguousarray(targets, dtype=np.int64)
+        for idx in (src, tgt):
+            if idx.size and not 0 <= idx.min() <= idx.max() < h * wd:
+                raise ValueError("flat indices must lie in the lattice")
+        out = np.empty(1, dtype=np.float64)
+        if fn(np.ascontiguousarray(weights), h, wd, src, src.size, tgt, tgt.size, out) != 0:
+            raise MemoryError("heap for the passage time")
+        return float(out[0])
+
+    return passage_time
+
+
 _WRAPPERS = {
     "run_chunk": ("segsim_run_chunk", _wrap_run_chunk),
     "radius_pass": ("segsim_radius_pass", _wrap_radius_pass),
     "dilate": ("segsim_dilate", _wrap_dilate),
+    "passage_time": ("segsim_passage_time", _wrap_passage_time),
 }
 
 

@@ -359,6 +359,12 @@ def _cmd_percolation(args) -> int:
             dist = chemical_distance(lat, a, b)
             lines.append(f"{i},{int(dist is not None)},{-1 if dist is None else dist},{l1}")
     elif args.mode == "fpp":
+        if args.k < 1:
+            raise ConfigError(f"--k must be >= 1, got {args.k}")
+        if args.half_width < 0:
+            raise ConfigError(f"--half-width must be >= 0, got {args.half_width}")
+        if not (np.isfinite(args.mean) and args.mean >= 0):
+            raise ConfigError(f"--mean must be finite and >= 0, got {args.mean}")
         lines.append("sample,k,passage_time")
         for i in range(args.samples):
             t = fpp_time_to_distance(args.k, args.half_width, args.mean, args.seed, key=(i,))

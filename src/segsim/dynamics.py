@@ -399,11 +399,13 @@ def cascade_closure(
                 remaining -= 1
     else:
         heap: list[tuple[int, int, int]] = []
-        init = np.argwhere(
-            allowed & (work.types != target_type) & (work.elig_pos.reshape(n, n) >= 0)
-        )
-        for r, c in init:
-            heapq.heappush(heap, (_torus_chebyshev(n, (int(r), int(c)), center), int(r), int(c)))
+        # The allowed cells first, then type and eligibility at those cells
+        # only: the same row-major candidates without n x n temporaries.
+        init = np.flatnonzero(allowed)
+        init = init[(work.types.ravel()[init] != target_type) & (work.elig_pos[init] >= 0)]
+        for v in init.tolist():
+            r, c = divmod(v, n)
+            heapq.heappush(heap, (_torus_chebyshev(n, (r, c), center), r, c))
         while heap and len(flipped) < max_flips:
             if stop_when_monochromatic and remaining == 0:
                 break

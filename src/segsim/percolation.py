@@ -3,7 +3,9 @@
 Conventions (shared with the block-structure detectors): open paths and
 circuits use 4-adjacency; blocking/dual structures use 8-adjacency.
 Passage times attach i.i.d. nonnegative weights to *sites*, and the passage
-time of a path is the sum over its vertices, both endpoints included.
+time of a path is the sum over its vertices, both endpoints included.  They
+run in the compiled library of _kernels when it loads, and csgraph's
+Dijkstra is the reference; both give the same float for every instance.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
+from . import _kernels
 from .rng import STREAM_PERCOLATION, generator
 from .unionfind import label_grid_components
 
@@ -137,15 +140,30 @@ def fpp_min_passage_time(
     target_set: Iterable[tuple[int, int]],
 ) -> float:
     """Minimum over 4-adjacent paths of the summed site weights, exact for the
-    given instance (Dijkstra through a virtual super-source)."""
-    w = weights.weights
+    given instance.  Weights are nonnegative; an inf weight blocks its site.
+
+    Runs in the compiled library (_kernels.passage_time) when it loads: a
+    Dijkstra on the implicit grid that stops at the first settled target.
+    The csgraph Dijkstra through a virtual super-source below is the
+    reference.  Both return the same float: a path's time is the left fold
+    fl(...fl(w_s + w_1)... + w_t), which never falls as a prefix grows or as
+    its prefix time grows, so any correct Dijkstra settles each site at the
+    minimum of that fold (proved at segsim_passage_time in _kernels).
+    """
+    w = np.asarray(weights.weights, dtype=np.float64)
     h, wd = w.shape
-    sources = [r * wd + c for r, c in source_set]
-    targets = [r * wd + c for r, c in target_set]
-    if not sources or not targets:
+    ends = [list(source_set), list(target_set)]
+    if not ends[0] or not ends[1]:
         raise ValueError("source and target sets must be nonempty")
-    if set(sources) & set(targets):
+    if not all(0 <= r < h and 0 <= c < wd for side in ends for r, c in side):
+        raise ValueError("endpoints must lie in the lattice")
+    sources, targets = (np.unique([r * wd + c for r, c in side]) for side in ends)
+    if np.intersect1d(sources, targets).size:
         raise ValueError("source and target sets must be disjoint")
+    if not (w >= 0).all():
+        raise ValueError("site weights must be nonnegative and not NaN (inf blocks a site)")
+    if _kernels.passage_time is not None:
+        return _kernels.passage_time(w, sources, targets)
 
     flat = w.ravel()
     rows_list = []
@@ -162,8 +180,8 @@ def fpp_min_passage_time(
         data_list.append(flat[dst])
     virtual = h * wd
     rows_list.append(np.full(len(sources), virtual, dtype=np.int64))
-    cols_list.append(np.array(sources, dtype=np.int64))
-    data_list.append(flat[np.array(sources, dtype=np.int64)])
+    cols_list.append(sources)
+    data_list.append(flat[sources])
     graph = csr_matrix(
         (np.concatenate(data_list), (np.concatenate(rows_list), np.concatenate(cols_list))),
         shape=(virtual + 1, virtual + 1),

@@ -478,9 +478,14 @@ class TestStatsCommand:
     ["theory", "--curve", "f", "--tau-from", "0.5", "--tau-to", "0.3", "--step", "0.01"],
     ["stats", "--test", "fig2-trend", "--n", "32", "--w", "1", "--taus", "0.38,0.42",
      "--replicates", "1", "--sample-size", "8"],
+    ["percolation", "--mode", "fpp", "--samples", "1", "--mean", "nan"],
+    ["percolation", "--mode", "fpp", "--samples", "1", "--k", "0"],
+    ["percolation", "--mode", "fpp", "--samples", "1", "--k", "-3"],
+    ["percolation", "--mode", "fpp", "--samples", "1", "--half-width", "-1"],
 ], ids=["missing-snapshot", "one-coordinate-center", "three-coordinate-center", "zero-step",
         "negative-step", "zero-replicates", "p-above-1", "p-below-0", "one-coordinate-endpoint",
-        "zero-placements", "negative-samples", "zero-samples", "reversed-tau-range", "two-taus"])
+        "zero-placements", "negative-samples", "zero-samples", "reversed-tau-range", "two-taus",
+        "nan-mean", "zero-k", "negative-k", "negative-half-width"])
 def test_bad_inputs_exit_2_with_a_message(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

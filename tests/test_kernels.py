@@ -1,7 +1,8 @@
 """The compiled C kernels: warning-free source, build cache, argument
 checks, a sanitizer run, and bit-equality of the flip kernel with the python
 reference executor, chunk by chunk and on edge cases (the region kernels
-are compared with their numpy reference in test_regions.py)."""
+are compared with their numpy reference in test_regions.py, the passage-time
+kernel with csgraph in test_percolation.py)."""
 
 import inspect
 import math
@@ -141,17 +142,39 @@ def test_region_wrappers_raise_memory_error_when_c_cannot_allocate():
         _kernels._wrap_dilate(lambda *args: -1)(np.zeros((n, n), np.int32))
 
 
+def test_passage_time_wrapper_rejects_bad_arguments():
+    if _kernels.passage_time is None:
+        pytest.skip(_kernels.load_error)
+    w = np.ones((3, 4))
+    assert _kernels.passage_time(w, np.array([0]), np.array([11])) == 6.0
+    with pytest.raises(ValueError, match="float64"):
+        _kernels.passage_time(w.astype(np.float32), np.array([0]), np.array([11]))
+    for bad in (12, -1):
+        with pytest.raises(ValueError, match="lie in the lattice"):
+            _kernels.passage_time(w, np.array([0]), np.array([bad]))
+        with pytest.raises(ValueError, match="lie in the lattice"):
+            _kernels.passage_time(w, np.array([bad]), np.array([11]))
+
+
+def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
+    with pytest.raises(MemoryError, match="passage time"):
+        _kernels._wrap_passage_time(lambda *args: -1)(np.ones((3, 3)), np.array([0]),
+                                                      np.array([8]))
+
+
 # Runs in a child process against a sanitizer build of C_SOURCE (argv[1]):
-# the flip kernel and both region kernels on edge states, each compared with
-# the python/numpy reference.  The radius pass runs at the zero table and at
-# the ratio test's tables, on tori down to n = 3 and on n = 2w+1.
+# the flip kernel, both region kernels and the passage-time kernel on edge
+# inputs, each compared with the python/numpy/csgraph reference.  The radius
+# pass runs at the zero table and at the ratio test's tables, on tori down to
+# n = 3 and on n = 2w+1; the passage time on 1 x n and n x 1 strips and on
+# lattices where every site but one is a source.
 SANITIZED_RUN = r"""
 import math
 import sys
 
 import numpy as np
 
-from segsim import GridConfig, _kernels, new_random, regions, state_from_types
+from segsim import GridConfig, _kernels, new_random, percolation, regions, state_from_types
 from segsim.dynamics import RunLimits, run_to_termination
 from segsim.rng import STREAM_DYNAMICS, generator
 
@@ -159,6 +182,7 @@ _kernels._library_path = lambda: sys.argv[1]
 _kernels._resolve()
 assert _kernels.load_error is None, _kernels.load_error
 kernels = (_kernels.radius_pass, _kernels.dilate)
+passage_time = _kernels.passage_time
 
 
 # (r, q, M, M') from one pass at the zero table, then from one at eps's.
@@ -203,6 +227,23 @@ for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
         state = state_from_types(cfg, types)
         for eps in (0.1, 0.25, 0.4):
             assert_region_maps_agree(state, eps)
+
+rng = np.random.default_rng(3)
+for dims in ((1, 2), (2, 1), (1, 17), (17, 1), (5, 7), (33, 20)):
+    size = dims[0] * dims[1]
+    for trial in range(6):
+        weights = np.zeros(dims) if trial == 0 else rng.exponential(1.0, dims)
+        weights[rng.random(dims) < 0.2] = 0.0
+        weights[rng.random(dims) < 0.2] = np.inf
+        wl = percolation.WeightLattice(weights, "exponential", 1.0)
+        cells = [divmod(int(v), dims[1]) for v in rng.permutation(size)]
+        ns = size - 1 if trial == 1 else int(rng.integers(1, size // 2 + 1))
+        nt = int(rng.integers(1, size - ns + 1))
+        times = []
+        for kernel in (passage_time, None):
+            _kernels.passage_time = kernel
+            times.append(percolation.fpp_min_passage_time(wl, cells[:ns], cells[ns:ns + nt]))
+        assert times[0] == times[1], (dims, trial, times)
 print("sanitized run ok")
 """
 

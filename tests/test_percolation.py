@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from segsim import percolation
+from segsim import _kernels, percolation
 from segsim.percolation import (
     SiteLattice,
     WeightLattice,
@@ -327,6 +327,9 @@ def oracle_dijkstra_vertex_weights(weights, sources, targets):
 
 
 class TestFPP:
+    """Passage times on the default engine: the compiled kernel when it
+    loads (TestFPPReference runs the same tests on the csgraph reference)."""
+
     def test_zero_weights(self):
         wl = WeightLattice(np.zeros((5, 9)), "const", 0.0)
         assert fpp_min_passage_time(wl, [(0, 0)], [(4, 8)]) == 0.0
@@ -337,6 +340,7 @@ class TestFPP:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_independent_dijkstra(self, seed):
+        # Exact: both sum a path's weights in the same order (the left fold).
         rng = generator(seed, 2)
         weights = rng.exponential(1.0, (7, 7))
         wl = WeightLattice(weights, "exponential", 1.0)
@@ -344,7 +348,7 @@ class TestFPP:
         targets = {(0, 6), (6, 6)}
         got = fpp_min_passage_time(wl, sources, targets)
         want = oracle_dijkstra_vertex_weights(weights, sources, targets)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == want
 
     def test_invariant_under_relabeling(self):
         # Transposing the instance relabels vertices; the optimum is fixed.
@@ -356,7 +360,7 @@ class TestFPP:
         b = fpp_min_passage_time(
             WeightLattice(weights.T.copy(), "exponential", 1.0), [(0, 0)], [(8, 5)]
         )
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == b
 
     def test_validation(self):
         wl = WeightLattice(np.ones((3, 3)), "const", 1.0)
@@ -365,10 +369,64 @@ class TestFPP:
         with pytest.raises(ValueError):
             fpp_min_passage_time(wl, [(0, 0)], [(0, 0)])
 
+    @pytest.mark.parametrize("end", [(0, 9), (5, 0), (-1, 0), (0, -1)])
+    def test_endpoint_outside_the_lattice(self, end):
+        wl = WeightLattice(np.ones((5, 9)), "const", 1.0)
+        for sources, targets in (([end], [(2, 2)]), ([(2, 2)], [end])):
+            with pytest.raises(ValueError, match="lie in the lattice"):
+                fpp_min_passage_time(wl, sources, targets)
+
+    @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
+    def test_negative_or_nan_weight(self, bad):
+        weights = np.ones((3, 3))
+        weights[1, 1] = bad
+        for w in (weights, np.full((3, 3), bad)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fpp_min_passage_time(WeightLattice(w, "const", 1.0), [(0, 0)], [(2, 2)])
+
+    def test_inf_weight_blocks_a_site(self):
+        weights = np.ones((3, 3))
+        weights[1, 1] = np.inf
+        wl = WeightLattice(weights, "const", 1.0)
+        assert fpp_min_passage_time(wl, [(0, 0)], [(2, 2)]) == 5.0
+        weights[:, 1] = np.inf
+        assert fpp_min_passage_time(wl, [(0, 0)], [(2, 2)]) == np.inf
+
     def test_strip_helper_deterministic(self):
         a = fpp_time_to_distance(50, 20, 1.0, 3, key=(1,))
         b = fpp_time_to_distance(50, 20, 1.0, 3, key=(1,))
         assert a == b
+
+
+class TestFPPReference(TestFPP):
+    """TestFPP on the csgraph reference, with the compiled kernel off."""
+
+    @pytest.fixture(autouse=True)
+    def _reference_engine(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "passage_time", None)
+
+
+@pytest.mark.parametrize("dims", [(1, 23), (23, 1), (9, 31), (31, 9), (40, 40)])
+def test_compiled_passage_time_equals_csgraph(dims, monkeypatch):
+    """The C kernel returns csgraph's float, compared with ==, on lattices
+    with zero and inf weights and several sources and targets."""
+    if _kernels.passage_time is None:
+        pytest.skip(_kernels.load_error)
+    rng = generator(dims[0] * 100 + dims[1], 3)
+    for _ in range(10):
+        weights = rng.exponential(1.0, dims)
+        weights[rng.random(dims) < 0.15] = 0.0
+        weights[rng.random(dims) < 0.2] = np.inf
+        wl = WeightLattice(weights, "exponential", 1.0)
+        cells = rng.permutation(dims[0] * dims[1])
+        ns, nt = (int(x) for x in rng.integers(1, 4, 2))
+        sources = [divmod(int(v), dims[1]) for v in cells[:ns]]
+        targets = [divmod(int(v), dims[1]) for v in cells[ns : ns + nt]]
+        got = fpp_min_passage_time(wl, sources, targets)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "passage_time", None)
+            want = fpp_min_passage_time(wl, sources, targets)
+        assert got == want
 
 
 # -- cluster radii --------------------------------------------------------------
