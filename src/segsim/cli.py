@@ -577,3 +577,7 @@ def cli_main(argv=None) -> int:
 
 def main(argv=None) -> int:
     return cli_main(argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

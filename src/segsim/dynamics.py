@@ -18,7 +18,6 @@ which one ran.
 from __future__ import annotations
 
 import enum
-import heapq
 import json
 import math
 import time as _time
@@ -327,103 +326,81 @@ class CascadeResult:
     flips_used: int
 
 
-def _torus_chebyshev(n: int, a: tuple[int, int], b: tuple[int, int]) -> int:
-    dr = abs(a[0] - b[0]) % n
-    dc = abs(a[1] - b[1]) % n
-    return max(min(dr, n - dr), min(dc, n - dc))
-
-
 def cascade_closure(
     state: GridState,
-    allowed: np.ndarray,
-    target_type: int,
     center: tuple[int, int],
+    radius: int,
+    target_type: int,
     max_flips: Optional[int] = None,
     order_rng: Optional[np.random.Generator] = None,
     stop_when_monochromatic: bool = False,
 ) -> CascadeResult:
-    """Greedy one-sided cascade toward target_type inside an allowed mask.
+    """Greedy one-sided cascade toward target_type inside the torus window of
+    the given radius at center.
 
-    Runs on a private copy of the state.  Only agents inside `allowed` whose
-    current type differs from target_type may flip, and each flip must be
-    eligible under the full-grid happiness rule at its instant.  Default
-    order is closest-to-center first (ties row-major); pass order_rng to
-    flip in uniformly random candidate order instead.  Reports whether the
-    central block of radius round(w/2), half-up, ended entirely target_type.
+    Window-local: copies the window's types and counts and never copies or
+    writes the state.  A candidate is a window agent not of target_type
+    whose count is <= eligible_max_count, i.e. eligible under the full-grid
+    happiness rule at that instant.  Default order flips the candidate
+    closest to center (torus Chebyshev distance, ties by flat cell id); with
+    order_rng, one order_rng.integers draw per flip picks among the
+    candidates sorted by flat cell id.  Stops at max_flips ((w+1)^2 by
+    default), then, with stop_when_monochromatic, once the central block of
+    radius round(w/2), half-up, is all target_type, then when no candidate
+    is left; reports whether that block ended all target_type.
 
-    For tau <= 1/2 the eligibility of a non-target agent is monotone under
-    other flips toward target_type, so the full closure set is independent
-    of order.  For tau > 1/2 a capped run is only a lower-bound witness.
+    Each flip toward target_type lowers the counts of the non-target agents
+    around it, so candidacy is monotone at every tau: the uncapped closure
+    set and its verdict do not depend on the order.  A max_flips cap can
+    make the verdict order-dependent, and stop_when_monochromatic the set
+    of flips.
     """
     cfg = state.config
     n, w = cfg.n, cfg.w
     if target_type not in (-1, 1):
         raise ValueError("target_type must be +1 or -1")
+    if radius < 0 or 2 * radius + 1 > n:
+        raise ValueError(f"window of radius {radius} does not fit in an n={n} grid")
     if max_flips is None:
         max_flips = (w + 1) ** 2
 
-    work = state.copy()
-    allowed = np.asarray(allowed, dtype=bool)
-    if allowed.shape != (n, n):
-        raise ValueError("allowed mask must be n x n")
-
-    block_ix = torus_window_ix(n, center[0] % n, center[1] % n, (w + 1) // 2)
-    remaining = int(np.count_nonzero(work.types[block_ix] != target_type))
-    block_mask = np.zeros((n, n), dtype=bool)
-    block_mask[block_ix] = True
-
-    def is_candidate(r: int, c: int) -> bool:
-        return (
-            allowed[r, c]
-            and work.types[r, c] != target_type
-            and work.elig_pos[r * n + c] >= 0
-        )
+    cr, cc = center[0] % n, center[1] % n
+    ix = torus_window_ix(n, cr, cc, radius)
+    rows, cols = ix[0].ravel(), ix[1].ravel()
+    types = state.types[ix]
+    count = state.same_count[ix]
+    # Torus row/column -> window index, -1 outside: the window cells within
+    # distance w of a flip, wrap neighbours included.
+    row_of = np.full(n, -1)
+    row_of[rows] = np.arange(rows.size)
+    col_of = np.full(n, -1)
+    col_of[cols] = np.arange(cols.size)
+    near = np.arange(-w, w + 1)
+    off = np.abs(np.arange(-radius, radius + 1))
+    dist = np.maximum.outer(off, off)
+    in_block = dist <= (w + 1) // 2
+    remaining = int(np.count_nonzero(
+        state.types[torus_window_ix(n, cr, cc, (w + 1) // 2)] != target_type))
+    flat = (ix[0] * n + ix[1]).ravel()
+    order = np.argsort(flat) if order_rng is not None else np.lexsort((flat, dist.ravel()))
 
     flipped: list[tuple[int, int]] = []
-
-    if order_rng is not None:
-        while len(flipped) < max_flips:
-            if stop_when_monochromatic and remaining == 0:
-                break
-            cand = np.argwhere(
-                allowed
-                & (work.types != target_type)
-                & (work.elig_pos.reshape(n, n) >= 0)
-            )
-            if cand.size == 0:
-                break
-            r, c = cand[int(order_rng.integers(len(cand)))]
-            apply_flip(work, (int(r), int(c)))
-            flipped.append((int(r), int(c)))
-            if block_mask[r, c]:
-                remaining -= 1
-    else:
-        heap: list[tuple[int, int, int]] = []
-        # The allowed cells first, then type and eligibility at those cells
-        # only: the same row-major candidates without n x n temporaries.
-        init = np.flatnonzero(allowed)
-        init = init[(work.types.ravel()[init] != target_type) & (work.elig_pos[init] >= 0)]
-        for v in init.tolist():
-            r, c = divmod(v, n)
-            heapq.heappush(heap, (_torus_chebyshev(n, (r, c), center), r, c))
-        while heap and len(flipped) < max_flips:
-            if stop_when_monochromatic and remaining == 0:
-                break
-            _, r, c = heapq.heappop(heap)
-            if not is_candidate(r, c):
-                continue
-            apply_flip(work, (r, c))
-            flipped.append((r, c))
-            if block_mask[r, c]:
-                remaining -= 1
-            rows = (np.arange(r - w, r + w + 1)) % n
-            cols = (np.arange(c - w, c + w + 1)) % n
-            sub_allowed = allowed[np.ix_(rows, cols)]
-            sub_nontgt = work.types[np.ix_(rows, cols)] != target_type
-            sub_elig = (work.elig_pos.reshape(n, n)[np.ix_(rows, cols)]) >= 0
-            for rr, cc in zip(*np.nonzero(sub_allowed & sub_nontgt & sub_elig)):
-                vr, vc = int(rows[rr]), int(cols[cc])
-                heapq.heappush(heap, (_torus_chebyshev(n, (vr, vc), center), vr, vc))
+    while len(flipped) < max_flips:
+        if stop_when_monochromatic and remaining == 0:
+            break
+        cand = order[((types != target_type) & (count <= cfg.eligible_max_count)).ravel()[order]]
+        if cand.size == 0:
+            break
+        v = int(cand[0 if order_rng is None else int(order_rng.integers(cand.size))])
+        i, j = divmod(v, rows.size)
+        types[i, j] = target_type
+        # Only non-target counts decide candidacy: each falls by one per
+        # flip within distance w.  Target cells' counts are left stale.
+        li, lj = row_of[(rows[i] + near) % n], col_of[(cols[j] + near) % n]
+        sub = np.ix_(li[li >= 0], lj[lj >= 0])
+        count[sub] -= types[sub] != target_type
+        flipped.append((int(rows[i]), int(cols[j])))
+        remaining -= int(in_block[i, j])
 
     return CascadeResult(
         flipped=flipped,

@@ -37,6 +37,10 @@ class RadicalSpec:
     eps_prime: float
     eps: float = 0.1
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.eps_prime) and self.eps_prime >= 0):
+            raise ValueError(f"eps_prime must be finite and >= 0, got {self.eps_prime}")
+
     def radius(self, w: int) -> int:
         return round_radius((1.0 + self.eps_prime) * w)
 
@@ -144,21 +148,17 @@ def is_expandable(
     the widened neighborhood, at most (w+1)^2 flips by default; true verdict
     iff the central block of radius round(w/2) becomes all +1.
 
-    A true verdict carries a witness flip sequence; a false verdict is not a
-    proof of non-expandability (for tau > 1/2 the greedy order matters).
+    Window-local: reads the probe window and leaves the state untouched.  A
+    true verdict carries a witness flip sequence; a false verdict is not a
+    proof of non-expandability, because the flip cap can end a cascade that
+    another order would finish.  Without the cap the verdict does not depend
+    on the order, at any tau.
     """
-    cfg = state.config
-    radius = spec.radius(cfg.w)
-    _check_window_fits(cfg.n, radius)
-    if max_flips is None:
-        max_flips = (cfg.w + 1) ** 2
-    allowed = np.zeros((cfg.n, cfg.n), dtype=bool)
-    allowed[torus_window_ix(cfg.n, spec.center[0] % cfg.n, spec.center[1] % cfg.n, radius)] = True
     return cascade_closure(
         state,
-        allowed,
+        spec.center,
+        spec.radius(state.config.w),
         target_type=1,
-        center=spec.center,
         max_flips=max_flips,
         stop_when_monochromatic=True,
     )

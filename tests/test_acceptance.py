@@ -225,16 +225,12 @@ def test_criterion_04_cascade_confluence():
             state = state_from_types(cfg, types)
             center = (int(rng.integers(n)), int(rng.integers(n)))
             radius = int(rng.integers(3, 9))
-            allowed = np.zeros((n, n), bool)
-            rows = (np.arange(center[0] - radius, center[0] + radius + 1)) % n
-            cols = (np.arange(center[1] - radius, center[1] + radius + 1)) % n
-            allowed[np.ix_(rows, cols)] = True
             base = frozenset(
-                cascade_closure(state, allowed, 1, center, max_flips=10**6).flipped
+                cascade_closure(state, center, radius=radius, target_type=1, max_flips=10**6).flipped
             )
             for k in range(10):
                 res = cascade_closure(
-                    state, allowed, 1, center, max_flips=10**6,
+                    state, center, radius=radius, target_type=1, max_flips=10**6,
                     order_rng=generator(777, region_idx, k),
                 )
                 if frozenset(res.flipped) != base:

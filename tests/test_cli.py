@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import segsim
 from segsim.cli import cli_main
 from segsim.snapshot import snapshot_read
 
@@ -259,6 +263,22 @@ class TestDetect:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what", ["expandable", "radical", "unhappy"])
+    @pytest.mark.parametrize("value,message", [
+        ("-3", "eps_prime must be finite and >= 0, got -3.0"),
+        ("nan", "eps_prime must be finite and >= 0, got nan"),
+        ("inf", "eps_prime must be finite and >= 0, got inf"),
+        ("10", "does not fit in an n=16 grid"),
+    ])
+    def test_detect_rejects_bad_eps_prime(self, capsys, what, value, message):
+        code = run_cli(
+            "detect", "--n", "16", "--w", "2", "--tau", "0.42", "--what", what, "--eps-prime", value,
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_detect_needs_input(self):
         assert run_cli("detect", "--what", "radical") == 2
 
@@ -493,3 +513,14 @@ def test_bad_inputs_exit_2_with_a_message(capsys, argv):
     out, err = capsys.readouterr()
     assert "configuration error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,code", [(["--version"], 0), (["detect", "--bogus"], 2)])
+def test_module_entry_point(argv, code):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(segsim.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "segsim.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout.strip() == segsim.__version__
+    else:
+        assert "unrecognized arguments: --bogus" in proc.stderr

@@ -4,7 +4,8 @@ import pytest
 import segsim
 from segsim import GridConfig, _kernels, cascade_closure, new_random, state_from_types, step
 from segsim.dynamics import RunLimits, lyapunov, run_to_termination
-from segsim.grid import same_counts_bruteforce
+from segsim.grid import apply_flip, same_counts_bruteforce, torus_window_ix
+from segsim.structures import RadicalSpec, is_expandable
 from segsim.rng import STREAM_DYNAMICS, generator
 
 
@@ -243,15 +244,50 @@ class TestRunToTermination:
             assert key not in canonical
 
 
+def torus_chebyshev(n, a, b):
+    dr, dc = abs(a[0] - b[0]) % n, abs(a[1] - b[1]) % n
+    return max(min(dr, n - dr), min(dc, n - dc))
+
+
+def closure_oracle(state, center, radius, target, max_flips=None, order_rng=None, stop=False):
+    """The cascade on a copy through apply_flip, recounting every candidate
+    of the window over the whole torus at every step; returns the flips and
+    the verdict recounted on the central block."""
+    n, w = state.n, state.config.w
+    work = state.copy()
+    allowed = np.zeros((n, n), bool)
+    allowed[torus_window_ix(n, center[0] % n, center[1] % n, radius)] = True
+    block = np.zeros((n, n), bool)
+    block[torus_window_ix(n, center[0] % n, center[1] % n, (w + 1) // 2)] = True
+    cap = (w + 1) ** 2 if max_flips is None else max_flips
+    flipped = []
+    while len(flipped) < cap:
+        if stop and not (block & (work.types != target)).any():
+            break
+        cand = np.argwhere(allowed & (work.types != target) & (work.elig_pos.reshape(n, n) >= 0))
+        if len(cand) == 0:
+            break
+        if order_rng is None:
+            r, c = min(cand.tolist(), key=lambda rc: (torus_chebyshev(n, rc, center), *rc))
+        else:
+            r, c = cand[int(order_rng.integers(len(cand)))].tolist()
+        apply_flip(work, (r, c))
+        flipped.append((r, c))
+    return flipped, not (block & (work.types != target)).any()
+
+
+def state_bytes(state):
+    return (state.types.tobytes(), state.same_count.tobytes(), state.elig_pos.tobytes(),
+            state.elig_cells.tobytes(), state.elig_count, state.flips_done, state.time)
+
+
 class TestCascadeClosure:
     def setup_method(self):
         self.cfg = GridConfig(n=24, w=2, tau_tilde=0.4, seed=0, allow_small=True)
 
     def test_already_target_zero_flips(self):
         state = state_from_types(self.cfg, np.ones((24, 24), np.int8))
-        allowed = np.zeros((24, 24), bool)
-        allowed[8:17, 8:17] = True
-        res = cascade_closure(state, allowed, 1, center=(12, 12))
+        res = cascade_closure(state, (12, 12), radius=4, target_type=1)
         assert res.flips_used == 0
         assert res.target_made_monochromatic
 
@@ -259,13 +295,11 @@ class TestCascadeClosure:
         types = np.ones((24, 24), np.int8)
         types[12, 12] = -1
         state = state_from_types(self.cfg, types)
-        allowed = np.zeros((24, 24), bool)
-        allowed[8:17, 8:17] = True
-        res = cascade_closure(state, allowed, 1, center=(12, 12))
+        res = cascade_closure(state, (12, 12), radius=4, target_type=1)
         assert res.flips_used == 1
         assert res.flipped == [(12, 12)]
         assert res.target_made_monochromatic
-        # The probe ran on a copy.
+        # The probe left the state untouched.
         assert state.types[12, 12] == -1
 
     def test_confluence_under_shuffled_orders(self):
@@ -273,20 +307,41 @@ class TestCascadeClosure:
             rng = generator(seed)
             types = np.where(rng.random((24, 24)) < 0.5, 1, -1).astype(np.int8)
             state = state_from_types(self.cfg, types)
-            allowed = np.zeros((24, 24), bool)
-            allowed[6:19, 6:19] = True
-            base = cascade_closure(state, allowed, 1, center=(12, 12), max_flips=10_000)
+            base = cascade_closure(state, (12, 12), radius=6, target_type=1, max_flips=10_000)
             base_set = frozenset(base.flipped)
             for k in range(10):
                 res = cascade_closure(
                     state,
-                    allowed,
-                    1,
-                    center=(12, 12),
+                    (12, 12),
+                    radius=6,
+                    target_type=1,
                     max_flips=10_000,
                     order_rng=generator(1000 + k),
                 )
                 assert frozenset(res.flipped) == base_set
+
+    @pytest.mark.parametrize("tau", [0.55, 0.60, 0.65])
+    def test_confluence_above_one_half(self, tau):
+        # Flips toward the target only lower the counts of non-target agents,
+        # so the uncapped closure is order-free for tau > 1/2 too.
+        sizes = []
+        for w in (1, 2):
+            cfg = GridConfig(n=24, w=w, tau_tilde=tau, seed=0, allow_small=True)
+            for seed in range(4):
+                rng = generator(seed, 17)
+                types = np.where(rng.random((24, 24)) < 0.5, 1, -1).astype(np.int8)
+                state = state_from_types(cfg, types)
+                center = (int(rng.integers(24)), int(rng.integers(24)))
+                base = cascade_closure(state, center, radius=7, target_type=1, max_flips=10**6)
+                sizes.append(base.flips_used)
+                for k in range(8):
+                    res = cascade_closure(
+                        state, center, radius=7, target_type=1, max_flips=10**6,
+                        order_rng=generator(2000 + k),
+                    )
+                    assert frozenset(res.flipped) == frozenset(base.flipped)
+                    assert res.target_made_monochromatic == base.target_made_monochromatic
+        assert min(sizes) > 0
 
     def test_flips_are_restricted_and_eligible(self):
         rng = generator(3)
@@ -294,7 +349,59 @@ class TestCascadeClosure:
         state = state_from_types(self.cfg, types)
         allowed = np.zeros((24, 24), bool)
         allowed[6:15, 6:15] = True
-        res = cascade_closure(state, allowed, 1, center=(10, 10), max_flips=10_000)
+        res = cascade_closure(state, (10, 10), radius=4, target_type=1, max_flips=10_000)
         for r, c in res.flipped:
             assert allowed[r, c]
             assert types[r, c] == -1
+
+    @pytest.mark.parametrize("use_rng", [False, True], ids=["nearest-first", "random-order"])
+    @pytest.mark.parametrize("stop", [False, True], ids=["full", "stop-at-mono"])
+    def test_matches_recount_oracle(self, use_rng, stop):
+        # 40 cases per order and stop mode; about half have 2R+1 within 2
+        # of n, so the window wraps and flips see wrap neighbours.
+        flips = 0
+        for case in range(40):
+            rng = generator(4242, case)
+            w = int(rng.integers(1, 4))
+            radius = int(rng.integers(w, 3 * w + 3))
+            n = 2 * radius + 1 + int(rng.integers(0, 3 if case % 2 else 12))
+            n = max(n, 2 * w + 1)
+            tau = float(rng.choice([0.30, 0.40, 0.45, 0.50, 0.55, 0.60]))
+            cfg = GridConfig(n=n, w=w, tau_tilde=tau, seed=0, allow_small=True)
+            types = np.where(rng.random((n, n)) < rng.uniform(0.3, 0.7), 1, -1).astype(np.int8)
+            state = state_from_types(cfg, types)
+            center = (int(rng.integers(-n, 2 * n)), int(rng.integers(-n, 2 * n)))
+            target = int(rng.choice([-1, 1]))
+            cap = [None, int(rng.integers(0, 30)), 10**6][case % 3]
+            seed = int(rng.integers(2**62))
+            got_rng, want_rng = (generator(seed), generator(seed)) if use_rng else (None, None)
+            got = cascade_closure(state, center, radius, target, max_flips=cap,
+                                  order_rng=got_rng, stop_when_monochromatic=stop)
+            want = closure_oracle(state, center, radius, target, cap, want_rng, stop)
+            assert (got.flipped, got.target_made_monochromatic) == want, case
+            assert got.flips_used == len(got.flipped)
+            if use_rng:
+                assert got_rng.integers(2**62) == want_rng.integers(2**62)
+            flips += got.flips_used
+        assert flips > 100
+
+    def test_probes_leave_the_state_untouched(self):
+        state = fresh(48, 2, 0.42, 5)
+        run_to_termination(state, generator(5, STREAM_DYNAMICS), RunLimits(max_flips=200))
+        prefix = state.plus_prefix()
+        before = state_bytes(state)
+        flips = 0
+        for center in [(0, 0), (24, 30), (47, 5), (-3, 60)]:
+            flips += is_expandable(state, RadicalSpec(center, 0.35)).flips_used
+            for order_rng in (None, generator(9)):
+                flips += cascade_closure(state, center, 7, 1, max_flips=10**6, order_rng=order_rng).flips_used
+                flips += cascade_closure(state, center, 7, -1, order_rng=order_rng).flips_used
+            assert state_bytes(state) == before
+            assert state.plus_prefix() is prefix
+        assert flips > 0
+
+    @pytest.mark.parametrize("radius", [-1, 12])
+    def test_window_must_fit(self, radius):
+        state = state_from_types(self.cfg, np.ones((24, 24), np.int8))
+        with pytest.raises(ValueError, match="does not fit"):
+            cascade_closure(state, (12, 12), radius, 1)
