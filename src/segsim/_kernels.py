@@ -9,10 +9,14 @@ swap-removals of the members whose count now exceeds the eligibility
 bound, in row-major window order, followed by appends of the non-members
 whose count is now within it, in row-major window order.  That order is
 the contract: the python reference (grid._flip_cell) keeps it in three
-passes over the window, and the kernel keeps it in one walk that removes
-as it goes and buffers the appends, and runs that membership walk only
-over the column runs where a count crossed the bound or the flipped cell
-lies (the proof is in the C comment).
+passes over the window.  The kernel works on a private int16 copy of
+type * same_count for the length of a chunk, so every other signed count
+in the window moves by the flipped agent's new type, +1 or -1; it
+updates each column run eight lanes at a time with gcc vector extensions,
+where a count crosses the bound exactly when its old value is one of two
+constants, and then walks only the cells that crossed and the flipped cell,
+removing as it goes and buffering the appends (the proof is in the C
+comment).  The int16 counts need N = (2w+1)^2 <= 32767, that is w <= 90.
 
 The region kernels are the two steps of regions.py.  One radius pass gives
 every center two radii: r(c), the largest single-type radius, and q(c),
@@ -64,28 +68,71 @@ STATUS_BATCH_DONE = 0
 STATUS_NO_ELIGIBLE = 1
 STATUS_FLIP_LIMIT = 2
 STATUS_TIME_LIMIT = 3
+# The flip kernel keeps type * same_count in int16, so N = (2w+1)^2 must fit.
+INT16_MAX = 32767
 
 C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
 
+/* Eight int16 lanes: SSE2 on x86_64, NEON on aarch64, the baseline of each
+   machine type, so no -march flag is needed. */
+typedef int16_t v8s __attribute__((vector_size(16)));
+typedef int64_t v2l __attribute__((vector_size(16)));
+
+static inline v8s splat8(int16_t x)
+{
+    const v8s v = {x, x, x, x, x, x, x, x};
+    return v;
+}
+
 /* io[0..2] in: m, phi, flips.  io[0..4] out: m, phi, flips, rec_count,
    audit_count.  *t is read and written; max_time is +inf when time is not
-   limited.  Returns the status.  cand holds at least (2w+1)^2 entries.
-   Same arguments and results as the python reference executor
-   (dynamics._run_chunk_py).
+   limited.  Returns the status, or -1 when the signed count buffer cannot
+   be allocated (the state is then untouched).  cand holds at least
+   (2w+1)^2 entries, and N <= 32767.  Same arguments and results as the
+   python reference executor (dynamics._run_chunk_py).
 
-   One row-major walk over the window per flip does what the python
-   reference flip (grid._flip_cell) does in three: it updates each cell's
-   same_count, swap-removes the cell from the eligible list at once when it
-   is a member whose count now exceeds emax, and appends it to cand when it
-   is not a member and its count is now <= emax; after the walk cand is
-   appended to the list in its order.  The result is bit-identical to
-   three passes (all updates, then removals in row-major order, then
-   insertions in row-major order):
+   The chunk works on a private signed array s = type * same_count (int16,
+   n^2 + 8 entries), built from types and sc when it starts and written
+   back when it ends.  Counts include the agent itself, so 1 <= count <= N
+   and the sign of s is the type.
+
+   Uniform update.  A flip of an agent of type t sets d = -t, its new type.
+   Every other cell of the window gains one agent of type d and loses one
+   of type t, so its count rises by 1 when it is of type d and falls by 1
+   otherwise; in both cases s += d.  So the count walk reads s alone and no
+   types.  The flipped cell is set to d * (N - k) before the walk, and the
+   walk's +d leaves it at d * (N - k + 1), its count after the flip.
+
+   Crossing is an equality test.  Every other cell's count moves by
+   exactly 1, so it crosses emax (<= emax on one side, > emax on the other)
+   exactly when a type-d count goes from emax to emax + 1, that is s goes
+   from d * emax to d * (emax + 1), or a type-t count goes from emax + 1 to
+   emax, that is s goes from -d * (emax + 1) to -d * emax.  These two new
+   values have opposite signs (a flip needs an eligible agent, so emax >=
+   k >= 1), and no other cell takes either of them: a type-d cell's new s
+   is d times its new count, which is emax + 1 only when it crossed, and a
+   type-t cell's new s is -d times its new count, which is emax only when
+   it crossed.  So the walk below finds the crossed cells by their new
+   values.  The update of a
+   column run is thus a branch-free loop over 8 lanes at a time, with a
+   lane mask for the run's end: the lanes past the end add 0 and store
+   back what they read, and the 8 padding entries keep the last row's
+   over-read inside the buffer.  It ORs the lanes whose old value is d *
+   emax or -d * (emax + 1).
+
+   One row-major walk does what the python reference flip (grid._flip_cell)
+   does in three passes (all updates, then removals in row-major order,
+   then insertions in row-major order): it swap-removes a cell from the
+   eligible list at once when it is a member whose count now exceeds emax,
+   and appends it to cand when it is not a member and its count is now
+   <= emax; after the walk cand is appended to the list in its order.  The
+   result is bit-identical:
    - 2w+1 <= n, so each cell appears once in the window, and its count is
      final after its one update; the count it is tested with is the count
      the second and third passes would read.
@@ -97,26 +144,18 @@ enum { BATCH_DONE = 0, NO_ELIGIBLE = 1, FLIP_LIMIT = 2, TIME_LIMIT = 3 };
      cells in the same row-major order, and cand is the row-major set the
      third pass inserts: a removed cell's count exceeds emax, so the third
      pass never re-inserts it, and the insertions start at the same m.
-   The flipped cell gets N - k before the walk; being of the new type, the
-   walk's +1 leaves it N - k + 1, its count after the flip.
 
-   Each column run is walked in two steps: a branch-free loop updates every
-   count of the run and notes whether any count crossed emax, and the
-   membership walk above runs over the run only when one did, or when the
-   run holds the flipped cell.  Skipping the other runs changes nothing:
-   - every count in the window moves by exactly +-1 except the flipped
-     cell's, so the update loop reads each other cell's count before the
-     flip and after it;
-   - a cell's membership at its visit is its membership before the flip
-     (above), which is count <= emax before the flip;
-   - so in a run where no count crosses emax, every member keeps a count
-     <= emax and every non-member a count > emax, and the walk would
-     neither remove nor append;
-   - the flipped cell, a member, leaves the list, but its count is N - k
-     before the update, not k, so the crossing test cannot see it: its run
-     is always walked.
-   The walked runs are the same runs in the same row-major order, so the
-   removals and cand keep their order. */
+   The walk visits only the cells that crossed and the flipped cell, in
+   row-major order, and only in the column runs whose update saw a
+   crossing or that hold the flipped cell.  Skipping the other cells
+   changes nothing: a cell's membership at its visit is its membership
+   before the flip, which is count <= emax before the flip; a cell whose
+   count did not cross keeps count <= emax when it is a member and count >
+   emax when it is not, and the walk would neither remove nor append it.
+   The flipped cell, a member, may leave the list, and its count is not
+   one of the crossing values in general, so it is always visited.  The
+   visited cells keep their row-major order, so the removals and cand do
+   too.  Every membership decision reads |s|, the count itself. */
 int64_t segsim_run_chunk(
     int8_t *restrict types, int32_t *restrict sc, int32_t *elig_pos, int64_t *elig_cells,
     int64_t *cand,
@@ -128,11 +167,21 @@ int64_t segsim_run_chunk(
     int64_t audit_on, int64_t *audit_cells, int32_t *audit_pre,
     int64_t *io, double *t_io)
 {
+    const int64_t nn = n * n;
+    int16_t *restrict s = malloc((size_t)(nn + 8) * sizeof *s);
+    if (s == NULL)
+        return -1;
+    for (int64_t v = 0; v < nn; v++)
+        s[v] = (int16_t)(types[v] * sc[v]);
+    memset(s + nn, 0, 8 * sizeof *s);
+
     int64_t m = io[0], phi = io[1], flips = io[2];
+    const int64_t flips0 = flips;
     int64_t consumed = 0, rec_count = 0, audit_count = 0;
     int64_t status;
     double t = *t_io;
     const int32_t em = (int32_t)emax;
+    const v8s lane = {0, 1, 2, 3, 4, 5, 6, 7};
 
     for (;;) {
         if (m <= 0) { status = NO_ELIGIBLE; break; }
@@ -150,11 +199,14 @@ int64_t segsim_run_chunk(
         t += dt;
         int64_t cell = elig_cells[(int64_t)(u * (double)m)];
         int64_t r0 = cell / n, c0 = cell % n;
-        int32_t k = sc[cell];
-        int8_t new_type = (int8_t)-types[cell];
-        types[cell] = new_type;
-        sc[cell] = (int32_t)(N - k);
+        const int16_t d = s[cell] > 0 ? -1 : 1;
+        const int32_t k = -d * s[cell];
+        s[cell] = (int16_t)(d * (N - k));
         phi += 2 * (N - 2 * (int64_t)k + 1);
+        /* Old values that cross, and the new values they take. */
+        const v8s dv = splat8(d), was_in = splat8((int16_t)(d * em)),
+                  was_out = splat8((int16_t)(-d * (em + 1)));
+        const int16_t left = (int16_t)(d * (em + 1)), joined = (int16_t)(-d * em);
 
         /* The window's columns, c0 - w .. c0 + w mod n, as at most two
            contiguous runs, [lo, hi) and then [0, wrap), split at the wrap. */
@@ -174,16 +226,24 @@ int64_t segsim_run_chunk(
             const int64_t base = r * n;
             for (int run = 0; run < 2; run++) {
                 const int64_t v0 = base + (run ? 0 : lo), v1 = base + (run ? wrap : hi);
-                int crossed = 0;
-                for (int64_t v = v0; v < v1; v++) {
-                    const int32_t old = sc[v], c = old + (types[v] == new_type ? 1 : -1);
-                    sc[v] = c;
-                    crossed |= (old <= em) != (c <= em);
+                const v8s len = splat8((int16_t)(v1 - v0));
+                v8s crossed = splat8(0), at = lane;
+                for (int64_t v = v0; v < v1; v += 8, at += 8) {
+                    const v8s live = at < len;
+                    v8s x;
+                    memcpy(&x, s + v, sizeof x);
+                    crossed |= ((x == was_in) | (x == was_out)) & live;
+                    x += dv & live;
+                    memcpy(s + v, &x, sizeof x);
                 }
-                if (!crossed && !(v0 <= cell && cell < v1))
+                const v2l any = (v2l)crossed;
+                if (!(any[0] | any[1]) && !(v0 <= cell && cell < v1))
                     continue;
                 for (int64_t v = v0; v < v1; v++) {
-                    const int32_t c = sc[v];
+                    const int16_t x = s[v];
+                    if (x != left && x != joined && v != cell)
+                        continue;
+                    const int32_t c = x < 0 ? -x : x;
                     int32_t pos = elig_pos[v];
                     if (pos >= 0) {
                         if (c > em) {
@@ -220,6 +280,14 @@ int64_t segsim_run_chunk(
             rec_count++;
         }
     }
+    if (flips > flips0) { /* a chunk without a flip changed nothing */
+        for (int64_t v = 0; v < nn; v++) {
+            const int16_t x = s[v];
+            types[v] = (int8_t)(x < 0 ? -1 : 1);
+            sc[v] = x < 0 ? -x : x;
+        }
+    }
+    free(s);
     io[0] = m; io[1] = phi; io[2] = flips;
     io[3] = rec_count; io[4] = audit_count;
     *t_io = t;
@@ -572,10 +640,11 @@ int64_t segsim_passage_time(const double *w, int64_t h, int64_t wd, const int64_
 
 # The runtime build takes no warning flags, so a new compiler warning cannot
 # disable the engine; the test suite compiles the source with these flags and
-# -Werror.  -O3 vectorises the flip's count update for the baseline
-# instruction set of the machine type; -march=native is left out because the
-# library's cache key names only that type, so a shared cache could hand the
-# library to another CPU.
+# -Werror.  The flip's count update is written with 16-byte gcc vector
+# extensions, which compile to the baseline instruction set of the machine
+# type (SSE2 on x86_64, NEON on aarch64); -march=native is left out because
+# the library's cache key names only that type, so a shared cache could hand
+# the library to another CPU.
 CFLAGS = ("-O3", "-shared", "-fPIC")
 
 
@@ -679,6 +748,8 @@ def _wrap_run_chunk(fn):
         B = u_batch.shape[0]
         if not 1 <= 2 * w + 1 <= n:
             raise ValueError("the window must fit the torus: 2w+1 <= n")
+        if N > INT16_MAX:
+            raise ValueError(f"the signed int16 counts need N <= {INT16_MAX}, got N={N}")
         if not (types.size == sc.size == elig_pos.size == elig_cells.size == n * n):
             raise ValueError("state arrays must all hold n*n cells")
         if cand.size < (2 * w + 1) ** 2:
@@ -701,6 +772,8 @@ def _wrap_run_chunk(fn):
             bool(audit_on), audit_cells, audit_pre,
             io, t_io,
         )
+        if status < 0:
+            raise MemoryError("signed count buffer for the flip kernel")
         m, phi, flips, rec_count, audit_count = (int(x) for x in io)
         return m, phi, float(t_io[0]), flips, rec_count, audit_count, int(status)
 

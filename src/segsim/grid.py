@@ -18,7 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import INT16_MAX
 from .rng import RNG_ID, STREAM_INIT, generator, normalize_seed
+
+# The largest horizon whose N = (2w+1)^2 fits the flip kernel's int16 counts.
+MAX_W = (math.isqrt(INT16_MAX) - 1) // 2
 
 
 class ConfigError(ValueError):
@@ -53,7 +57,7 @@ class GridConfig:
     p: Bernoulli(+1) parameter of the initial fill; seed: 64-bit stream seed.
     n >= 8w is required unless allow_small is set, because annular firewalls
     and block structures need room; n >= 2w+1 is always required so the
-    neighborhood consists of N distinct cells.
+    neighborhood consists of N distinct cells; w <= 90 keeps N <= 32767.
     """
 
     n: int
@@ -67,6 +71,11 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.w < 1:
             raise ConfigError(f"horizon w must be >= 1, got {self.w}")
+        if self.w > MAX_W:
+            raise ConfigError(
+                f"w must be <= {MAX_W} so that N = (2w+1)^2 fits the engine's int16 counts, "
+                f"got {self.w}"
+            )
         if self.n < 2 * self.w + 1:
             raise ConfigError(
                 f"n={self.n} < 2w+1={2 * self.w + 1}: neighborhood would wrap onto itself"

@@ -120,27 +120,44 @@ def _radius_pass(prefix: TorusPrefix, bound: np.ndarray) -> tuple[np.ndarray, np
     plus_prefix().
 
     numpy reference: every level in turn, read from one call-local
-    _periodic_prefix table, until every window's minority count exceeds
-    bound[R].  Windows at one center are nested, so their minority count
-    never falls as rho grows, and the table never falls either: no higher
-    level can pass.  r(c) is the last level at which c's count is still 0;
-    a zero count passes every table, so the loop reaches it.
+    _periodic_prefix table, at the live centers only, until none is left.  A
+    center dies at the first level where its window's minority count exceeds
+    bound[R]: windows at one center are nested, so their minority count
+    never falls as rho grows, and the table never falls either, so no higher
+    level can pass there.  r(c) is the last level at which c's count is
+    still 0; a zero count passes every table, so c is live there.  The
+    scanned set is compacted once half of it has died (dead centers that
+    are still scanned never pass again), and while it is the whole grid the
+    windows are read with slices.  The table is cast to int32: a window sum
+    of four corners is exact modulo 2^32, and it lies in [0, n^2 < 2^31].
     """
     n, R = prefix.n, max_region_radius(prefix.n)
     if _kernels.radius_pass is not None:
         return _kernels.radius_pass(prefix.sat, n, bound)
-    P = _periodic_prefix(prefix)
-    r = np.zeros((n, n), dtype=np.int32)
-    q = np.zeros((n, n), dtype=np.int32)
+    P = _periodic_prefix(prefix).astype(np.int32)
+    side, flat = P.shape[1], P.ravel()
+    r = np.zeros(n * n, dtype=np.int32)
+    q = np.zeros(n * n, dtype=np.int32)
+    live = np.arange(n * n)  # flat ids of the scanned centers
+    at = live // n * side + live % n  # P's flat index of [x, y] for center (x, y)
     for rho in range(R + 1):
-        lo, hi = slice(R - rho, R - rho + n), slice(R + rho + 1, R + rho + 1 + n)
-        counts = _corner_sums(P, lo, hi, lo, hi)
+        a, b = R - rho, R + rho + 1
+        if live.size == n * n:
+            counts = _corner_sums(P, slice(a, a + n), slice(b, b + n),
+                                  slice(a, a + n), slice(b, b + n)).ravel()
+        else:
+            counts = (flat.take(at + (b * side + b)) - flat.take(at + (a * side + b))
+                      - flat.take(at + (b * side + a)) + flat.take(at + (a * side + a)))
         minority = np.minimum(counts, (2 * rho + 1) ** 2 - counts)
-        r[minority == 0] = rho
-        q[minority <= bound[rho]] = rho
-        if (minority > bound[R]).all():
+        r[live[minority == 0]] = rho
+        q[live[minority <= bound[rho]]] = rho
+        keep = minority <= bound[R]
+        kept = np.count_nonzero(keep)
+        if kept == 0:
             break
-    return r, q
+        if 2 * kept <= live.size:
+            live, at = live[keep], at[keep]
+    return r.reshape(n, n), q.reshape(n, n)
 
 
 def _dilate(v: np.ndarray) -> np.ndarray:

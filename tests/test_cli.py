@@ -502,16 +502,19 @@ class TestStatsCommand:
     ["percolation", "--mode", "fpp", "--samples", "1", "--k", "0"],
     ["percolation", "--mode", "fpp", "--samples", "1", "--k", "-3"],
     ["percolation", "--mode", "fpp", "--samples", "1", "--half-width", "-1"],
+    ["run", "--n", "728", "--w", "91", "--tau", "0.45"],
 ], ids=["missing-snapshot", "one-coordinate-center", "three-coordinate-center", "zero-step",
         "negative-step", "zero-replicates", "p-above-1", "p-below-0", "one-coordinate-endpoint",
         "zero-placements", "negative-samples", "zero-samples", "reversed-tau-range", "two-taus",
-        "nan-mean", "zero-k", "negative-k", "negative-half-width"])
+        "nan-mean", "zero-k", "negative-k", "negative-half-width", "w-above-int16-counts"])
 def test_bad_inputs_exit_2_with_a_message(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
     assert "configuration error" in err
+    if "91" in argv:
+        assert "w must be <= 90" in err
     assert out == ""
 
 

@@ -76,11 +76,17 @@ class TestConfig:
             dict(n=64, w=2, tau_tilde=1.5),
             dict(n=64, w=2, tau_tilde=0.5, p=-0.1),
             dict(n=64, w=0, tau_tilde=0.5),
+            dict(n=728, w=91, tau_tilde=0.45),  # N = 183^2 > 32767, the int16 count range
         ],
     )
     def test_invalid_config(self, kwargs):
         with pytest.raises(ConfigError):
             GridConfig(**kwargs)
+
+    def test_largest_w_fits_int16_counts(self):
+        assert GridConfig(n=181, w=90, tau_tilde=0.5, allow_small=True).N == 32761
+        with pytest.raises(ConfigError, match="w must be <= 90"):
+            GridConfig(n=183, w=91, tau_tilde=0.5, allow_small=True)
 
     def test_small_grid_override(self):
         cfg = GridConfig(n=10, w=2, tau_tilde=0.5, allow_small=True)

@@ -4,7 +4,9 @@ reference executor, chunk by chunk and on edge cases (the region kernels
 are compared with their numpy reference in test_regions.py, the passage-time
 kernel with csgraph in test_percolation.py)."""
 
+import dataclasses
 import inspect
+import json
 import math
 import os
 import shutil
@@ -101,6 +103,20 @@ def test_wrapper_rejects_short_buffers():
     assert call(cells)[-1] == _kernels.STATUS_NO_ELIGIBLE
 
 
+def test_flip_wrapper_guards_the_int16_range_and_allocation():
+    n, w = 7, 3
+    args = [np.ones(n * n, np.int8), np.zeros(n * n, np.int32), np.full(n * n, -1, np.int32),
+            np.zeros(n * n, np.int64), np.zeros((2 * w + 1) ** 2, np.int64), 0, n, w,
+            (2 * w + 1) ** 2, 22, 0, 0.0, 0, 10, math.inf, np.zeros(4), np.zeros(4), 0,
+            np.zeros(1, np.int64), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64),
+            False, np.zeros(1, np.int64), np.zeros(1, np.int32)]
+    with pytest.raises(MemoryError, match="signed count buffer"):
+        _kernels._wrap_run_chunk(lambda *a: -1)(*args)
+    args[8] = _kernels.INT16_MAX + 1
+    with pytest.raises(ValueError, match="int16"):
+        _kernels._wrap_run_chunk(lambda *a: pytest.fail("reached C"))(*args)
+
+
 def test_region_wrappers_reject_bad_tables():
     if _kernels.radius_pass is None:
         pytest.skip(_kernels.load_error)
@@ -163,18 +179,20 @@ def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
 
 
 # Runs in a child process against a sanitizer build of C_SOURCE (argv[1]):
-# the flip kernel, both region kernels and the passage-time kernel on edge
-# inputs, each compared with the python/numpy/csgraph reference.  The radius
-# pass runs at the zero table and at the ratio test's tables, on tori down to
-# n = 3 and on n = 2w+1; the passage time on 1 x n and n x 1 strips and on
-# lattices where every site but one is a source.
+# the flip kernel on the shapes of EDGE_CASES (argv[2]), both region kernels
+# and the passage-time kernel on edge inputs, each compared with the
+# python/numpy/csgraph reference.  The radius pass runs at the zero table
+# and at the ratio test's tables, on tori down to n = 3 and on n = 2w+1; the
+# passage time on 1 x n and n x 1 strips and on lattices where every site
+# but one is a source.
 SANITIZED_RUN = r"""
+import json
 import math
 import sys
 
 import numpy as np
 
-from segsim import GridConfig, _kernels, new_random, percolation, regions, state_from_types
+from segsim import GridConfig, _kernels, dynamics, new_random, percolation, regions, state_from_types
 from segsim.dynamics import RunLimits, run_to_termination
 from segsim.rng import STREAM_DYNAMICS, generator
 
@@ -202,17 +220,19 @@ def assert_region_maps_agree(state, eps):
     assert all(np.array_equal(x, y) for x, y in zip(got, ref)), (state.n, eps)
 
 
-for n, w, tau, seed, limits in ((7, 3, 0.45, 1, RunLimits(record_interval=1)),
-                                (40, 2, 0.6, 4, RunLimits(record_interval=50)),
-                                (48, 2, 0.45, 1, RunLimits(max_continuous_time=0.5)),
-                                (21, 10, 0.45, 4, RunLimits(record_interval=10))):
+# The flip kernel's edge cases (EDGE_CASES in the test module), as JSON in argv[2].
+default_chunk = dynamics.RUN_CHUNK
+for n, w, tau, seed, limits, batch in json.loads(sys.argv[2]):
+    dynamics.RUN_CHUNK = batch or default_chunk
+    limits = RunLimits(**limits)
     cfg = GridConfig(n=n, w=w, tau_tilde=tau, seed=seed, allow_small=True)
     a, b = new_random(cfg), new_random(cfg)
     ra = run_to_termination(a, generator(seed, STREAM_DYNAMICS), limits, use_numba=False, audit=True)
     rb = run_to_termination(b, generator(seed, STREAM_DYNAMICS), limits, use_numba=True, audit=True)
     assert rb.engine == "c" and ra.canonical_json() == rb.canonical_json()
     assert np.array_equal(a.types, b.types) and np.array_equal(a.same_count, b.same_count)
-    assert_region_maps_agree(b, 0.1)  # n = 2w+1 at (7, 3) and (21, 10)
+    assert_region_maps_agree(b, 0.1)  # n = 2w+1 at (7, 3), (13, 6), (21, 10) and (181, 90)
+dynamics.RUN_CHUNK = default_chunk
 
 for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
     cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=n, allow_small=True)
@@ -269,7 +289,9 @@ def test_sanitizer_build_runs_clean(tmp_path):
     probe = subprocess.run([sys.executable, "-c", "pass"], env=env, capture_output=True, text=True)
     if probe.returncode != 0:
         pytest.skip(f"the AddressSanitizer runtime does not start here: {probe.stderr[:300]}")
-    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(lib)],
+    flip_cases = [[n, w, tau, seed, dataclasses.asdict(limits), batch]
+                  for n, w, tau, seed, limits, batch, _ in EDGE_CASES.values()]
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(lib), json.dumps(flip_cases)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[:3000]
     assert "sanitized run ok" in proc.stdout
@@ -335,6 +357,20 @@ EDGE_CASES = {
     # n = 2w+1: every window is the whole torus, and its rows split at the
     # wrap unless the flipped cell is in column w; seeds 1-3 make no flip.
     "full_torus_w10": (21, 10, 0.45, 4, RunLimits(record_interval=10), None, "NoEligibleAgents"),
+    "full_torus_w6": (13, 6, 0.45, 4, RunLimits(record_interval=5), None, "NoEligibleAgents"),
+    # Rows shorter than one 8-lane vector of the count update, and rows off
+    # its multiples, so the last run's masked lanes read the padding.
+    "n7_w1": (7, 1, 0.45, 1, RunLimits(record_interval=1), None, "NoEligibleAgents"),
+    "n9_w2": (9, 2, 0.45, 1, RunLimits(record_interval=1), None, "NoEligibleAgents"),
+    # The last cell flips: its window's runs end at the last row and column.
+    "last_cell_flips": (20, 3, 0.45, 3, RunLimits(), None, "NoEligibleAgents"),
+    # emax = 2, and emax = (N - 1) / 2, where the two crossing values are
+    # d * 24 and -d * 25.
+    "emax_2": (24, 1, 0.3, 1, RunLimits(), None, "NoEligibleAgents"),
+    "emax_near_half": (40, 3, 0.5, 1, RunLimits(), None, "NoEligibleAgents"),
+    # N = 181^2 = 32761, the largest (2w+1)^2 the int16 counts hold; at tau = 1/2
+    # every agent of the torus's minority type is eligible.
+    "int16_limit": (181, 90, 0.5, 1, RunLimits(max_flips=200), None, "FlipLimit"),
 }
 
 
@@ -375,8 +411,18 @@ def test_c_kernel_matches_python(case, monkeypatch):
     assert b.audit_consistent()
     if case == "tau_above_half":
         assert cfg.eligible_max_count == cfg.N + 1 - cfg.K < cfg.K - 1
-    if case in ("smallest_torus", "full_torus_w10"):
+    if case in ("smallest_torus", "full_torus_w10", "full_torus_w6", "int16_limit"):
         assert n == 2 * w + 1
+    if case in ("n7_w1", "n9_w2"):
+        assert n % 8
+    if case == "last_cell_flips":
+        assert n * n - 1 in ra.audit.cells
+    if case == "emax_2":
+        assert cfg.eligible_max_count == 2
+    if case == "emax_near_half":
+        assert cfg.eligible_max_count == (cfg.N - 1) // 2
+    if case == "int16_limit":
+        assert cfg.N <= _kernels.INT16_MAX < (2 * w + 3) ** 2
 
 
 @st.composite

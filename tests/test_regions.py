@@ -428,8 +428,14 @@ def test_region_maps_match_oracles(path, n, w, types, eps, monkeypatch):
 def test_numpy_pass_stops_at_the_first_level_past_bound_R(eps, monkeypatch):
     """The numpy radius pass reads levels 0..L, where L is the first level at
     which every window's minority count exceeds bound[R] (no later level can
-    pass); eps None is the zero table of r(c)."""
-    import segsim.regions
+    pass), and the same r and q as the pass over every level; eps None is
+    the zero table of r(c).  The levels read are the rho whose bound[rho]
+    the loop looks up."""
+
+    class ReadLog(np.ndarray):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
 
     cfg = GridConfig(n=40, w=2, tau_tilde=0.42, seed=5, allow_small=True)
     state = new_random(cfg)
@@ -444,12 +450,17 @@ def test_numpy_pass_stops_at_the_first_level_past_bound_R(eps, monkeypatch):
         past.append(bool((np.minimum(plus, (2 * rho + 1) ** 2 - plus) > bound[R]).all()))
     assert True in past[:-1]  # the stop saves levels on this state
 
-    levels = []
-    corner_sums = segsim.regions._corner_sums
-    monkeypatch.setattr(segsim.regions, "_corner_sums", lambda *a: levels.append(1) or corner_sums(*a))
+    reads = []
     monkeypatch.setattr(_kernels, "radius_pass", None)
-    _radius_pass(prefix, bound)
-    assert len(levels) == past.index(True) + 1
+    r, q = _radius_pass(prefix, bound.view(ReadLog))
+    assert sorted(set(reads) - {R}) == list(range(past.index(True) + 1))
+    full_r, full_q = np.zeros((n, n), np.int32), np.zeros((n, n), np.int32)
+    for rho in range(R + 1):
+        plus = prefix.window(I, J, rho)
+        minority = np.minimum(plus, (2 * rho + 1) ** 2 - plus)
+        full_r[minority == 0] = rho
+        full_q[minority <= bound[rho]] = rho
+    assert np.array_equal(np.asarray(r), full_r) and np.array_equal(np.asarray(q), full_q)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
