@@ -14,11 +14,11 @@ criterion 8), where every point has N/2 - K >= sqrt(N).
 """
 
 import argparse
+import csv
 
 import numpy as np
-from scipy.stats import spearmanr
 
-from segsim.experiments import SweepSpec, run_sweep
+from segsim.experiments import SweepSpec, decreasing_trend, run_sweep
 
 
 def main() -> None:
@@ -47,20 +47,17 @@ def main() -> None:
     )
     csv_path = run_sweep(spec)
 
-    rows = csv_path.read_text().strip().splitlines()
-    header = rows[0].split(",")
-    tau_col = header.index("tau_tilde")
-    m_col = header.index("mean_M")
     by_tau: dict[float, list[float]] = {t: [] for t in taus}
-    for row in rows[1:]:
-        parts = row.split(",")
-        by_tau[float(parts[tau_col])].append(float(parts[m_col]))
+    with open(csv_path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            by_tau[float(row["tau_tilde"])].append(float(row["mean_M"]))
     means = [float(np.mean(by_tau[t])) for t in taus]
-    rho, p = spearmanr(taus, means, alternative="less")
+    rho, p = decreasing_trend(taus, means)
     print(f"sweep CSV: {csv_path}")
     for t, m in zip(taus, means):
         print(f"  tau={t:.2f}: mean region size {m:10.1f}")
-    print(f"Spearman rho={rho:.3f}, one-sided p={p:.4f} (decreasing trend)")
+    rho_text = "undefined (constant input)" if rho is None else f"{rho:.3f}"
+    print(f"Spearman rho={rho_text}, one-sided p={p:.4f} (decreasing trend)")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 from segsim.percolation import (
     SiteLattice,
     chemical_distance,
-    cluster_radii,
+    cluster_radius_tail,
     fpp_time_to_distance,
 )
 
@@ -44,10 +44,11 @@ def main() -> None:
 
     # Subcritical radius tail.
     lat = SiteLattice.random((args.tail_side, args.tail_side), args.tail_p, args.seed + 1)
-    radii = cluster_radii(lat)
+    ks = range(0, 13, 2)
+    _, tail = cluster_radius_tail([lat], ks)
     print(f"cluster radius tail (p={args.tail_p}):")
-    for k in range(0, 13, 2):
-        print(f"  P(radius >= {k:2d}) = {(radii >= k).mean():.2e}")
+    for k, pk in zip(ks, tail):
+        print(f"  P(radius >= {k:2d}) = {pk:.2e}")
 
     # Passage-time concentration across scales.
     for k, half in ((100, 40), (400, 60), (1600, 80)):

@@ -25,7 +25,6 @@ from .dynamics import (
     cascade_closure,
     lyapunov,
     run_to_termination,
-    step,
 )
 from .snapshot import snapshot_read, snapshot_write
 from .rng import RNG_ID, generator
@@ -50,7 +49,6 @@ __all__ = [
     "cascade_closure",
     "lyapunov",
     "run_to_termination",
-    "step",
     "snapshot_read",
     "snapshot_write",
     "RNG_ID",

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .grid import FlipEvent, GridState, _flip_cell, apply_flip, torus_window_ix
+from .grid import GridState, _flip_cell, torus_window_ix
 from .rng import RUN_CHUNK
 
 
@@ -122,24 +122,6 @@ class RunReport:
 def lyapunov(state: GridState) -> int:
     """Sum over agents of same-type neighborhood counts; strictly increases per flip."""
     return int(state.same_count.sum(dtype=np.int64))
-
-
-def step(state: GridState, rng: np.random.Generator) -> Optional[FlipEvent]:
-    """One dynamics step: sample uniformly from the eligible set, flip, advance time.
-
-    Returns None when no agent is eligible (termination).  Draws one uniform
-    then one exponential per step; note run_to_termination draws the same
-    variates in batches, so interleaving step() with it changes the stream.
-    """
-    m = state.elig_count
-    if m == 0:
-        return None
-    u = rng.random()
-    e = rng.standard_exponential()
-    j = int(u * m)
-    cell = int(state.elig_cells[j])
-    state.time += e / m
-    return apply_flip(state, (cell // state.n, cell % state.n))
 
 
 def _run_chunk_py(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, t, flips,

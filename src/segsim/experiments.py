@@ -154,8 +154,8 @@ class SweepSpec:
 
 
 def _sweep_task(args: tuple) -> tuple:
-    (cell_idx, rep, tau, w, n, p, seed, sample_size, eps) = args
-    config = GridConfig(n=n, w=w, tau_tilde=tau, p=p, seed=seed, allow_small=True)
+    cell_idx, rep, cell, seed, sample_size, eps = args
+    config = GridConfig(**cell, seed=seed, allow_small=True)
     report = run_single(config, sample_size=sample_size, eps=eps)
     summary = report.region_summary or {}
 
@@ -164,12 +164,9 @@ def _sweep_task(args: tuple) -> tuple:
         return -1 if entry is None else entry["radius"]
 
     row = {
-        "tau_tilde": tau,
+        **cell,
         "K": config.K,
         "N": config.N,
-        "w": w,
-        "n": n,
-        "p": p,
         "seed": seed,
         "flips": report.flips_total,
         "time": report.continuous_time_final,
@@ -185,6 +182,24 @@ def _sweep_task(args: tuple) -> tuple:
     return cell_idx, rep, row, report.canonical_json(), timing
 
 
+def sweep_results(spec: SweepSpec) -> list[tuple]:
+    """(cell, replicate, CSV row, canonical run JSON, timing) of every run.
+
+    The list is in (cell, replicate) order whatever the job count: the pool
+    maps the tasks in order, and each run's seed is derived from
+    (base_seed, cell, replicate) alone.
+    """
+    tasks = [
+        (cell_idx, rep, cell, derive_run_seed(spec.base_seed, cell_idx, rep), spec.sample_size, spec.eps)
+        for cell_idx, cell in enumerate(spec.cells())
+        for rep in range(spec.replicates)
+    ]
+    if spec.jobs > 1:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            return list(pool.map(_sweep_task, tasks))
+    return [_sweep_task(t) for t in tasks]
+
+
 def run_sweep(spec: SweepSpec) -> Path:
     """Run every (cell, replicate), write sweep.csv plus per-run reports.
 
@@ -196,31 +211,7 @@ def run_sweep(spec: SweepSpec) -> Path:
     out_dir = Path(spec.out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    tasks = []
-    for cell_idx, cell in enumerate(spec.cells()):
-        for rep in range(spec.replicates):
-            seed = derive_run_seed(spec.base_seed, cell_idx, rep)
-            tasks.append(
-                (
-                    cell_idx,
-                    rep,
-                    cell["tau_tilde"],
-                    cell["w"],
-                    cell["n"],
-                    cell["p"],
-                    seed,
-                    spec.sample_size,
-                    spec.eps,
-                )
-            )
-
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_sweep_task, tasks))
-    else:
-        results = [_sweep_task(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
+    results = sweep_results(spec)
 
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
@@ -253,13 +244,7 @@ class StatTestReport:
     statistics: dict
 
     def to_dict(self) -> dict:
-        return {
-            "test_id": self.test_id,
-            "parameters": self.parameters,
-            "sample_size": self.sample_size,
-            "passed": self.passed,
-            "statistics": self.statistics,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -393,6 +378,22 @@ def pu_match_test(
     )
 
 
+def decreasing_trend(xs, ys) -> tuple[Optional[float], float]:
+    """One-sided Spearman test that ys decrease along xs: (rho, p-value).
+
+    Equal ys (or equal xs) have no rank correlation: rho is then None (null
+    in JSON) with p = 1, and spearmanr is not called, so it prints no
+    warning.
+    """
+    from scipy.stats import spearmanr
+
+    if len(set(ys)) > 1 and len(set(xs)) > 1:
+        rho, pvalue = spearmanr(list(xs), list(ys), alternative="less")
+        return float(rho), float(pvalue)
+    # A constant input has no ranks to correlate, so no trend.
+    return None, 1.0
+
+
 def fig2_trend_test(
     taus,
     n: int,
@@ -413,30 +414,21 @@ def fig2_trend_test(
     N/2 - K >= sqrt(N). Closer to 1/2 the dynamics coarsen like the
     tau = 1/2 quench and the means can invert.
 
-    Needs at least three taus.  Equal means (or equal taus) have no rank
-    correlation: rho is then reported as None (null in JSON) with p = 1,
-    and spearmanr is not called, so it prints no warning.
+    Needs at least three taus.  Its runs are the sweep's: the cells of
+    SweepSpec(tau_grid=taus, w_grid=[w], n_grid=[n], p_grid=[0.5]), run
+    serially, give the per-run mean_M whose per-tau means decreasing_trend
+    tests.
     """
-    from scipy.stats import spearmanr
-
     _require_positive(replicates=replicates)
     if len(taus) < 3:
         raise ConfigError(f"the trend test needs at least three taus, got {len(taus)}")
-    means = []
-    for cell_idx, tau in enumerate(taus):
-        vals = []
-        for rep in range(replicates):
-            seed = derive_run_seed(base_seed, cell_idx, rep)
-            config = GridConfig(n=n, w=w, tau_tilde=float(tau), p=0.5, seed=seed, allow_small=True)
-            report = run_single(config, sample_size=sample_size, eps=eps)
-            vals.append(report.region_summary["mean_M"])
-        means.append(float(np.mean(vals)))
-    if len(set(means)) > 1 and len(set(taus)) > 1:
-        rho, pvalue = spearmanr(list(taus), means, alternative="less")
-        rho, pvalue = float(rho), float(pvalue)
-    else:
-        # A constant input has no ranks to correlate, so no trend.
-        rho, pvalue = None, 1.0
+    # Checked first, so a bad sample_size or eps gets the run's message, not the spec's.
+    RegionMeasure(sample_size=sample_size, eps=eps)
+    spec = SweepSpec(tau_grid=list(taus), w_grid=[w], n_grid=[n], p_grid=[0.5], replicates=replicates,
+                     base_seed=base_seed, sample_size=sample_size, eps=eps)
+    mean_M = [row["mean_M"] for _, _, row, _, _ in sweep_results(spec)]
+    means = [float(np.mean(mean_M[i:i + replicates])) for i in range(0, len(mean_M), replicates)]
+    rho, pvalue = decreasing_trend(taus, means)
     return StatTestReport(
         test_id="fig2_trend",
         parameters={

@@ -317,8 +317,13 @@ class GridState:
         return self._prefix_cache[1]
 
     def audit_consistent(self) -> bool:
-        """Test-mode invariant check: counts and eligibility re-derivable."""
-        expected = same_counts_bruteforce(self.types, self.config.w)
+        """Test-mode invariant check: counts and eligibility re-derivable.
+
+        The counts are recounted from a fresh prefix table, apart from the
+        flips_done-keyed plus_prefix cache and from box_same_counts."""
+        rows, cols = np.indices((self.n, self.n))
+        plus = TorusPrefix(self.types > 0).window(rows, cols, self.config.w)
+        expected = np.where(self.types > 0, plus, self.config.N - plus)
         if not np.array_equal(expected, self.same_count):
             return False
         mask = (self.same_count <= self.config.eligible_max_count).ravel()

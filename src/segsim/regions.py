@@ -35,7 +35,7 @@ counts component sizes without labelling cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -292,18 +292,7 @@ class RegionSummary:
     components: dict
 
     def to_dict(self) -> dict:
-        return {
-            "largest_plus": self.largest_plus,
-            "largest_minus": self.largest_minus,
-            "sample_size": self.sample_size,
-            "eps": self.eps,
-            "mean_M": self.mean_M,
-            "stderr_M": self.stderr_M,
-            "mean_Mprime": self.mean_Mprime,
-            "stderr_Mprime": self.stderr_Mprime,
-            "m_radius_histogram": self.m_radius_histogram,
-            "components": self.components,
-        }
+        return asdict(self)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

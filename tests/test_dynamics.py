@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import segsim
-from segsim import GridConfig, _kernels, cascade_closure, new_random, state_from_types, step
+from segsim import GridConfig, _kernels, cascade_closure, new_random, state_from_types
 from segsim.dynamics import RunLimits, lyapunov, run_to_termination
 from segsim.grid import apply_flip, same_counts_bruteforce, torus_window_ix
 from segsim.structures import RadicalSpec, is_expandable
@@ -24,27 +24,48 @@ def fresh(n, w, tau, seed, p=0.5):
     return new_random(cfg)
 
 
+ENGINES = pytest.mark.parametrize("use_numba", [False, True], ids=["python", "c"])
+
+
+def traced_run(state, seed, use_numba):
+    """The run to the end with a trace row and an audit entry at every flip."""
+    if use_numba:
+        require_c_kernel()
+    return run_to_termination(state, generator(seed, STREAM_DYNAMICS), RunLimits(record_interval=1),
+                              use_numba=use_numba, audit=True)
+
+
 class TestStep:
-    def test_all_plus_terminates_immediately(self):
+    @ENGINES
+    def test_all_plus_terminates_immediately(self, use_numba):
         state = fresh(12, 1, 0.5, 0, p=1.0)
-        assert step(state, generator(0)) is None
+        report = traced_run(state, 0, use_numba)
+        assert report.flips_total == 0 and report.audit.cells.size == 0
+        assert report.termination_reason == "NoEligibleAgents"
+        assert report.trace.tolist() == [[0, 0.0, 144 * 9, 0]]
         assert state.flips_done == 0
 
-    def test_single_minus_one_flip(self):
+    @ENGINES
+    def test_single_minus_one_flip(self, use_numba):
         cfg = GridConfig(n=12, w=1, tau_tilde=0.5, seed=0, allow_small=True)
         types = np.ones((12, 12), np.int8)
         types[4, 4] = -1
         state = state_from_types(cfg, types)
-        rng = generator(1)
-        ev = step(state, rng)
-        assert ev.agent == (4, 4)
-        assert step(state, rng) is None
+        report = traced_run(state, 1, use_numba)
+        assert report.audit.cells.tolist() == [4 * 12 + 4]
+        assert report.audit.pre_counts.tolist() == [1]
+        assert report.termination_reason == "NoEligibleAgents"
         assert state.flips_done == 1
+        assert (state.types == 1).all()
 
-    def test_checkerboard_static(self):
+    @ENGINES
+    def test_checkerboard_static(self, use_numba):
         cfg = GridConfig(n=12, w=1, tau_tilde=0.5, seed=0, allow_small=True)
         state = state_from_types(cfg, checkerboard(12))
-        assert step(state, generator(0)) is None
+        report = traced_run(state, 0, use_numba)
+        assert report.flips_total == 0
+        assert report.termination_reason == "NoEligibleAgents"
+        assert np.array_equal(state.types, checkerboard(12))
 
 
 class TestLyapunov:
@@ -57,16 +78,24 @@ class TestLyapunov:
         state = state_from_types(cfg, checkerboard(8))
         assert lyapunov(state) == 64 * 5
 
-    def test_strict_increase_per_flip(self):
+    @ENGINES
+    def test_strict_increase_per_flip(self, use_numba):
         state = fresh(16, 1, 0.45, 3)
-        cfg = state.config
-        rng = generator(2)
-        while True:
-            phi = lyapunov(state)
-            ev = step(state, rng)
-            if ev is None:
-                break
-            assert lyapunov(state) - phi == 2 * (cfg.N - 2 * ev.pre_count + 1) > 0
+        replay = state.copy()
+        N = state.config.N
+        report = traced_run(state, 2, use_numba)
+        ks = report.audit.pre_counts.astype(np.int64)
+        phi = report.trace[:, 2].astype(np.int64)
+        assert report.flips_total == ks.size == phi.size - 1 > 0
+        assert (np.diff(phi) == 2 * (N - 2 * ks + 1)).all() and (np.diff(phi) > 0).all()
+        # The trace's Lyapunov and eligible columns and the audit's pre-flip
+        # counts agree with the same flips made one by one.
+        assert phi[0] == lyapunov(replay)
+        m_after = report.trace[1:, 3].tolist()
+        for cell, k, phi_i, m_i in zip(report.audit.cells.tolist(), ks.tolist(), phi[1:].tolist(), m_after):
+            ev = apply_flip(replay, divmod(cell, replay.n))
+            assert (ev.pre_count, lyapunov(replay), replay.elig_count) == (k, phi_i, m_i)
+        assert np.array_equal(replay.types, state.types) and replay.audit_consistent()
 
 
 class TestRunToTermination:
@@ -205,20 +234,18 @@ class TestRunToTermination:
         assert (np.diff(trace[:, 0]) > 0).all()
         assert (np.diff(trace[:, 2]) > 0).all()
 
-    def test_continuous_time_matches_rates_in_aggregate(self):
-        # Sum of exponential(1/m_i) increments concentrates around sum 1/m_i.
+    @ENGINES
+    def test_continuous_time_matches_rates_in_aggregate(self, use_numba):
+        # Sum of exponential(1/m_i) increments concentrates around sum 1/m_i,
+        # m_i the eligible count before flip i (the trace row before it).
         state = fresh(48, 1, 0.49, 19)
-        rng = generator(19, STREAM_DYNAMICS)
-        expected = 0.0
-        var = 0.0
-        while True:
-            m = state.elig_count
-            if m == 0:
-                break
-            expected += 1.0 / m
-            var += 1.0 / m**2
-            step(state, rng)
-        assert abs(state.time - expected) < 6 * np.sqrt(var)
+        report = traced_run(state, 19, use_numba)
+        m_pre = report.trace[:-1, 3]
+        assert report.trace[-1, 3] == 0 and (m_pre > 0).all()
+        expected = float((1.0 / m_pre).sum())
+        var = float((1.0 / m_pre**2).sum())
+        assert report.continuous_time_final == state.time == report.trace[-1, 1]
+        assert abs(report.continuous_time_final - expected) < 6 * np.sqrt(var)
 
     def test_report_json_field_names(self):
         state = fresh(16, 1, 0.45, 1)

@@ -1,8 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import segsim
 
 from segsim.experiments import (
     SWEEP_CSV_COLUMNS,
@@ -202,3 +209,38 @@ class TestFig2Trend:
         assert r.test_id == "fig2_trend"
         assert len(r.statistics["means"]) == 3
         assert 0.0 <= r.statistics["p_value"] <= 1.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_means_are_the_sweeps(self, tmp_path, jobs):
+        taus = [0.36, 0.40, 0.44]
+        r = fig2_trend_test(taus, n=32, w=1, replicates=2, base_seed=3, sample_size=16)
+        spec = SweepSpec(tau_grid=taus, w_grid=[1], n_grid=[32], p_grid=[0.5], replicates=2,
+                         base_seed=3, jobs=jobs, sample_size=16, out_dir=str(tmp_path))
+        with open(run_sweep(spec), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for tau, mean in zip(taus, r.statistics["means"]):
+            vals = [float(row["mean_M"]) for row in rows if float(row["tau_tilde"]) == tau]
+            assert len(vals) == 2
+            assert mean == float(np.mean(vals))
+
+    @pytest.mark.parametrize("measure, message", [({"sample_size": -3}, "sample_size must be >= 0, got -3"),
+                                                  ({"eps": 0.7}, "eps must be in (0, 1/2), got 0.7")])
+    def test_bad_measure_gets_the_runs_message(self, measure, message):
+        with pytest.raises(ValueError) as exc:
+            fig2_trend_test((0.36, 0.40, 0.44), n=32, w=1, replicates=1, base_seed=3, **measure)
+        assert str(exc.value) == message
+
+    def test_script_reports_constant_means_as_undefined(self, tmp_path):
+        # n = 3 caps every region at the whole torus and every agent starts
+        # happy, so every mean is 1: no ranks to correlate.
+        script = Path(__file__).resolve().parents[1] / "scripts" / "intolerance_sweep.py"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(segsim.__file__))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", str(script), "--n", "3", "--w", "1", "--taus", "0.1,0.15,0.2",
+             "--replicates", "1", "--sample-size", "8", "--base-seed", "0", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert "rho=undefined" in proc.stdout and "p=1.0000" in proc.stdout
+        assert "nan" not in proc.stdout
