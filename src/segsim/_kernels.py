@@ -19,16 +19,21 @@ removing as it goes and buffering the appends (the proof is in the C
 comment).  The int16 counts need N = (2w+1)^2 <= 32767, that is w <= 90.
 
 The region kernels are the two steps of regions.py.  One radius pass gives
-every center two radii: r(c), the largest single-type radius, and q(c),
-the largest radius whose minority count is within an integer table of the
+every center two radii: r(c), the largest single-type radius, and q(c), the
+largest radius whose minority count is within an integer table of the
 largest passing count per radius; at the ratio test's table q(c) is the
 largest almost-monochromatic radius, and at the all-zero table q = r.
-Along each row the pass climbs single-type windows center by center and
-then reads the remaining windows grouped by level, so the reads of one
-level share two table rows.  The own-radius dilation turns r into M and q
-into M'.  The radius pass reads the state's one
-(n+1) x (n+1) prefix table of the +1 grid (grid.TorusPrefix) and reaches
-wrapping windows through the table's periodic extension.  They do integer
+Along each row the pass climbs single-type windows center by center, then
+tries the top of the left neighbor's passing run and the level below it,
+climbs on from a level that passes (a passing level certifies that q is at
+least that high) while levels pass, and reads the remaining windows grouped
+by level, so the reads of one level share two table rows.  The own-radius
+dilation turns r into M and q into M', each line unrolled by the map's
+maximum.  The radius pass reads the state's one (n+1) x (n+1) prefix table
+of the +1 grid (grid.TorusPrefix), which the prefix-table kernel builds,
+and reaches wrapping windows through the table's periodic extension.  The
+summary's auxiliary statistic, the largest 4-connected torus component of
+each type, is one union-find pass over both types.  They do integer
 arithmetic only.
 
 The passage-time kernel is a Dijkstra on the implicit 4-neighbour grid with
@@ -47,8 +52,9 @@ that cannot be written.  The library's file name is a sha256 of the source,
 the flags and the machine type, and it is written through a temp file and
 ``os.replace``, so concurrent processes never load a half-written file and
 later runs only hash, stat and load.  Without gcc, or when the build or
-load fails, ``run_chunk``, ``radius_pass``, ``dilate`` and ``passage_time``
-are None, ``load_error`` says why, and the reference code runs instead.
+load fails, ``run_chunk``, ``radius_pass``, ``dilate``, ``prefix_table``,
+``largest_components`` and ``passage_time`` are None, ``load_error`` says
+why, and the reference code runs instead.
 """
 
 from __future__ import annotations
@@ -382,24 +388,44 @@ static inline void after_read(const int64_t *bound, const int32_t *first, int64_
    It climbs while the window is single-type, from the left neighbor's r
    minus one (the radius-(rho-1) window at (i, j) lies inside the radius-rho
    window at (i, j-1)); it stops at r(c), and every level up to r(c) has
-   minority 0 and passes.  It goes on from the count at which the climb
-   stopped (after_read), so no window is read twice, and jumps over every
-   level whose bound is below the count just read, through the table first
-   of the first level whose bound reaches each count; q(c) is the largest
-   read level that passes.
+   minority 0 and passes.  Then it guesses from the left neighbor, with
+   h = h(j-1) the top of the left neighbor's inline run (below; 0 at j = 0).
+   When h > r + 2 it reads level h and starts there when h passes (a guess
+   at r + 2 could skip only the read of r + 1 that it costs).  When h fails
+   and h - 1 > r + 1, it reads level h - 1; when that passes, q(c) is at
+   least h - 1 and the scan goes on from level h, already read and failed.
+   Otherwise it starts at r + 1, whose count the climb has just read.
+   From its start it climbs inline while levels pass, and h(j) is the last
+   passing level of that run: r(c) when its first level fails, h - 1 after
+   the second guess, R when r(c) = R or the run reaches R.  At the first
+   level L that fails, with count m, the scan goes on from m (after_read):
+   it jumps over every level whose bound is below m, through the table
+   first of the first level whose bound reaches each count, so no window
+   is read twice.  q(c) is the largest read level that passes.
 
-   The climb runs along the row, center by center.  The rest of the scan is
+   That is q(c) = max{ rho : minority(c, rho) <= bound[rho] }, because every
+   level the scan does not read either lies below a read level that passes,
+   so it cannot be the maximum, or fails.  The levels up to r(c) lie at or
+   below r(c), which passes; those between r + 1 and a passing guess lie
+   below that guess.  Failed guesses skip nothing: the scan goes on from
+   r + 1 as without them.  A level jumped over after a read with count m
+   has bound < m <= its own count, since counts never fall as rho grows, so
+   it fails.  A guess is a read like any other, so it can certify that
+   q(c) is at least its level but never record a level that fails.
+
+   The climbs run along the row, center by center.  The rest of the scan is
    grouped by level: a center whose next read is at level L waits in bucket
    L of its row, and the buckets drain in increasing L; each read files the
    center into the bucket of its next level, which lies above L, so it is
    drained later in the same sweep.  Every read of bucket L is then a window
    of rows [i - L, i + L + 1): the same two table rows and Col, whose strip
    is built once per bucket, where a scan center by center jumps between
-   rows far apart.  The grouping cannot change the maps: which levels a
-   center reads and what it records depend only on the table, bound and the
-   counts of its own windows, never on another center's reads, so grouping
-   reorders reads across centers only.  Each center reads exactly the
-   levels of its own scan, in the same order, and gets the same q. */
+   rows far apart.  The grouping cannot change the maps.  Which levels a
+   center reads depends on the table, bound, the counts of its own windows
+   and the left neighbor's h, which is itself a function of the table and
+   bound alone (the inline pass of a row runs before its buckets drain), so
+   grouping reorders reads across centers only, and whatever the reads, the
+   maximum they find is q(c) by the argument above. */
 int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
                            int32_t *r_out, int32_t *q_out)
 {
@@ -424,17 +450,41 @@ int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
         int32_t *r_row = r_out + i * n, *q_row = q_out + i * n;
         for (int64_t L = 0; L <= R; L++)
             head[L] = -1;
-        int64_t r = 0;
+        int64_t r = 0, h = 0;
         for (int64_t j = 0; j < n; j++) {
             if (r > 0)
                 r--;
-            int64_t minority = 0;
-            while (r < R && (minority = window_minority(sat, n, i, j, r + 1)) == 0)
+            int64_t m = 0;
+            while (r < R && (m = window_minority(sat, n, i, j, r + 1)) == 0)
                 r++;
             r_row[j] = q_row[j] = (int32_t)r;
-            /* Below R, minority is now the count at level r + 1. */
-            if (r < R)
-                after_read(bound, first, R, r + 1, minority, j, q_row, head, link);
+            if (r == R) {
+                h = R;
+                continue;
+            }
+            /* m is the count at level L = r + 1, until a guess passes. */
+            int64_t L = r + 1;
+            if (h > L + 1) {
+                const int64_t mh = window_minority(sat, n, i, j, h);
+                if (mh <= bound[h]) {
+                    L = h;
+                    m = mh;
+                } else if (h - 1 > L) {
+                    const int64_t mg = window_minority(sat, n, i, j, h - 1);
+                    if (mg <= bound[h - 1]) {
+                        q_row[j] = (int32_t)(h - 1);
+                        L = h;
+                        m = mh;
+                    }
+                }
+            }
+            while (m <= bound[L] && L < R) {
+                q_row[j] = (int32_t)L;
+                L++;
+                m = window_minority(sat, n, i, j, L);
+            }
+            h = m <= bound[L] ? L : L - 1;
+            after_read(bound, first, R, L, m, j, q_row, head, link);
         }
         for (int64_t L = 0; L <= R; L++) {
             if (head[L] < 0)
@@ -453,16 +503,18 @@ int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
 }
 
 /* One cyclic line: out[j] = max{ x[b] : cyclic |j - b| <= x[b] } for
-   0 <= x <= R = (n-1)/2.  Two monotone-deque passes over the line unrolled
-   by R on each side, one for centers at or left of j and one for centers at
-   or right of j.  A center makes every earlier one of no larger value
-   redundant, so the deque holds decreasing values and its head is the
-   largest value still reaching j.  reach and val hold n + R entries. */
-static void dilate_line(const int32_t *x, int32_t *out, int64_t n, int64_t *reach, int32_t *val)
+   0 <= x <= vmax <= (n-1)/2.  Two monotone-deque passes over the line
+   unrolled by vmax on each side, one for centers at or left of j and one
+   for centers at or right of j; a center reaches no further than its own
+   value, so no center beyond vmax of the line's ends reaches into it.  A
+   center makes every earlier one of no larger value redundant, so the
+   deque holds decreasing values and its head is the largest value still
+   reaching j.  reach and val hold n + vmax entries. */
+static void dilate_line(const int32_t *x, int32_t *out, int64_t n, int64_t vmax, int64_t *reach,
+                        int32_t *val)
 {
-    const int64_t R = (n - 1) / 2;
     int64_t head = 0, tail = 0;
-    for (int64_t p = -R; p < n; p++) {
+    for (int64_t p = -vmax; p < n; p++) {
         int32_t v = x[p < 0 ? p + n : p];
         while (tail > head && val[tail - 1] <= v)
             tail--;
@@ -475,7 +527,7 @@ static void dilate_line(const int32_t *x, int32_t *out, int64_t n, int64_t *reac
         out[p] = val[head];
     }
     head = tail = 0;
-    for (int64_t p = n - 1 + R; p >= 0; p--) {
+    for (int64_t p = n - 1 + vmax; p >= 0; p--) {
         int32_t v = x[p >= n ? p - n : p];
         while (tail > head && val[tail - 1] <= v)
             tail--;
@@ -494,13 +546,16 @@ static void dilate_line(const int32_t *x, int32_t *out, int64_t n, int64_t *reac
    n x n torus, 0 <= v <= (n-1)/2.  The distance bound splits into a row
    bound and a column bound, and the largest value reaching (a, j) along row
    a is itself a value whose own radius reaches (a, j), so one line pass over
-   the rows and one over the columns give the map.  Returns -1 when the
-   line buffers cannot be allocated. */
+   the rows and one over the columns give the map.  The row pass's output
+   takes values of v only, so both passes unroll by the map's maximum.
+   Returns -1 when the line buffers cannot be allocated. */
 int64_t segsim_dilate(const int32_t *v, int64_t n, int32_t *out)
 {
-    const int64_t R = (n - 1) / 2;
-    int64_t *reach = malloc((size_t)(n + R) * sizeof *reach);
-    int32_t *val = malloc((size_t)(n + R) * sizeof *val);
+    int64_t vmax = 0;
+    for (int64_t u = 0; u < n * n; u++)
+        vmax = v[u] > vmax ? v[u] : vmax;
+    int64_t *reach = malloc((size_t)(n + vmax) * sizeof *reach);
+    int32_t *val = malloc((size_t)(n + vmax) * sizeof *val);
     int32_t *line = malloc((size_t)(2 * n) * sizeof *line);
     if (reach == NULL || val == NULL || line == NULL) {
         free(reach);
@@ -509,17 +564,104 @@ int64_t segsim_dilate(const int32_t *v, int64_t n, int32_t *out)
         return -1;
     }
     for (int64_t i = 0; i < n; i++)
-        dilate_line(v + i * n, out + i * n, n, reach, val);
+        dilate_line(v + i * n, out + i * n, n, vmax, reach, val);
     for (int64_t j = 0; j < n; j++) {
         for (int64_t i = 0; i < n; i++)
             line[i] = out[i * n + j];
-        dilate_line(line, line + n, n, reach, val);
+        dilate_line(line, line + n, n, vmax, reach, val);
         for (int64_t i = 0; i < n; i++)
             out[i * n + j] = line[n + i];
     }
     free(reach);
     free(val);
     free(line);
+    return 0;
+}
+
+/* The (n+1) x (n+1) summed-area table of an n x n 0/1 grid: sat[i][j]
+   sums rows [0, i) and columns [0, j).  Row i + 1 is row i plus the
+   running sum along grid row i. */
+void segsim_prefix_table(const uint8_t *plus, int64_t n, int64_t *sat)
+{
+    const int64_t s = n + 1;
+    memset(sat, 0, (size_t)s * sizeof *sat);
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *row = plus + i * n;
+        const int64_t *up = sat + i * s;
+        int64_t *cur = sat + (i + 1) * s, run = 0;
+        cur[0] = 0;
+        for (int64_t j = 0; j < n; j++) {
+            run += row[j];
+            cur[j + 1] = up[j + 1] + run;
+        }
+    }
+}
+
+/* Union-find root of v, halving the path on the way: parent[v] >= 0 is
+   v's parent, and a root holds minus its component's size. */
+static inline int32_t uf_root(int32_t *parent, int32_t v)
+{
+    while (parent[v] >= 0) {
+        if (parent[parent[v]] >= 0)
+            parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    return v;
+}
+
+static inline void uf_join(int32_t *parent, int32_t a, int32_t b)
+{
+    a = uf_root(parent, a);
+    b = uf_root(parent, b);
+    if (a == b)
+        return;
+    if (parent[a] > parent[b]) { /* the larger tree keeps its root */
+        const int32_t t = a;
+        a = b;
+        b = t;
+    }
+    parent[a] += parent[b];
+    parent[b] = a;
+}
+
+/* The cell counts of the largest 4-connected component of +1 cells and of
+   -1 cells on the n x n torus, into out[0] and out[1] (0 for a type that
+   is absent).  types holds +1 and -1 only, and n^2 < 2^31.  Every cell is
+   joined to its right and lower neighbor, across the seams, when they share
+   its type; those pairs are all the 4-adjacent pairs of the torus, so the
+   union-find sets are the components.  Returns -1 when the union-find
+   array cannot be allocated and -2 on a type other than +1 and -1. */
+int64_t segsim_largest_components(const int8_t *types, int64_t n, int64_t *out)
+{
+    const int64_t nn = n * n;
+    int32_t *parent = malloc((size_t)nn * sizeof *parent);
+    if (parent == NULL)
+        return -1;
+    for (int64_t v = 0; v < nn; v++)
+        parent[v] = -1;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t below = i + 1 < n ? (i + 1) * n : 0;
+        for (int64_t j = 0; j < n; j++) {
+            const int64_t v = i * n + j, right = j + 1 < n ? v + 1 : i * n;
+            if (types[v] != 1 && types[v] != -1) {
+                free(parent);
+                return -2;
+            }
+            if (types[right] == types[v])
+                uf_join(parent, (int32_t)v, (int32_t)right);
+            if (types[below + j] == types[v])
+                uf_join(parent, (int32_t)v, (int32_t)(below + j));
+        }
+    }
+    out[0] = out[1] = 0;
+    for (int64_t v = 0; v < nn; v++) {
+        if (parent[v] < 0) {
+            int64_t *best = out + (types[v] < 0);
+            if (-parent[v] > *best)
+                *best = -parent[v];
+        }
+    }
+    free(parent);
     return 0;
 }
 
@@ -668,6 +810,8 @@ _SIGNATURES = {
     "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _arr(np.int32)],
                            _I64),
     "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
+    "segsim_prefix_table": ([_arr(np.uint8), _I64, _arr(np.int64)], None),
+    "segsim_largest_components": ([_arr(np.int8), _I64, _arr(np.int64)], _I64),
     "segsim_passage_time": ([_arr(np.float64), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64),
                              _I64, _arr(np.float64)], _I64),
 }
@@ -820,6 +964,42 @@ def _wrap_dilate(fn):
     return dilate
 
 
+def _wrap_prefix_table(fn):
+    def prefix_table(plus):
+        """The (n+1) x (n+1) int64 summed-area table of an n x n uint8 0/1
+        grid (grid.TorusPrefix.sat): entry [i, j] sums rows [0, i) and
+        columns [0, j)."""
+        n = plus.shape[0]
+        if plus.dtype != np.uint8 or plus.shape != (n, n):
+            raise ValueError("the grid must be a square uint8 array")
+        sat = np.empty((n + 1, n + 1), dtype=np.int64)
+        fn(np.ascontiguousarray(plus), n, sat)
+        return sat
+
+    return prefix_table
+
+
+def _wrap_largest_components(fn):
+    def largest_components(types):
+        """(largest_plus, largest_minus): the cell counts of the largest
+        4-connected component of each type on the n x n torus of +1/-1 int8
+        types, 0 for an absent type."""
+        n = types.shape[0]
+        if types.dtype != np.int8 or types.shape != (n, n):
+            raise ValueError("the types must be a square int8 array")
+        if n * n >= 2**31:
+            raise ValueError("the torus must hold fewer than 2^31 cells")
+        out = np.zeros(2, dtype=np.int64)
+        status = fn(np.ascontiguousarray(types), n, out)
+        if status == -1:
+            raise MemoryError("union-find array for the components")
+        if status != 0:
+            raise ValueError("types must be +1 or -1")
+        return int(out[0]), int(out[1])
+
+    return largest_components
+
+
 def _wrap_passage_time(fn):
     def passage_time(weights, sources, targets):
         """The minimum over 4-neighbour paths of the h x wd float64 site
@@ -849,6 +1029,8 @@ _WRAPPERS = {
     "run_chunk": ("segsim_run_chunk", _wrap_run_chunk),
     "radius_pass": ("segsim_radius_pass", _wrap_radius_pass),
     "dilate": ("segsim_dilate", _wrap_dilate),
+    "prefix_table": ("segsim_prefix_table", _wrap_prefix_table),
+    "largest_components": ("segsim_largest_components", _wrap_largest_components),
     "passage_time": ("segsim_passage_time", _wrap_passage_time),
 }
 

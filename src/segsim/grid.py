@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import INT16_MAX
 from .rng import RNG_ID, STREAM_INIT, generator, normalize_seed
 
@@ -187,14 +188,20 @@ class TorusPrefix:
     by GridState.plus_prefix); wrapping rectangles are decomposed into at
     most four non-wrapping pieces.  All query arguments may be numpy arrays.
     sat is the (n+1) x (n+1) int64 table: sat[i, j] sums rows [0, i), cols
-    [0, j).
+    [0, j).  plus is an n x n 0/1 array of any dtype; the table is built in
+    the compiled library of _kernels when it loads, and otherwise by the
+    numpy double cumsum, its reference.
     """
 
     def __init__(self, plus: np.ndarray):
         n = plus.shape[0]
         self.n = n
+        mask = np.ascontiguousarray(plus, dtype=bool)
+        if _kernels.prefix_table is not None:
+            self.sat = _kernels.prefix_table(mask.view(np.uint8))
+            return
         self.sat = np.zeros((n + 1, n + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(plus.astype(np.int64), axis=0), axis=1, out=self.sat[1:, 1:])
+        np.cumsum(np.cumsum(mask, axis=0, dtype=np.int64), axis=1, out=self.sat[1:, 1:])
 
     def _rect_nowrap(self, r0, c0, h, w):
         s = self.sat

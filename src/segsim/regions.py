@@ -16,26 +16,29 @@ until the next flip, and gives every center two radii in one call: r(c),
 and the largest radius whose minority count is within an integer table of
 the largest passing count per radius (_minority_bound).  At threshold
 exp(-N^eps) that is q(c); at threshold 0 the table is all zeros and it is
-r(c) again.  The compiled pass reads the windows past the single-type
-climb grouped by level, row by row; each center still reads exactly the
-levels of its own scan.  The own-radius dilation then gives M from r and
-M' from q, and compute_region_summary makes one pass for both.  Both steps
-run in the compiled library of _kernels when it loads; the numpy code here
-is the bit-identical reference and runs when it does not.  For one agent,
-mono_region_of reads M(u) off the r map (running a full radius pass when
-none is given), and almost_mono_radius_of finds M'(u) by direct search
-over radii and centers.
+r(c) again.  The compiled pass starts each center's q scan at the top of
+its left neighbor's passing run, or the level below it, when that level
+passes (q is the largest passing level, so nothing below it is read),
+climbs while levels pass, and reads the rest grouped by level, row by row.  The
+own-radius dilation then gives M from r and M' from q, and
+compute_region_summary makes one pass for both.  Both steps, and the
+prefix table itself, run in the compiled library of _kernels when it
+loads; the numpy code here is the bit-identical reference and runs when it
+does not.  For one agent, mono_region_of reads M(u) off the r map (running
+a full radius pass when none is given), and almost_mono_radius_of finds
+M'(u) by direct search over radii and centers.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
 cluster measure, not a square-region measure, and is labeled as such.  Only
-the size of the largest component per type is reported, so the summary
-counts component sizes without labelling cells.
+the size of the largest component per type is reported: the compiled
+library counts both types in one union-find pass, and
+unionfind.component_sizes is the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -292,7 +295,19 @@ class RegionSummary:
     components: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _largest_components(types: np.ndarray) -> tuple[int, int]:
+    """Cell counts of the largest 4-connected torus component of +1 cells
+    and of -1 cells, 0 for an absent type.
+
+    numpy reference: the largest of component_sizes per type.
+    """
+    if _kernels.largest_components is not None:
+        return _kernels.largest_components(types)
+    plus, minus = (component_sizes(types == t, adjacency=4, torus=True).max(initial=0) for t in (1, -1))
+    return int(plus), int(minus)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -313,7 +328,11 @@ def compute_region_summary(
     plus the global argmax center, drawn from the state's seed; the sampled
     values are read from the exact all-agent maps, the dilations of r and q
     from one radius pass (mono_radius_all, and almost_mono_radius_map
-    without its own pass).  M values are region sizes (cell counts).
+    without its own pass).  M values are region sizes (cell counts).  The
+    radius pass reads the state's cached prefix table, and the components
+    entry holds the largest 4-connected torus component per type
+    (_largest_components).  Every step has a compiled kernel and a numpy
+    reference that give the same bytes.
     """
     _check_measure(sample_size, eps)
     n = state.n
@@ -342,10 +361,9 @@ def compute_region_summary(
         vals, counts = np.unique(m_radii, return_counts=True)
         hist = {int(v): int(c) for v, c in zip(vals, counts)}
 
-    components = {"note": "auxiliary cluster statistic (4-adjacent components), not a square-region measure"}
-    for tname, tval in (("plus", 1), ("minus", -1)):
-        sizes = component_sizes(state.types == tval, adjacency=4, torus=True)
-        components[f"largest_{tname}"] = int(sizes.max(initial=0))
+    plus, minus = _largest_components(state.types)
+    components = {"note": "auxiliary cluster statistic (4-adjacent components), not a square-region measure",
+                  "largest_plus": plus, "largest_minus": minus}
 
     return RegionSummary(
         largest_plus=largest["plus"],

@@ -335,6 +335,29 @@ class TestRectCounts:
         assert prefix.rect(r0, c0, h, w_) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 64])
+def test_prefix_kernel_matches_numpy_cumsum(n, monkeypatch):
+    """TorusPrefix's table from the compiled kernel equals the numpy double
+    cumsum, its reference, and a plain cumsum of the 0/1 grid: random,
+    all-True and all-False masks, and non-contiguous and non-bool inputs."""
+    if segsim._kernels.prefix_table is None:
+        pytest.skip(segsim._kernels.load_error)
+    rng = generator(500 + n)
+    masks = [rng.random((n, n)) < p for p in (0.2, 0.5, 0.8)]
+    masks += [np.ones((n, n), bool), np.zeros((n, n), bool)]
+    wide = rng.random((2 * n, 2 * n)) < 0.5
+    inputs = masks + [wide[::2, 1::2], wide[:n, n:], masks[1].T,
+                      masks[1].astype(np.int8), masks[1].astype(np.float64)]
+    with_c = [TorusPrefix(x).sat for x in inputs]
+    monkeypatch.setattr(segsim._kernels, "prefix_table", None)
+    for x, sat in zip(inputs, with_c):
+        ref = TorusPrefix(x).sat
+        assert sat.dtype == ref.dtype == np.int64 and sat.shape == (n + 1, n + 1)
+        assert np.array_equal(sat, ref)
+        assert not ref[0].any() and not ref[:, 0].any()
+        assert np.array_equal(ref[1:, 1:], np.asarray(x, dtype=np.int64).cumsum(0).cumsum(1))
+
+
 def test_box_same_counts_matches_oracle():
     rng = generator(77)
     types = np.where(rng.random((11, 11)) < 0.5, 1, -1).astype(np.int8)

@@ -1,8 +1,9 @@
 """The compiled C kernels: warning-free source, build cache, argument
 checks, a sanitizer run, and bit-equality of the flip kernel with the python
 reference executor, chunk by chunk and on edge cases (the region kernels
-are compared with their numpy reference in test_regions.py, the passage-time
-kernel with csgraph in test_percolation.py)."""
+are compared with their numpy reference in test_regions.py, the prefix
+table in test_grid.py, the component counts in test_unionfind.py, the
+passage-time kernel with csgraph in test_percolation.py)."""
 
 import dataclasses
 import inspect
@@ -149,6 +150,29 @@ def test_region_wrappers_reject_bad_tables():
             _kernels.dilate(v)
 
 
+def test_summary_kernel_wrappers_reject_bad_arguments():
+    if _kernels.prefix_table is None:
+        pytest.skip(_kernels.load_error)
+    plus = np.eye(4, dtype=np.uint8)
+    assert np.array_equal(_kernels.prefix_table(plus)[1:, 1:], plus.cumsum(0).cumsum(1))
+    for bad in (plus.astype(bool), plus.astype(np.int64), plus[:, :-1], np.zeros(4, np.uint8)):
+        with pytest.raises(ValueError, match="square uint8"):
+            _kernels.prefix_table(bad)
+    types = np.where(np.eye(4, dtype=bool), 1, -1).astype(np.int8)
+    assert _kernels.largest_components(types) == (1, 12)
+    for bad in (types.astype(np.int16), types[:, :-1], types.ravel()):
+        with pytest.raises(ValueError, match="square int8"):
+            _kernels.largest_components(bad)
+    for value in (0, 2, -128):
+        bad = types.copy()
+        bad[3, 2] = value
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            _kernels.largest_components(bad)
+    # A broadcast view: the shape alone is rejected, before any copy is made.
+    with pytest.raises(ValueError, match="2\\^31"):
+        _kernels.largest_components(np.broadcast_to(np.int8(1), (46341, 46341)))
+
+
 def test_region_wrappers_raise_memory_error_when_c_cannot_allocate():
     n = 9
     with pytest.raises(MemoryError, match="radius pass"):
@@ -156,6 +180,8 @@ def test_region_wrappers_raise_memory_error_when_c_cannot_allocate():
                                                      np.zeros(5, np.int64))
     with pytest.raises(MemoryError, match="dilation"):
         _kernels._wrap_dilate(lambda *args: -1)(np.zeros((n, n), np.int32))
+    with pytest.raises(MemoryError, match="union-find"):
+        _kernels._wrap_largest_components(lambda *args: -1)(np.ones((n, n), np.int8))
 
 
 def test_passage_time_wrapper_rejects_bad_arguments():
@@ -179,12 +205,13 @@ def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
 
 
 # Runs in a child process against a sanitizer build of C_SOURCE (argv[1]):
-# the flip kernel on the shapes of EDGE_CASES (argv[2]), both region kernels
-# and the passage-time kernel on edge inputs, each compared with the
-# python/numpy/csgraph reference.  The radius pass runs at the zero table
-# and at the ratio test's tables, on tori down to n = 3 and on n = 2w+1; the
-# passage time on 1 x n and n x 1 strips and on lattices where every site
-# but one is a source.
+# the flip kernel on the shapes of EDGE_CASES (argv[2]), the region and
+# summary kernels and the passage-time kernel on edge inputs, each compared
+# with the python/numpy/csgraph reference.  The radius pass runs at the zero
+# table and at the ratio test's tables, on tori down to n = 3 and on n =
+# 2w+1; the prefix table and the component counts on the same edge tori;
+# the passage time on 1 x n and n x 1 strips and on lattices where every
+# site but one is a source.
 SANITIZED_RUN = r"""
 import json
 import math
@@ -192,7 +219,8 @@ import sys
 
 import numpy as np
 
-from segsim import GridConfig, _kernels, dynamics, new_random, percolation, regions, state_from_types
+from segsim import (GridConfig, _kernels, dynamics, new_random, percolation, regions, state_from_types,
+                    unionfind)
 from segsim.dynamics import RunLimits, run_to_termination
 from segsim.rng import STREAM_DYNAMICS, generator
 
@@ -200,7 +228,19 @@ _kernels._library_path = lambda: sys.argv[1]
 _kernels._resolve()
 assert _kernels.load_error is None, _kernels.load_error
 kernels = (_kernels.radius_pass, _kernels.dilate)
+prefix_table, largest_components = _kernels.prefix_table, _kernels.largest_components
 passage_time = _kernels.passage_time
+
+
+# The summary's prefix table and component counts against numpy.
+def assert_summary_kernels_agree(types):
+    n = types.shape[0]
+    plus = types > 0
+    want = np.zeros((n + 1, n + 1), np.int64)
+    want[1:, 1:] = plus.astype(np.int64).cumsum(0).cumsum(1)
+    assert np.array_equal(prefix_table(plus.view(np.uint8)), want), n
+    sizes = [unionfind.component_sizes(types == t, 4, True).max(initial=0) for t in (1, -1)]
+    assert largest_components(types) == tuple(int(x) for x in sizes), n
 
 
 # (r, q, M, M') from one pass at the zero table, then from one at eps's.
@@ -244,6 +284,7 @@ for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
     island[n // 2 - 1:n // 2 + 2, n // 2 - 1:n // 2 + 2] = 1
     for types in (np.ones((n, n), np.int8), speck, corner, far, island, new_random(cfg).types,
                   done.types):
+        assert_summary_kernels_agree(types)
         state = state_from_types(cfg, types)
         for eps in (0.1, 0.25, 0.4):
             assert_region_maps_agree(state, eps)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -475,17 +476,84 @@ def test_minority_bound_is_the_passing_prefix(N, eps):
         assert np.array_equal(passing, np.arange(b + 1))
 
 
+def oracle_radii_at(types, c, threshold):
+    """(r, q) at one center from its own windows: the torus is rolled so that
+    c sits at (R, R), where every window of radius <= R is a plain slice,
+    and the windows are counted from a plain 2-D cumsum of that copy."""
+    n = types.shape[0]
+    R = (n - 1) // 2
+    plus = np.roll(types > 0, (R - c[0], R - c[1]), axis=(0, 1)).astype(np.int64)
+    S = np.zeros((n + 1, n + 1), np.int64)
+    S[1:, 1:] = plus.cumsum(0).cumsum(1)
+    r = q = 0
+    for rho in range(R + 1):
+        a, b = R - rho, R + rho + 1
+        count = int(S[b, b] - S[a, b] - S[b, a] + S[a, a])
+        minority = min(count, (2 * rho + 1) ** 2 - count)
+        if minority == 0:
+            r = rho
+        if minority <= threshold * ((2 * rho + 1) ** 2 - minority):
+            q = rho
+    return r, q
+
+
+@functools.lru_cache(maxsize=None)
+def guess_states():
+    """Terminated states at tau = 0.42 on which q drops by more than 1 from
+    one column to the next at 1-11 % of the cells for eps 0.1-0.25, with
+    the number of such cells to check against the oracle (None: all)."""
+    out = []
+    for n, w, seed, checked in ((64, 2, 3, None), (400, 10, 7, 150)):
+        cfg = GridConfig(n=n, w=w, tau_tilde=0.42, seed=seed, allow_small=True)
+        state = new_random(cfg)
+        run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS))
+        out.append((state, checked))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
+def test_radius_pass_where_the_left_guess_can_fail(eps, monkeypatch):
+    """The compiled pass starts a center's q scan at its left neighbor's
+    level when that level passes there.  Where q drops by more than 1 from
+    one column to the next, the guess can fail; such cells exist in these
+    grids (at eps = 0.4 only at n = 64, where q differs from r), and there
+    r and q equal the numpy pass (everywhere) and a per-center oracle."""
+    if _kernels.radius_pass is None:
+        pytest.skip(_kernels.load_error)
+    found = 0
+    for state, checked in guess_states():
+        n, threshold = state.n, math.exp(-(state.config.N**eps))
+        prefix, bound = state.plus_prefix(), _minority_bound(threshold, max_region_radius(state.n))
+        r, q = _radius_pass(prefix, bound)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "radius_pass", None)
+            r_ref, q_ref = _radius_pass(prefix, bound)
+        assert np.array_equal(r, r_ref) and np.array_equal(q, q_ref)
+        rows, cols = np.nonzero(q[:, 1:] < q[:, :-1] - 1)
+        assert rows.size > 0 or (eps == 0.4 and n == 400), (n, eps)
+        found += rows.size
+        pick = np.arange(rows.size)
+        if checked is not None and rows.size > checked:
+            pick = np.linspace(0, rows.size - 1, checked).astype(int)
+        for c in zip(rows[pick], cols[pick] + 1):
+            assert (r[c], q[c]) == oracle_radii_at(state.types, c, threshold), (n, eps, c)
+    assert found > 0
+
+
+REGION_KERNELS = ("radius_pass", "dilate", "prefix_table", "largest_components")
+
+
 def test_summary_bytes_do_not_depend_on_the_kernels(monkeypatch):
     if _kernels.radius_pass is None:
         pytest.skip(_kernels.load_error)
     cfg = GridConfig(n=40, w=2, tau_tilde=0.42, seed=5, allow_small=True)
     state = new_random(cfg)
     run_to_termination(state, generator(cfg.seed, STREAM_DYNAMICS))
-    with_c = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
-    monkeypatch.setattr(_kernels, "radius_pass", None)
-    monkeypatch.setattr(_kernels, "dilate", None)
-    without = compute_region_summary(state, sample_size=64, eps=0.25).to_dict()
-    assert json.dumps(with_c, sort_keys=True) == json.dumps(without, sort_keys=True)
+    with_c = compute_region_summary(state.copy(), sample_size=64, eps=0.25).to_dict()
+    for name in REGION_KERNELS:
+        monkeypatch.setattr(_kernels, name, None)
+    without = compute_region_summary(state.copy(), sample_size=64, eps=0.25).to_dict()
+    assert json.dumps(with_c) == json.dumps(without)
 
 
 def test_one_prefix_table_per_state_version(monkeypatch):

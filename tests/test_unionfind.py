@@ -3,6 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from segsim import _kernels
 from segsim.rng import generator
 from segsim.unionfind import component_sizes, label_grid_components
 
@@ -70,3 +71,36 @@ def test_empty_mask_and_bad_adjacency():
         label_grid_components(np.ones((3, 3), bool), 6, True)
     with pytest.raises(ValueError):
         component_sizes(np.ones((3, 3), bool), 6, True)
+
+
+def largest_by_type(types):
+    """The reference: the largest of component_sizes for +1 and for -1."""
+    return tuple(int(component_sizes(types == t, 4, True).max(initial=0)) for t in (1, -1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 31])
+def test_component_kernel_matches_component_sizes(n):
+    """The compiled count of the largest 4-connected torus component per
+    type: random tori, one type only (a single component of n^2 cells that
+    joins across both seams), a diagonal stripe that wraps both seams, rows
+    0 and n-1 (joined only across a seam), and a corner square cut by both
+    seams."""
+    if _kernels.largest_components is None:
+        pytest.skip(_kernels.load_error)
+    rng = generator(900 + n)
+    cases = [np.where(rng.random((n, n)) < p, 1, -1).astype(np.int8)
+             for p in (0.3, 0.5, 0.7) for _ in range(4)]
+    ones = np.ones((n, n), np.int8)
+    i, j = np.indices((n, n))
+    stripe = np.where((i + j) % n < 2, 1, -1).astype(np.int8)
+    edge_rows = np.where((i == 0) | (i == n - 1), 1, -1).astype(np.int8)
+    corner = np.where(((i + 2) % n < 4) & ((j + 2) % n < 4), 1, -1).astype(np.int8)
+    cases += [ones, -ones, stripe, edge_rows, edge_rows.T, corner]
+    for types in cases:
+        assert _kernels.largest_components(types) == largest_by_type(types)
+    assert _kernels.largest_components(ones) == (n * n, 0)
+    assert _kernels.largest_components(-ones) == (0, n * n)
+    if n >= 5:
+        assert _kernels.largest_components(stripe) == (2 * n, n * n - 2 * n)
+        assert _kernels.largest_components(edge_rows.T) == (2 * n, n * n - 2 * n)
+        assert _kernels.largest_components(corner) == (16, n * n - 16)
