@@ -1,5 +1,6 @@
-"""Compiled C kernels for the flip loop, the region maps and first-passage
-times, loaded with ctypes.
+"""Compiled C kernels for the flip loop, the initial same-type counts, the
+region maps, first-passage times and breadth-first paths, loaded with
+ctypes.
 
 The flip kernel takes the same arguments and gives the same results as the
 pure-python chunk executor dynamics._run_chunk_py: from one pre-drawn
@@ -17,6 +18,9 @@ where a count crosses the bound exactly when its old value is one of two
 constants, and then walks only the cells that crossed and the flipped cell,
 removing as it goes and buffering the appends (the proof is in the C
 comment).  The int16 counts need N = (2w+1)^2 <= 32767, that is w <= 90.
+The counts a state starts from (grid.box_same_counts is the reference)
+are window sums from two row buffers: per-column counts of the window's
+rows, moved down one row at a time, and one running sum along each row.
 
 The region kernels are the two steps of regions.py.  One radius pass gives
 every center two radii: r(c), the largest single-type radius, and q(c), the
@@ -42,8 +46,12 @@ Dijkstra through a virtual source is the reference.  It returns the same
 float, not an approximation of it: a path's time is the left fold of its
 site weights, a rounded sum that never falls as the running time grows, so
 every correct Dijkstra settles each site at the same minimum (the proof is
-in the C comment).  Every kernel's results are asserted equal to the
-numpy/python/csgraph reference by the test suite.
+in the C comment).  The breadth-first search on a slot array of
+4-neighbours (percolation._n4_neighbors) is a FIFO search that scans each
+node's slots in order and stops at the first target it discovers, so it
+returns the tree path of csgraph's breadth_first_order, its reference,
+without building a sparse graph.  Every kernel's results are asserted
+equal to the numpy/python/csgraph reference by the test suite.
 
 The C source below is compiled on first use with ``gcc -O3 -shared -fPIC``
 into ``$XDG_CACHE_HOME/segsim`` (default ``~/.cache/segsim``), or into a
@@ -52,9 +60,9 @@ that cannot be written.  The library's file name is a sha256 of the source,
 the flags and the machine type, and it is written through a temp file and
 ``os.replace``, so concurrent processes never load a half-written file and
 later runs only hash, stat and load.  Without gcc, or when the build or
-load fails, ``run_chunk``, ``radius_pass``, ``dilate``, ``prefix_table``,
-``largest_components`` and ``passage_time`` are None, ``load_error`` says
-why, and the reference code runs instead.
+load fails, ``run_chunk``, ``box_counts``, ``radius_pass``, ``dilate``,
+``prefix_table``, ``largest_components``, ``passage_time`` and ``grid_bfs``
+are None, ``load_error`` says why, and the reference code runs instead.
 """
 
 from __future__ import annotations
@@ -502,6 +510,54 @@ int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
     return 0;
 }
 
+/* The same-type count of every agent of the n x n torus, into out: the +1
+   count of its (2w+1)^2 window, or N minus it for an agent that is not +1,
+   as grid.box_same_counts gives it; 1 <= 2w + 1 <= n and n^2 < 2^31.  col
+   holds, per column, the +1 count of the 2w+1 rows around row i, and moves
+   down one row at a time (one row in, one row out); line is the running
+   sum of col along the row extended by w columns on each side with wrap,
+   so a window's count is the difference of two line entries 2w + 1 apart.
+   No n x n buffer is needed.  Returns -1 when the two row buffers cannot
+   be allocated. */
+int64_t segsim_box_counts(const int8_t *types, int64_t n, int64_t w, int32_t *out)
+{
+    const int64_t side = 2 * w + 1, N = side * side;
+    int32_t *col = calloc((size_t)n, sizeof *col);
+    int32_t *line = malloc((size_t)(n + side) * sizeof *line);
+    if (col == NULL || line == NULL) {
+        free(col);
+        free(line);
+        return -1;
+    }
+    for (int64_t d = -w; d <= w; d++) {
+        const int8_t *row = types + (d < 0 ? d + n : d) * n;
+        for (int64_t j = 0; j < n; j++)
+            col[j] += row[j] > 0;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        if (i > 0) {
+            const int64_t in = i + w < n ? i + w : i + w - n, gone = i - w - 1 < 0 ? i - w - 1 + n : i - w - 1;
+            const int8_t *add = types + in * n, *drop = types + gone * n;
+            for (int64_t j = 0; j < n; j++)
+                col[j] += (add[j] > 0) - (drop[j] > 0);
+        }
+        line[0] = 0;
+        for (int64_t k = 0; k < n + 2 * w; k++) {
+            const int64_t c = k - w < 0 ? k - w + n : k - w < n ? k - w : k - w - n;
+            line[k + 1] = line[k] + col[c];
+        }
+        const int8_t *t = types + i * n;
+        int32_t *o = out + i * n;
+        for (int64_t j = 0; j < n; j++) {
+            const int32_t plus = line[j + side] - line[j];
+            o[j] = t[j] > 0 ? plus : (int32_t)N - plus;
+        }
+    }
+    free(col);
+    free(line);
+    return 0;
+}
+
 /* One cyclic line: out[j] = max{ x[b] : cyclic |j - b| <= x[b] } for
    0 <= x <= vmax <= (n-1)/2.  Two monotone-deque passes over the line
    unrolled by vmax on each side, one for centers at or left of j and one
@@ -778,6 +834,72 @@ int64_t segsim_passage_time(const double *w, int64_t h, int64_t wd, const int64_
     free(heap);
     return 0;
 }
+
+/* Breadth-first search on the directed graph of size nodes whose arcs out
+   of node v are the nonnegative slots nbr[4 v .. 4 v + 3], scanned in slot
+   order (percolation._N4).  The search starts at source, marks a node when
+   it discovers it, and stops at the first node of tgt (nt indices) it
+   discovers, or at source itself when it is a target; the tree path from
+   source to that node, read off the predecessors, goes into path, and the
+   return value is its node count (0 when no target is reached).  The order
+   of discovery is that of csgraph's breadth_first_order from source, which
+   scans each node's stored arcs in order, so the path is the one
+   percolation._bfs_path reads from csgraph.  Returns -1 when the buffers
+   cannot be allocated and -2 on a slot outside [-1, size) or a size outside
+   [1, 2^31); source and tgt lie in [0, size) (the wrapper checks them). */
+int64_t segsim_grid_bfs(const int32_t *nbr, int64_t size, int64_t source, const int64_t *tgt,
+                        int64_t nt, int64_t *path)
+{
+    if (size < 1 || size > INT32_MAX)
+        return -2;
+    for (int64_t k = 0; k < 4 * size; k++)
+        if (nbr[k] < -1 || nbr[k] >= size)
+            return -2;
+    /* pred[v]: the node that discovered v, or -1 while v is undiscovered. */
+    int32_t *pred = malloc((size_t)size * sizeof *pred);
+    int32_t *queue = malloc((size_t)size * sizeof *queue);
+    uint8_t *is_tgt = calloc((size_t)size, sizeof *is_tgt);
+    if (pred == NULL || queue == NULL || is_tgt == NULL) {
+        free(pred);
+        free(queue);
+        free(is_tgt);
+        return -1;
+    }
+    for (int64_t v = 0; v < size; v++)
+        pred[v] = -1;
+    for (int64_t i = 0; i < nt; i++)
+        is_tgt[tgt[i]] = 1;
+    int64_t hit = is_tgt[source] ? source : -1, head = 0, tail = 0;
+    pred[source] = (int32_t)source;
+    queue[tail++] = (int32_t)source;
+    while (hit < 0 && head < tail) {
+        const int32_t *out = nbr + 4 * (int64_t)queue[head];
+        for (int k = 0; k < 4; k++) {
+            const int32_t u = out[k];
+            if (u < 0 || pred[u] >= 0)
+                continue;
+            pred[u] = queue[head];
+            if (is_tgt[u]) {
+                hit = u;
+                break;
+            }
+            queue[tail++] = u;
+        }
+        head++;
+    }
+    int64_t len = 0;
+    if (hit >= 0) {
+        for (int64_t v = hit; v != source; v = pred[v])
+            len++;
+        len++;
+        for (int64_t v = hit, i = len - 1; i >= 0; v = pred[v], i--)
+            path[i] = v;
+    }
+    free(pred);
+    free(queue);
+    free(is_tgt);
+    return len;
+}
 """
 
 # The runtime build takes no warning flags, so a new compiler warning cannot
@@ -814,6 +936,8 @@ _SIGNATURES = {
     "segsim_largest_components": ([_arr(np.int8), _I64, _arr(np.int64)], _I64),
     "segsim_passage_time": ([_arr(np.float64), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64),
                              _I64, _arr(np.float64)], _I64),
+    "segsim_box_counts": ([_arr(np.int8), _I64, _I64, _arr(np.int32)], _I64),
+    "segsim_grid_bfs": ([_arr(np.int32), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64)], _I64),
 }
 
 
@@ -1025,6 +1149,51 @@ def _wrap_passage_time(fn):
     return passage_time
 
 
+def _wrap_box_counts(fn):
+    def box_counts(types, w):
+        """The int32 same-type counts of grid.box_same_counts for the n x n
+        int8 types on the torus and windows of side 2w+1."""
+        n = types.shape[0]
+        if types.dtype != np.int8 or types.shape != (n, n):
+            raise ValueError("the types must be a square int8 array")
+        if n * n >= 2**31:
+            raise ValueError("the torus must hold fewer than 2^31 cells")
+        if not 1 <= 2 * w + 1 <= n:
+            raise ValueError("the window must fit the torus: 1 <= 2w+1 <= n")
+        out = np.empty((n, n), dtype=np.int32)
+        if fn(np.ascontiguousarray(types), n, w, out) != 0:
+            raise MemoryError("row buffers for the same-type counts")
+        return out
+
+    return box_counts
+
+
+def _wrap_grid_bfs(fn):
+    def grid_bfs(nbr, source, targets):
+        """Flat indices source .. t of the breadth-first tree path to the first
+        node t of targets (an index or a sequence of them) that a search from
+        source discovers, or None; nbr is the int32 (h, w, 4) slot array of
+        percolation._n4_neighbors, each slot a flat index or -1, scanned in
+        slot order."""
+        if nbr.dtype != np.int32 or nbr.ndim != 3 or nbr.shape[2] != 4:
+            raise ValueError("the slots must be an int32 array of shape (h, w, 4)")
+        size = nbr.shape[0] * nbr.shape[1]
+        if size >= 2**31:
+            raise ValueError("the lattice must hold fewer than 2^31 cells")
+        tgt = np.ascontiguousarray(targets, dtype=np.int64).ravel()
+        if not 0 <= source < size or (tgt.size and not 0 <= tgt.min() <= tgt.max() < size):
+            raise ValueError("source and targets must lie in the lattice")
+        path = np.empty(size, dtype=np.int64)
+        length = fn(np.ascontiguousarray(nbr), size, source, tgt, tgt.size, path)
+        if length == -1:
+            raise MemoryError("queue for the breadth-first search")
+        if length < 0:
+            raise ValueError("slots must lie in [-1, h*w)")
+        return path[:length].tolist() if length else None
+
+    return grid_bfs
+
+
 _WRAPPERS = {
     "run_chunk": ("segsim_run_chunk", _wrap_run_chunk),
     "radius_pass": ("segsim_radius_pass", _wrap_radius_pass),
@@ -1032,6 +1201,8 @@ _WRAPPERS = {
     "prefix_table": ("segsim_prefix_table", _wrap_prefix_table),
     "largest_components": ("segsim_largest_components", _wrap_largest_components),
     "passage_time": ("segsim_passage_time", _wrap_passage_time),
+    "box_counts": ("segsim_box_counts", _wrap_box_counts),
+    "grid_bfs": ("segsim_grid_bfs", _wrap_grid_bfs),
 }
 
 

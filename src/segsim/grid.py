@@ -169,6 +169,15 @@ def box_same_counts(types: np.ndarray, w: int) -> np.ndarray:
     return np.where(types > 0, plus_in_window, side * side - plus_in_window)
 
 
+def _same_counts(types: np.ndarray, w: int) -> np.ndarray:
+    """box_same_counts, computed in the compiled library of _kernels when it
+    loads, with two row buffers and no n x n temporary; box_same_counts is
+    the reference."""
+    if _kernels.box_counts is None:
+        return box_same_counts(types, w)
+    return _kernels.box_counts(types, w)
+
+
 def same_counts_bruteforce(types: np.ndarray, w: int) -> np.ndarray:
     """Independent oracle for box_same_counts: explicit roll-and-sum."""
     n = types.shape[0]
@@ -271,7 +280,7 @@ class GridState:
             raise ConfigError("types must contain only +1 and -1")
         self.config = config
         self.types = types.astype(np.int8)
-        self.same_count = box_same_counts(self.types, config.w)
+        self.same_count = _same_counts(self.types, config.w)
         self.flips_done = 0
         self.time = 0.0
         self._prefix_cache = None

@@ -6,6 +6,11 @@ Passage times attach i.i.d. nonnegative weights to *sites*, and the passage
 time of a path is the sum over its vertices, both endpoints included.  They
 run in the compiled library of _kernels when it loads, and csgraph's
 Dijkstra is the reference; both give the same float for every instance.
+Chemical distances, surrounding cycles and the block detectors' chemical
+paths read breadth-first tree paths (_bfs_path) off a slot array of open
+4-neighbours; the search runs in C on that array when the library loads,
+and csgraph's breadth-first order on the array's sparse graph is the
+reference, with the same path for every instance.
 """
 
 from __future__ import annotations
@@ -95,15 +100,20 @@ def _n4_graph(nbr: np.ndarray) -> csr_matrix:
     return csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
 
 
-def _bfs_path(graph: csr_matrix, source: int, targets) -> Optional[list[int]]:
+def _bfs_path(nbr: np.ndarray, source: int, targets) -> Optional[list[int]]:
     """Nodes source .. t of the breadth-first tree path to the first node t
-    of targets (a node index or a sequence of them) that the search
-    discovers, or None.
+    of targets (a node index or a sequence of them) that a FIFO search from
+    source discovers, or None; nbr is a slot array as _n4_neighbors gives
+    it, and each node's neighbors are visited in slot (_N4) order.
 
-    The directed csgraph search scans each node's stored neighbors in order,
-    so its discovery order, and with it every tree path, is that of a FIFO
-    search visiting neighbors in _N4 order.
+    Runs in the compiled library (_kernels.grid_bfs) when it loads.  The
+    reference is csgraph's directed breadth-first order on _n4_graph(nbr):
+    it scans each node's stored neighbors in order, so its discovery order,
+    and with it every tree path, is the same.
     """
+    if _kernels.grid_bfs is not None:
+        return _kernels.grid_bfs(nbr, source, targets)
+    graph = _n4_graph(nbr)
     order, pred = _breadth_first_order(graph, source, directed=True, return_predecessors=True)
     is_target = np.zeros(graph.shape[0], dtype=bool)
     is_target[targets] = True
@@ -130,7 +140,7 @@ def chemical_distance(lattice: SiteLattice, a: tuple[int, int], b: tuple[int, in
         raise ValueError("endpoints must lie in the lattice")
     if not (mask[ar, ac] and mask[br, bc]):
         return None
-    path = _bfs_path(_n4_graph(_n4_neighbors(mask)), ar * w + ac, br * w + bc)
+    path = _bfs_path(_n4_neighbors(mask), ar * w + ac, br * w + bc)
     return None if path is None else len(path)
 
 
@@ -390,9 +400,9 @@ def surrounding_cycle(mask: np.ndarray, center: tuple[int, int], r_in: int, r_ou
 
     Existence is decided by the closed-8-crossing duality.  The cycle is
     the shortest one crossing the reference half-line (between rows -1 and 0
-    of the center, at columns > r_in) exactly once: one csgraph
-    breadth-first search per crossing column c, from (0, c) to (-1, c) on
-    the annulus graph with every half-line edge cut, listed from (0, c).
+    of the center, at columns > r_in) exactly once: one breadth-first search
+    (_bfs_path) per crossing column c, from (0, c) to (-1, c) on the annulus
+    graph with every half-line edge cut, listed from (0, c).
     Ties go to the shortest cycle, then the smallest column, then the path
     discovered first when neighbors are visited in _N4 order.
 
@@ -410,12 +420,11 @@ def surrounding_cycle(mask: np.ndarray, center: tuple[int, int], r_in: int, r_ou
     nbr = _n4_neighbors(node)
     nbr[R - 1, R + r_in + 1 :, 2] = -1  # (-1, c) -> (0, c)
     nbr[R, R + r_in + 1 :, 3] = -1  # (0, c) -> (-1, c)
-    graph = _n4_graph(nbr)
     best: Optional[list[int]] = None
     for c in range(r_in + 1, r_out + 1):
         if not (node[R, R + c] and node[R - 1, R + c]):
             continue
-        path = _bfs_path(graph, R * side + R + c, (R - 1) * side + R + c)
+        path = _bfs_path(nbr, R * side + R + c, (R - 1) * side + R + c)
         if path is not None and (best is None or len(path) < len(best)):
             best = path
     if best is None:

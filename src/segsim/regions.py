@@ -231,6 +231,29 @@ def largest_mono_region(state: GridState, type_: int, r_map: Optional[np.ndarray
     return (flat // n, flat % n), int(masked.ravel()[flat])
 
 
+def _largest_mono_regions(types: np.ndarray, r_map: np.ndarray) -> dict:
+    """The summary's largest_plus and largest_minus entries from one pass
+    over r_map and types: {"center": [row, col], "radius": r} at the first
+    row-major center of the largest r(c) among centers of each type (as
+    largest_mono_region gives it), None for an absent type.
+
+    key = (2 r + 1) * type is positive exactly at +1 centers and grows with r
+    there, negative at -1 centers and falls as r grows, so its first argmax
+    and first argmin are the two centers.
+    """
+    key = r_map * 2
+    key += 1
+    key *= types
+    n = types.shape[0]
+
+    def entry(flat):
+        return {"center": [flat // n, flat % n], "radius": int(r_map.flat[flat])}
+
+    plus, minus = int(np.argmax(key)), int(np.argmin(key))
+    return {"plus": entry(plus) if key.flat[plus] > 0 else None,
+            "minus": entry(minus) if key.flat[minus] < 0 else None}
+
+
 def almost_mono_radius_of(state: GridState, u: tuple[int, int], eps: float) -> tuple[int, int, float]:
     """(radius, size, minority_ratio) of the largest almost-monochromatic
     window containing u: minority/majority <= exp(-N^eps).
@@ -337,12 +360,7 @@ def compute_region_summary(
     _check_measure(sample_size, eps)
     n = state.n
     r_map, q_map = _radius_pass(state.plus_prefix(), _ratio_bound(state, eps))
-    largest = {}
-    for tname, tval in (("plus", 1), ("minus", -1)):
-        hit = largest_mono_region(state, tval, r_map)
-        largest[tname] = (
-            None if hit is None else {"center": [int(hit[0][0]), int(hit[0][1])], "radius": hit[1]}
-        )
+    largest = _largest_mono_regions(state.types, r_map)
 
     mean_M = stderr_M = mean_Mp = stderr_Mp = None
     hist: dict = {}

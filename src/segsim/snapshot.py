@@ -83,5 +83,7 @@ def snapshot_read(buf: bytes) -> GridState:
     if config.K != K:
         # Defensive: K/N must round-trip through the ceil rule.
         raise SnapshotError(f"stored K={K} does not reproduce from tau={K}/{N}")
-    types = np.where(payload.reshape(n, n) > 0, 1, -1).astype(np.int8)
+    types = payload.reshape(n, n).astype(np.int8)  # 0/1 -> -1/+1 in place
+    types *= 2
+    types -= 1
     return GridState(config, types)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import CascadeResult, cascade_closure
 from .grid import GridConfig, GridState, TorusPrefix, round_radius, torus_window_ix
-from .percolation import _bfs_path, _n4_graph, _n4_neighbors, cycle_winds_around, surrounding_cycle
+from .percolation import _bfs_path, _n4_neighbors, cycle_winds_around, surrounding_cycle
 from .theory import f_tau, radical_threshold_count, tau_hat
 from .unionfind import component_cells, label_grid_components
 
@@ -324,53 +324,67 @@ class BlockLattice:
     eps: float
 
 
-def _good_blocks(state: GridState, row0: int, col0s: np.ndarray, m: int, eps: float) -> np.ndarray:
-    """Good flags of the m-blocks with top-left corners (row0, c), c in col0s.
+def _good_blocks(state: GridState, blocks: np.ndarray, eps: float) -> np.ndarray:
+    """Good flags of the m x m blocks of types in blocks, shape (m, m, B),
+    block b at [:, :, b].
 
     A block is good iff every intersection I of a (2w+1)-square translate
-    with it satisfies minority_count(I) - |I|/2 < N^(1/2+eps).  Exact via
-    prefix sums over all T x T translate positions, T = m + 2w, for every
-    block at once; requires n >= m + 2w + 1 so an intersection is a single
-    rectangle.
+    with it satisfies minority_count(I) - |I|/2 < N^(1/2+eps), that is the
+    sum of -types over I is below 2 N^(1/2+eps).  The intersections with the
+    (m + 2w)^2 translates that meet the block are exactly the (2w+1)-box sums
+    of -types over the block zero-padded by 2w on every side, so one running
+    sum along the block's columns and one along its rows, each read at two
+    points 2w+1 apart, give them all, for every block at once.  Requires
+    n >= m + 2w + 1, so that no translate meets a block twice on the torus
+    and an intersection is a single rectangle.
+
+    The running sums are int16 and may wrap, but every difference read is a
+    sum over at most N = (2w+1)^2 <= 32767 cells (GridConfig caps w), which
+    int16 holds, so the wrapped differences are exact.
     """
     cfg = state.config
     n, w, N = cfg.n, cfg.w, cfg.N
+    m, B = blocks.shape[0], blocks.shape[2]
     if n < m + 2 * w + 1:
         raise ValueError("grid too small relative to block for single-piece intersections")
-    thr2 = 2.0 * N ** (0.5 + eps)
-    side = 2 * w + 1
-    t = np.arange(-side + 1, m)
-    lo = np.clip(t, 0, None)
-    hi = np.clip(t + side - 1, None, m - 1)
-    L = hi - lo + 1
-    r0 = (row0 + lo) % n
-    c0 = (np.asarray(col0s)[:, None] + lo[None, :]) % n
-    plus = state.plus_prefix().rect(
-        r0[None, :, None], c0[:, None, :], L[None, :, None], L[None, None, :]
-    )
-    n_i = L[:, None] * L[None, :]
-    return (2 * (n_i - plus) - n_i < thr2).all(axis=(1, 2))
+    side, T = 2 * w + 1, m + 2 * w
+    # cols[side + j, i, b] = -types at (i, j) of block b; the padding is 0.
+    cols = np.zeros((T + side, m, B), dtype=np.int16)
+    np.negative(blocks.transpose(1, 0, 2), out=cols[side : side + m])
+    for k in range(side + 1, T + side):
+        np.add(cols[k], cols[k - 1], out=cols[k])
+    # rows[side + i, t, b]: row i of block b summed over the columns of the
+    # t-th translate; then each row run of 2w+1 is summed the same way.
+    rows = np.zeros((T + side, T, B), dtype=np.int16)
+    np.subtract(cols[side:], cols[:T], out=rows[side : side + m].swapaxes(0, 1))
+    for k in range(side + 1, T + side):
+        np.add(rows[k], rows[k - 1], out=rows[k])
+    worst = np.subtract(rows[side:], rows[:T]).reshape(T * T, B).max(axis=0)
+    return worst < 2.0 * N ** (0.5 + eps)
 
 
 def classify_block_good(state: GridState, block_origin: tuple[int, int], m: int, eps: float) -> bool:
-    """Good-block test of one m-block (see _good_blocks)."""
-    return bool(_good_blocks(state, block_origin[0], [block_origin[1]], m, eps)[0])
+    """Good-block test of the m-block with top-left corner block_origin (see
+    _good_blocks)."""
+    n = state.n
+    ix = np.ix_((block_origin[0] + np.arange(m)) % n, (block_origin[1] + np.arange(m)) % n)
+    return bool(_good_blocks(state, state.types[ix][:, :, None], eps)[0])
 
 
 def renormalize(
     state: GridState, m: int, eps: float, origin: tuple[int, int] = (0, 0)
 ) -> BlockLattice:
-    """Label every m-block of the tiling anchored at origin, a block row per query."""
+    """Label every m-block of the tiling anchored at origin, all in one
+    _good_blocks call."""
     n = state.n
     if m < 1:
         raise ValueError("block size m must be >= 1")
     if n % m != 0:
         raise ValueError(f"block size {m} must divide n={n}")
     dims = n // m
-    labels = np.zeros((dims, dims), dtype=bool)
-    cols = (origin[1] + np.arange(dims) * m) % n
-    for bi in range(dims):  # a row at a time keeps the query arrays (dims, T, T)
-        labels[bi] = _good_blocks(state, (origin[0] + bi * m) % n, cols, m, eps)
+    tiles = np.roll(state.types, (-(origin[0] % n), -(origin[1] % n)), axis=(0, 1))
+    blocks = tiles.reshape(dims, m, dims, m).transpose(1, 3, 0, 2).reshape(m, m, dims * dims)
+    labels = _good_blocks(state, blocks, eps).reshape(dims, dims)
     return BlockLattice(m=m, dims=dims, labels=labels, origin=origin, eps=eps)
 
 
@@ -413,8 +427,7 @@ def find_chemical_path(
         raise RuntimeError("extracted cycle does not surround the center block")
 
     side = 2 * R + 1
-    graph = _n4_graph(_n4_neighbors(local))
-    path = _bfs_path(graph, R * side + R, [r * side + c for r, c in cyc_local])
+    path = _bfs_path(_n4_neighbors(local), R * side + R, [r * side + c for r, c in cyc_local])
     if path is None:
         return None
     path_local = [divmod(v, side) for v in path]

@@ -373,3 +373,26 @@ def test_box_same_counts_matches_oracle_across_windows(n, w):
     got = box_same_counts(types, w)
     assert got.dtype == np.int32
     assert np.array_equal(got, same_counts_bruteforce(types, w))
+
+
+@pytest.mark.parametrize("n,w", [(512, 2), (5, 2), (21, 10), (3, 1), (63, 4), (101, 17)])
+def test_count_kernel_matches_oracle(n, w, monkeypatch):
+    """The initial same-type counts from the compiled kernel equal the
+    roll-and-sum oracle and box_same_counts, their reference: at n = 512,
+    at n = 2w+1 and on odd tori, for a random fill, one type and a
+    checkerboard; a state built with the library off holds the same counts."""
+    if segsim._kernels.box_counts is None:
+        pytest.skip(segsim._kernels.load_error)
+    rng = generator(2000 + n + w)
+    grids = [np.where(rng.random((n, n)) < p, 1, -1).astype(np.int8) for p in (0.3, 0.5)]
+    grids += [np.ones((n, n), np.int8), -np.ones((n, n), np.int8), checkerboard(n)]
+    cfg = GridConfig(n=n, w=w, tau_tilde=0.45, allow_small=True)
+    states = [state_from_types(cfg, types) for types in grids]
+    for types, state in zip(grids, states):
+        assert state.same_count.dtype == np.int32
+        assert np.array_equal(state.same_count, same_counts_bruteforce(types, w))
+    monkeypatch.setattr(segsim._kernels, "box_counts", None)
+    for types, state in zip(grids, states):
+        ref = state_from_types(cfg, types)
+        assert np.array_equal(ref.same_count, state.same_count)
+        assert np.array_equal(ref.elig_cells, state.elig_cells) and ref.elig_count == state.elig_count

@@ -2,8 +2,9 @@
 checks, a sanitizer run, and bit-equality of the flip kernel with the python
 reference executor, chunk by chunk and on edge cases (the region kernels
 are compared with their numpy reference in test_regions.py, the prefix
-table in test_grid.py, the component counts in test_unionfind.py, the
-passage-time kernel with csgraph in test_percolation.py)."""
+table and the same-type counts in test_grid.py, the component counts in
+test_unionfind.py, the passage-time kernel and the breadth-first search
+with csgraph in test_percolation.py)."""
 
 import dataclasses
 import inspect
@@ -173,6 +174,49 @@ def test_summary_kernel_wrappers_reject_bad_arguments():
         _kernels.largest_components(np.broadcast_to(np.int8(1), (46341, 46341)))
 
 
+def test_bfs_and_count_wrappers_reject_bad_arguments():
+    if _kernels.grid_bfs is None:
+        pytest.skip(_kernels.load_error)
+    nbr = np.full((3, 4, 4), -1, np.int32)
+    nbr[0, 0, 0], nbr[0, 1, 2] = 1, 5  # 0 -> 1 -> 5
+    assert _kernels.grid_bfs(nbr, 0, [5, 11]) == [0, 1, 5]
+    assert _kernels.grid_bfs(nbr, 0, 11) is None
+    for bad in (nbr.astype(np.int64), nbr[:, :, :3], nbr.reshape(12, 4)):
+        with pytest.raises(ValueError, match=r"int32 array of shape \(h, w, 4\)"):
+            _kernels.grid_bfs(bad, 0, 5)
+    for value in (-2, 12):
+        bad = nbr.copy()
+        bad[2, 3, 1] = value  # a slot the search never reaches is checked too
+        with pytest.raises(ValueError, match=r"\[-1, h\*w\)"):
+            _kernels.grid_bfs(bad, 0, 5)
+    for source, targets in ((-1, 5), (12, 5), (0, -1), (0, [5, 12])):
+        with pytest.raises(ValueError, match="lie in the lattice"):
+            _kernels.grid_bfs(nbr, source, targets)
+    # Broadcast views: the shape alone is rejected, before any copy is made.
+    with pytest.raises(ValueError, match="2\\^31"):
+        _kernels.grid_bfs(np.broadcast_to(np.int32(-1), (46341, 46341, 4)), 0, 1)
+
+    types = np.where(np.eye(5, dtype=bool), 1, -1).astype(np.int8)
+    # The diagonal sees 3 of its own type; the others 7 beside it, 8 two off.
+    assert _kernels.box_counts(types, 1).tolist() == [
+        [3 if i == j else 7 if (i - j) % 5 in (1, 4) else 8 for j in range(5)] for i in range(5)]
+    for bad in (types.astype(np.int16), types[:, :-1], types.ravel()):
+        with pytest.raises(ValueError, match="square int8"):
+            _kernels.box_counts(bad, 1)
+    for w in (-1, 3):
+        with pytest.raises(ValueError, match="2w\\+1"):
+            _kernels.box_counts(types, w)
+    with pytest.raises(ValueError, match="2\\^31"):
+        _kernels.box_counts(np.broadcast_to(np.int8(1), (46341, 46341)), 1)
+
+
+def test_bfs_and_count_wrappers_raise_memory_error_when_c_cannot_allocate():
+    with pytest.raises(MemoryError, match="breadth-first search"):
+        _kernels._wrap_grid_bfs(lambda *args: -1)(np.full((3, 3, 4), -1, np.int32), 0, 8)
+    with pytest.raises(MemoryError, match="same-type counts"):
+        _kernels._wrap_box_counts(lambda *args: -1)(np.ones((3, 3), np.int8), 1)
+
+
 def test_region_wrappers_raise_memory_error_when_c_cannot_allocate():
     n = 9
     with pytest.raises(MemoryError, match="radius pass"):
@@ -211,7 +255,8 @@ def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
 # table and at the ratio test's tables, on tori down to n = 3 and on n =
 # 2w+1; the prefix table and the component counts on the same edge tori;
 # the passage time on 1 x n and n x 1 strips and on lattices where every
-# site but one is a source.
+# site but one is a source; the same-type counts at every w on the edge tori;
+# the breadth-first search on 1 x 1, 1 x n and n x 1 lattices with cut slots.
 SANITIZED_RUN = r"""
 import json
 import math
@@ -219,8 +264,8 @@ import sys
 
 import numpy as np
 
-from segsim import (GridConfig, _kernels, dynamics, new_random, percolation, regions, state_from_types,
-                    unionfind)
+from segsim import (GridConfig, _kernels, dynamics, grid, new_random, percolation, regions,
+                    state_from_types, unionfind)
 from segsim.dynamics import RunLimits, run_to_termination
 from segsim.rng import STREAM_DYNAMICS, generator
 
@@ -229,16 +274,19 @@ _kernels._resolve()
 assert _kernels.load_error is None, _kernels.load_error
 kernels = (_kernels.radius_pass, _kernels.dilate)
 prefix_table, largest_components = _kernels.prefix_table, _kernels.largest_components
-passage_time = _kernels.passage_time
+passage_time, grid_bfs, box_counts = _kernels.passage_time, _kernels.grid_bfs, _kernels.box_counts
 
 
-# The summary's prefix table and component counts against numpy.
+# The summary's prefix table and component counts, and the same-type counts
+# at every w that fits, against numpy.
 def assert_summary_kernels_agree(types):
     n = types.shape[0]
     plus = types > 0
     want = np.zeros((n + 1, n + 1), np.int64)
     want[1:, 1:] = plus.astype(np.int64).cumsum(0).cumsum(1)
     assert np.array_equal(prefix_table(plus.view(np.uint8)), want), n
+    for w in range(1, (n - 1) // 2 + 1):
+        assert np.array_equal(box_counts(types, w), grid.box_same_counts(types, w)), (n, w)
     sizes = [unionfind.component_sizes(types == t, 4, True).max(initial=0) for t in (1, -1)]
     assert largest_components(types) == tuple(int(x) for x in sizes), n
 
@@ -305,6 +353,19 @@ for dims in ((1, 2), (2, 1), (1, 17), (17, 1), (5, 7), (33, 20)):
             _kernels.passage_time = kernel
             times.append(percolation.fpp_min_passage_time(wl, cells[:ns], cells[ns:ns + nt]))
         assert times[0] == times[1], (dims, trial, times)
+
+for dims in ((1, 1), (1, 2), (1, 17), (17, 1), (9, 12)):
+    size = dims[0] * dims[1]
+    for trial in range(8):
+        nbr = percolation._n4_neighbors(rng.random(dims) < 0.8)
+        nbr[rng.random(nbr.shape) < 0.1] = -1
+        source = int(rng.integers(size))
+        targets = rng.integers(0, size, int(rng.integers(1, 4))).tolist()
+        paths = []
+        for kernel in (grid_bfs, None):
+            _kernels.grid_bfs = kernel
+            paths.append(percolation._bfs_path(nbr, source, targets))
+        assert paths[0] == paths[1], (dims, trial, paths)
 print("sanitized run ok")
 """
 

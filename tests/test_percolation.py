@@ -227,6 +227,50 @@ class TestAgainstLoopOracles:
             surrounding_cycle(np.ones((10, 10), bool), (4, 4), 1, 5)
 
 
+class TestAgainstLoopOraclesReference(TestAgainstLoopOracles):
+    """TestAgainstLoopOracles on the csgraph search, with the compiled
+    breadth-first search off."""
+
+    @pytest.fixture(autouse=True)
+    def _reference_search(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "grid_bfs", None)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 13), (21, 21)])
+def test_compiled_bfs_equals_csgraph(dims, monkeypatch):
+    """The C search returns csgraph's tree path on random masks with slots
+    cut one way, to one target or several, from a source that is itself a
+    target, and to targets it cannot reach."""
+    if _kernels.grid_bfs is None:
+        pytest.skip(_kernels.load_error)
+    size = dims[0] * dims[1]
+    rng = generator(dims[0] * 100 + dims[1], 5)
+    found = missed = 0
+    for trial in range(60):
+        nbr = percolation._n4_neighbors(rng.random(dims) < rng.uniform(0.4, 1.0))
+        nbr[rng.random(nbr.shape) < 0.15 * (trial % 2)] = -1
+        source = int(rng.integers(size))
+        many = rng.integers(0, size, int(rng.integers(1, 4))).tolist()
+        # The source's own neighbors, listed against slot order: the first
+        # slot holding one is the target found.
+        beside = [int(v) for v in nbr.reshape(size, 4)[source][::-1] if v >= 0]
+        cases = [int(many[0]), many, many + [source], source, [source], [], beside]
+        for targets in cases:
+            got = percolation._bfs_path(nbr, source, targets)
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "grid_bfs", None)
+                want = percolation._bfs_path(nbr, source, targets)
+            assert got == want, (trial, source, targets)
+            found += got is not None and len(got) > 1
+            missed += got is None and bool(np.size(targets))
+    if size > 4:
+        assert found and missed  # both outcomes were compared
+    # An isolated source reaches nothing but itself.
+    nbr = np.full(dims + (4,), -1, dtype=np.int32)
+    assert percolation._bfs_path(nbr, 0, [size - 1]) == (None if size > 1 else [0])
+    assert percolation._bfs_path(nbr, 0, 0) == [0]
+
+
 # -- chemical distance ---------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from segsim.dynamics import RunLimits, run_to_termination
 from segsim.regions import (
     RegionMeasure,
     _dilate,
+    _largest_mono_regions,
     _minority_bound,
     _radius_pass,
     almost_mono_radius_map,
@@ -205,6 +206,26 @@ class TestLargestMonoRegion:
             masked = np.where(types == tval, r, -1)
             flat = int(np.argmax(masked))
             assert got == ((flat // 12, flat % 12), int(masked.ravel()[flat]))
+
+    def test_summary_pass_matches_per_type_calls(self):
+        """compute_region_summary's one pass for both types gives the
+        entries of one largest_mono_region call per type: on random tori,
+        one-type tori, the all-tied checkerboard and terminated states."""
+        grids = [random_types(12, 310 + seed) for seed in range(5)]
+        grids += [np.ones((9, 9), np.int8), -np.ones((9, 9), np.int8), checkerboard(10)]
+        for seed in range(3):
+            state = new_random(GridConfig(n=40, w=2, tau_tilde=0.42, seed=seed, allow_small=True))
+            run_to_termination(state, generator(seed, STREAM_DYNAMICS))
+            grids.append(state.types)
+        for types in grids:
+            state = make_state(types)
+            r = center_radius_map(state)
+            want = {}
+            for name, tval in (("plus", 1), ("minus", -1)):
+                hit = largest_mono_region(state, tval, r)
+                want[name] = None if hit is None else {"center": list(hit[0]), "radius": hit[1]}
+            got = _largest_mono_regions(state.types, r)
+            assert json.dumps(got) == json.dumps(want)
 
 
 class TestAlmostMono:

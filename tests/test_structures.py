@@ -491,6 +491,20 @@ class TestBlocksAgainstLoopOracle:
                 seen.update(labels.ravel().tolist())
         assert seen == {False, True}
 
+    @pytest.mark.parametrize("n,w,m", [(128, 2, 8), (120, 3, 10), (400, 90, 200)])
+    def test_renormalize_wrapping_origins(self, n, w, m):
+        # Tilings anchored off the seams, so blocks wrap across one or both.
+        # At w = 90, m = 200 a block's running row sums reach 200 * 181,
+        # past int16, while every window sum stays within N = 181^2.
+        cfg = GridConfig(n=n, w=w, tau_tilde=0.45, seed=0, allow_small=True)
+        rng = generator(72, n, w)
+        for p in (0.05, 0.5, 0.95):
+            state = state_from_types(cfg, np.where(rng.random((n, n)) < p, 1, -1).astype(np.int8))
+            for origin in ((3, 5), (7, 2), (n - 1, n - m // 2), (2 * n + 1, -3)):
+                labels = renormalize(state, m, 0.05, origin).labels
+                assert np.array_equal(labels, oracle_renormalize_labels(state, m, 0.05, origin))
+                assert classify_block_good(state, origin, m, 0.05) == labels[0, 0]
+
     def test_grid_too_small(self):
         state = mono_state(8, 2, 0.45)  # n = m + 2w needs one more row
         with pytest.raises(ValueError):
