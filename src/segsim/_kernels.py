@@ -3,8 +3,14 @@ region maps, first-passage times and breadth-first paths, loaded with
 ctypes.
 
 The flip kernel takes the same arguments and gives the same results as the
-pure-python chunk executor dynamics._run_chunk_py: from one pre-drawn
-(uniform, exponential) batch both leave the same state.  Per flip, every
+pure-python chunk executor dynamics._run_chunk_py.  Each takes the state's
+arrays, its eligible count m, time t and flip count, the flip and time
+limits, one pre-drawn (uniform, exponential) batch and an optional per-flip
+log, and returns (m, t, flips, status); from one batch both leave the same
+state.  The log holds, for each flip of the batch, the flipped cell, its
+pre-flip same count k and the t and m after the flip; the driver builds
+the audit and the trace from it, so neither executor knows the trace
+interval or the Lyapunov sum.  Per flip, every
 same_count in the (2w+1)^2 window changes, and the eligible list then sees
 swap-removals of the members whose count now exceeds the eligibility
 bound, in row-major window order, followed by appends of the non-members
@@ -104,12 +110,14 @@ static inline v8s splat8(int16_t x)
     return v;
 }
 
-/* io[0..2] in: m, phi, flips.  io[0..4] out: m, phi, flips, rec_count,
-   audit_count.  *t is read and written; max_time is +inf when time is not
-   limited.  Returns the status, or -1 when the signed count buffer cannot
-   be allocated (the state is then untouched).  cand holds at least
-   (2w+1)^2 entries, and N <= 32767.  Same arguments and results as the
-   python reference executor (dynamics._run_chunk_py).
+/* io[0..1] in and out: m, flips.  *t is read and written; max_time is
+   +inf when time is not limited.  Returns the status, or -1 when the
+   signed count array or the (2w+1)^2 candidate buffer cannot be allocated
+   (the state is then untouched).  N <= 32767.
+   With log_on, flip i of the chunk (from 0) writes its cell, its pre-flip
+   count k and the t and m after it to log_*[i]; each log array then holds
+   at least B entries.  Same arguments and results as the python reference
+   executor (dynamics._run_chunk_py).
 
    The chunk works on a private signed array s = type * same_count (int16,
    n^2 + 8 entries), built from types and sc when it starts and written
@@ -172,26 +180,27 @@ static inline v8s splat8(int16_t x)
    too.  Every membership decision reads |s|, the count itself. */
 int64_t segsim_run_chunk(
     int8_t *restrict types, int32_t *restrict sc, int32_t *elig_pos, int64_t *elig_cells,
-    int64_t *cand,
     int64_t n, int64_t w, int64_t N, int64_t emax,
     int64_t max_flips, double max_time,
     const double *u_batch, const double *e_batch, int64_t B,
-    int64_t rec_every, int64_t *rec_flip, double *rec_time,
-    int64_t *rec_phi, int64_t *rec_m,
-    int64_t audit_on, int64_t *audit_cells, int32_t *audit_pre,
+    int64_t log_on, int64_t *log_cell, int32_t *log_k, double *log_t, int64_t *log_m,
     int64_t *io, double *t_io)
 {
     const int64_t nn = n * n;
     int16_t *restrict s = malloc((size_t)(nn + 8) * sizeof *s);
-    if (s == NULL)
+    int64_t *cand = malloc((size_t)((2 * w + 1) * (2 * w + 1)) * sizeof *cand);
+    if (s == NULL || cand == NULL) {
+        free(s);
+        free(cand);
         return -1;
+    }
     for (int64_t v = 0; v < nn; v++)
         s[v] = (int16_t)(types[v] * sc[v]);
     memset(s + nn, 0, 8 * sizeof *s);
 
-    int64_t m = io[0], phi = io[1], flips = io[2];
+    int64_t m = io[0], flips = io[1];
     const int64_t flips0 = flips;
-    int64_t consumed = 0, rec_count = 0, audit_count = 0;
+    int64_t consumed = 0;
     int64_t status;
     double t = *t_io;
     const int32_t em = (int32_t)emax;
@@ -216,7 +225,6 @@ int64_t segsim_run_chunk(
         const int16_t d = s[cell] > 0 ? -1 : 1;
         const int32_t k = -d * s[cell];
         s[cell] = (int16_t)(d * (N - k));
-        phi += 2 * (N - 2 * (int64_t)k + 1);
         /* Old values that cross, and the new values they take. */
         const v8s dv = splat8(d), was_in = splat8((int16_t)(d * em)),
                   was_out = splat8((int16_t)(-d * (em + 1)));
@@ -280,19 +288,14 @@ int64_t segsim_run_chunk(
             m++;
         }
 
-        if (audit_on) {
-            audit_cells[audit_count] = cell;
-            audit_pre[audit_count] = k;
-            audit_count++;
+        if (log_on) {
+            const int64_t i = consumed - 1;
+            log_cell[i] = cell;
+            log_k[i] = k;
+            log_t[i] = t;
+            log_m[i] = m;
         }
         flips++;
-        if (rec_every > 0 && flips % rec_every == 0) {
-            rec_flip[rec_count] = flips;
-            rec_time[rec_count] = t;
-            rec_phi[rec_count] = phi;
-            rec_m[rec_count] = m;
-            rec_count++;
-        }
     }
     if (flips > flips0) { /* a chunk without a flip changed nothing */
         for (int64_t v = 0; v < nn; v++) {
@@ -302,8 +305,8 @@ int64_t segsim_run_chunk(
         }
     }
     free(s);
-    io[0] = m; io[1] = phi; io[2] = flips;
-    io[3] = rec_count; io[4] = audit_count;
+    free(cand);
+    io[0] = m; io[1] = flips;
     *t_io = t;
     return status;
 }
@@ -921,12 +924,10 @@ _I64 = ctypes.c_int64
 _SIGNATURES = {
     "segsim_run_chunk": ([
         _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
-        _arr(np.int64),
         _I64, _I64, _I64, _I64,
         _I64, ctypes.c_double,
         _arr(np.float64), _arr(np.float64), _I64,
-        _I64, _arr(np.int64), _arr(np.float64), _arr(np.int64), _arr(np.int64),
-        _I64, _arr(np.int64), _arr(np.int32),
+        _I64, _arr(np.int64), _arr(np.int32), _arr(np.float64), _arr(np.int64),
         _arr(np.int64), _arr(np.float64),
     ], _I64),
     "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _arr(np.int32)],
@@ -1002,16 +1003,15 @@ def _load():
 
 
 def _wrap_run_chunk(fn):
-    def run_chunk(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, t, flips,
-                  max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
-                  rec_phi, rec_m, audit_on, audit_cells, audit_pre):
+    def run_chunk(types, sc, elig_pos, elig_cells, m, n, w, N, emax, t, flips, max_flips,
+                  max_time, u_batch, e_batch, log_on, log_cell, log_k, log_t, log_m):
         """One batch of flips in C; same arguments and results as the python
         reference dynamics._run_chunk_py, whose flip is the three-pass
-        grid._flip_cell.  cand is the int64 scratch for one flip's insertions
-        ((2w+1)^2 entries); the trace and audit buffers are filled from index 0;
-        max_time is math.inf when time is not limited.
+        grid._flip_cell.  With log_on, flip i of the batch writes its cell,
+        pre-flip count and the t and m after it to log_cell[i], log_k[i],
+        log_t[i] and log_m[i]; max_time is math.inf when time is not limited.
 
-        Returns (m, phi, t, flips, rec_count, audit_count, status).
+        Returns (m, t, flips, status).
         """
         B = u_batch.shape[0]
         if not 1 <= 2 * w + 1 <= n:
@@ -1020,30 +1020,23 @@ def _wrap_run_chunk(fn):
             raise ValueError(f"the signed int16 counts need N <= {INT16_MAX}, got N={N}")
         if not (types.size == sc.size == elig_pos.size == elig_cells.size == n * n):
             raise ValueError("state arrays must all hold n*n cells")
-        if cand.size < (2 * w + 1) ** 2:
-            raise ValueError("the candidate buffer is shorter than the (2w+1)^2 window")
         if e_batch.shape[0] != B:
             raise ValueError("uniform and exponential batches differ in length")
-        rec_size = min(a.size for a in (rec_flip, rec_time, rec_phi, rec_m))
-        if rec_every > 0 and rec_size < B // rec_every + 1:
-            raise ValueError("trace buffers are shorter than one batch needs")
-        if audit_on and min(audit_cells.size, audit_pre.size) < B:
-            raise ValueError("audit buffers are shorter than the batch")
-        io = np.array([m, phi, flips, 0, 0], dtype=np.int64)
+        if log_on and min(a.size for a in (log_cell, log_k, log_t, log_m)) < B:
+            raise ValueError("log buffers are shorter than the batch")
+        io = np.array([m, flips], dtype=np.int64)
         t_io = np.array([t], dtype=np.float64)
         status = fn(
-            types, sc, elig_pos, elig_cells, cand,
+            types, sc, elig_pos, elig_cells,
             n, w, N, emax,
             max_flips, max_time,
             u_batch, e_batch, B,
-            rec_every, rec_flip, rec_time, rec_phi, rec_m,
-            bool(audit_on), audit_cells, audit_pre,
+            bool(log_on), log_cell, log_k, log_t, log_m,
             io, t_io,
         )
         if status < 0:
-            raise MemoryError("signed count buffer for the flip kernel")
-        m, phi, flips, rec_count, audit_count = (int(x) for x in io)
-        return m, phi, float(t_io[0]), flips, rec_count, audit_count, int(status)
+            raise MemoryError("signed count or candidate buffer for the flip kernel")
+        return int(io[0]), float(t_io[0]), int(io[1]), int(status)
 
     return run_chunk
 

@@ -92,6 +92,8 @@ def _cmd_run(args) -> int:
     if record_interval is None:
         # Tracing enabled by --trace-out records every n^2/10 flips by default.
         record_interval = max(1, (args.n * args.n) // 10) if args.trace_out else 0
+    elif args.trace_out and record_interval == 0:
+        raise ConfigError("--trace-out needs --record-interval >= 1, got 0")
     limits = RunLimits(
         max_flips=args.max_flips,
         max_continuous_time=args.max_time,

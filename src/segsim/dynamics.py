@@ -12,7 +12,12 @@ compiled C kernel (_kernels.run_chunk) or the pure-python reference
 _run_chunk_py, which flips through the three-pass grid._flip_cell.  Both
 consume the identical stream and change the eligible list in the order
 _kernels states, so trajectories are bit-reproducible and independent of
-which one ran.
+which one ran.  An executor returns (m, t, flips, status) and, when asked,
+fills a per-flip log: the flipped cell, its pre-flip same count k and the
+t and m after the flip.  The log is on only for an audit or a trace, and
+both are built here from it: the audit from the cells and counts, the
+trace from every record_interval-th flip, with the Lyapunov sum carried
+forward by 2(N - 2k + 1) per flip.
 """
 
 from __future__ import annotations
@@ -124,21 +129,21 @@ def lyapunov(state: GridState) -> int:
     return int(state.same_count.sum(dtype=np.int64))
 
 
-def _run_chunk_py(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, t, flips,
-                  max_flips, max_time, u_batch, e_batch, rec_every, rec_flip, rec_time,
-                  rec_phi, rec_m, audit_on, audit_cells, audit_pre):
+def _run_chunk_py(types, sc, elig_pos, elig_cells, m, n, w, N, emax, t, flips, max_flips,
+                  max_time, u_batch, e_batch, log_on, log_cell, log_k, log_t, log_m):
     """Pure-python chunk executor, the reference for the compiled C kernel.
 
-    Same arguments, buffers and results as _kernels.run_chunk (max_time is
-    math.inf when time is not limited); cand, the kernel's scratch buffer,
-    is not used.  Flips through grid._flip_cell, whose mutation order the
-    kernel repeats, so both executors produce the same trajectory from one
-    batch.
+    Same arguments, log and results as _kernels.run_chunk (max_time is
+    math.inf when time is not limited): with log_on, flip i of the batch
+    writes its cell, pre-flip count and the t and m after it to log_cell[i],
+    log_k[i], log_t[i] and log_m[i].  Flips through grid._flip_cell, whose
+    mutation order the kernel repeats, so both executors produce the same
+    trajectory from one batch.
 
-    Returns (m, phi, t, flips, rec_count, audit_count, status).
+    Returns (m, t, flips, status).
     """
     B = u_batch.shape[0]
-    consumed = rec_count = audit_count = 0
+    consumed = 0
     while True:
         if m <= 0:
             status = _kernels.STATUS_NO_ELIGIBLE
@@ -160,19 +165,11 @@ def _run_chunk_py(types, sc, elig_pos, elig_cells, cand, m, n, w, N, emax, phi, 
         t += dt
         cell = int(elig_cells[int(u * m)])
         k, m = _flip_cell(types, sc, elig_pos, elig_cells, m, n, w, N, emax, cell)
-        phi += 2 * (N - 2 * k + 1)
-        if audit_on:
-            audit_cells[audit_count] = cell
-            audit_pre[audit_count] = k
-            audit_count += 1
+        if log_on:
+            i = consumed - 1
+            log_cell[i], log_k[i], log_t[i], log_m[i] = cell, k, t, m
         flips += 1
-        if rec_every > 0 and flips % rec_every == 0:
-            rec_flip[rec_count] = flips
-            rec_time[rec_count] = t
-            rec_phi[rec_count] = phi
-            rec_m[rec_count] = m
-            rec_count += 1
-    return m, phi, float(t), flips, rec_count, audit_count, status
+    return m, float(t), flips, status
 
 
 def run_to_termination(
@@ -216,42 +213,44 @@ def run_to_termination(
     execute = _kernels.run_chunk if use_numba else _run_chunk_py
 
     m = state.elig_count
-    phi = phi0
     t = state.time
     flips = 0
-    trace_rows: list = []
+    phi = phi0
+    trace_rows = [np.array([[0, t, phi0, m]], dtype=np.float64)]
     audit_cells: list = []
     audit_pre: list = []
-    if rec_every > 0:
-        trace_rows.append((0, t, phi, m))
 
-    max_rec = RUN_CHUNK // rec_every + 2 if rec_every > 0 else 1
-    rec_flip = np.zeros(max_rec, dtype=np.int64)
-    rec_time = np.zeros(max_rec, dtype=np.float64)
-    rec_phi = np.zeros(max_rec, dtype=np.int64)
-    rec_m = np.zeros(max_rec, dtype=np.int64)
-    a_cells = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int64)
-    a_pre = np.zeros(RUN_CHUNK if audit else 1, dtype=np.int32)
-    cand = np.zeros((2 * cfg.w + 1) ** 2, dtype=np.int64)
+    # The per-flip log, on only when the audit or the trace reads it.
+    log_on = audit or rec_every > 0
+    size = RUN_CHUNK if log_on else 0
+    log = (np.zeros(size, np.int64), np.zeros(size, np.int32),
+           np.zeros(size, np.float64), np.zeros(size, np.int64))
     status = _kernels.STATUS_NO_ELIGIBLE if m == 0 else _kernels.STATUS_BATCH_DONE
     while m > 0 and status == _kernels.STATUS_BATCH_DONE:
         u_batch = rng.random(RUN_CHUNK)
         e_batch = rng.standard_exponential(RUN_CHUNK)
         prev_flips = flips
-        m, phi, t, flips, rec_count, audit_count, status = execute(
-            state.types, state.same_count, state.elig_pos, state.elig_cells, cand,
-            m, n, cfg.w, N, cfg.eligible_max_count, phi, t, flips, cap, max_time,
-            u_batch, e_batch, rec_every, rec_flip, rec_time, rec_phi, rec_m,
-            audit, a_cells, a_pre,
+        m, t, flips, status = execute(
+            state.types, state.same_count, state.elig_pos, state.elig_cells,
+            m, n, cfg.w, N, cfg.eligible_max_count, t, flips, cap, max_time,
+            u_batch, e_batch, log_on, *log,
         )
+        done = flips - prev_flips
         state.elig_count = m
         state.time = t
-        state.flips_done += flips - prev_flips
-        trace_rows.extend(zip(rec_flip[:rec_count].tolist(), rec_time[:rec_count].tolist(),
-                              rec_phi[:rec_count].tolist(), rec_m[:rec_count].tolist()))
-        if audit and audit_count:
-            audit_cells.append(a_cells[:audit_count].copy())
-            audit_pre.append(a_pre[:audit_count].copy())
+        state.flips_done += done
+        if log_on and done:
+            cells, ks, ts, ms = (a[:done] for a in log)
+            if audit:
+                audit_cells.append(cells.copy())
+                audit_pre.append(ks.copy())
+            if rec_every > 0:
+                # A flip from count k raises the Lyapunov sum by 2(N - 2k + 1);
+                # a row follows every rec_every-th flip of the run.
+                phis = phi + np.cumsum(2 * (N - 2 * ks.astype(np.int64) + 1))
+                phi = int(phis[-1])
+                at = np.arange((-prev_flips - 1) % rec_every, done, rec_every)
+                trace_rows.append(np.column_stack((prev_flips + 1 + at, ts[at], phis[at], ms[at])))
 
     if status == _kernels.STATUS_NO_ELIGIBLE or m == 0:
         reason = TerminationReason.NO_ELIGIBLE_AGENTS
@@ -294,7 +293,7 @@ def run_to_termination(
             "measure_s": measure_s,
             "flips_per_second": flips / dynamics_s if dynamics_s > 0 else 0.0,
         },
-        trace=np.asarray(trace_rows, dtype=np.float64) if rec_every > 0 else None,
+        trace=np.concatenate(trace_rows) if rec_every > 0 else None,
         audit=audit_obj,
     )
 

@@ -59,12 +59,11 @@ def run_single(
     limits: Optional[RunLimits] = None,
     sample_size: int = 1024,
     eps: float = 0.25,
-    measure_regions: bool = True,
 ) -> RunReport:
     """Fresh random state driven to termination, with region summary."""
     state = new_random(config)
     rng = generator(config.seed, STREAM_DYNAMICS)
-    measure = RegionMeasure(sample_size=sample_size, eps=eps) if measure_regions else None
+    measure = RegionMeasure(sample_size=sample_size, eps=eps)
     return run_to_termination(state, rng, limits, measure=measure)
 
 

@@ -12,7 +12,6 @@ mirrored threshold governing which agents can flip when tau > 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -193,68 +192,6 @@ def spread_params(tau: float) -> tuple[float, float, float]:
     nu = (16.0 * tau - 5.0) / 6.0
     lhs = (1.0 - 0.25 - (0.25 + 0.5 - zeta) * nu - 0.25 * (0.125 - nu)) * 0.5
     return zeta, nu, lhs - tau
-
-
-@dataclass
-class TheoryPoint:
-    """Closed forms evaluated at one (tau_tilde, N) pair.
-
-    Fields that are undefined at the given tau (e.g. the exponent
-    multipliers outside (tau2, 1/2)) are None.
-    """
-
-    tau_tilde: float
-    N: int
-    K: int
-    tau: float
-    tau_prime: float
-    tau_hat: float
-    bar_tau: float
-    f_tau: Optional[float]
-    a_tau: Optional[float]
-    b_tau: Optional[float]
-    p_unhappy_exact: float
-    p_unhappy_bound_scale: float
-    p_unhappy_bound_ratio: float
-    p_radical_exact: float
-
-    @classmethod
-    def compute(
-        cls,
-        tau_tilde: float,
-        N: int,
-        eps: float = 0.1,
-        eps_prime: Optional[float] = None,
-    ) -> "TheoryPoint":
-        K = intolerance_threshold(tau_tilde, N)
-        tau = K / N
-        try:
-            f = f_tau(tau)
-        except ValueError:
-            f = None
-        ep = eps_prime if eps_prime is not None else f
-        a = b = None
-        if ep is not None and tau2() < tau < 0.5:
-            a = a_tau(tau, None, ep)
-            b = b_tau(tau, None, ep)
-        pu = p_unhappy_exact(N, K)
-        scale = p_unhappy_bound_scale(N, K)
-        return cls(
-            tau_tilde=tau_tilde,
-            N=N,
-            K=K,
-            tau=tau,
-            tau_prime=tau_prime(tau, N),
-            tau_hat=tau_hat(tau, N, eps),
-            bar_tau=bar_tau(tau_tilde, N)[1],
-            f_tau=f,
-            a_tau=a,
-            b_tau=b,
-            p_unhappy_exact=pu,
-            p_unhappy_bound_scale=scale,
-            p_unhappy_bound_ratio=pu / scale if scale > 0 else math.inf,
-            p_radical_exact=p_radical_exact(N, K, ep if ep is not None else 0.0, eps),
-        )
 
 
 def curve(name: str, taus, N: Optional[int] = None, eps: float = 0.1,

@@ -129,6 +129,19 @@ class TestRun:
     def test_usage_error_exit_code(self):
         assert run_cli("run", "--bogus") == 2
 
+    def test_trace_out_needs_a_positive_record_interval(self, tmp_path, monkeypatch, capsys):
+        from segsim import dynamics
+
+        calls = []
+        monkeypatch.setattr(dynamics, "run_to_termination", lambda *a, **k: calls.append(a))
+        trace = tmp_path / "t.csv"
+        code = run_cli("run", "--n", "24", "--w", "1", "--tau", "0.45", "--allow-small",
+                       "--record-interval", "0", "--trace-out", str(trace))
+        assert code == 2
+        assert calls == [] and not trace.exists()
+        err = capsys.readouterr().err
+        assert "--trace-out" in err and "--record-interval" in err
+
 
 class TestSweepCommand:
     def test_sweep_runs(self, tmp_path):

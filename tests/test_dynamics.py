@@ -106,6 +106,7 @@ class TestRunToTermination:
         assert report.termination_reason == "NoEligibleAgents"
         assert report.unhappy_initial_count == 0
         assert report.lyapunov_final == report.lyapunov_initial
+        assert report.region_summary is None  # no measure, no summary
 
     @pytest.mark.parametrize("use_numba", [False, True])
     def test_terminates_with_no_eligible(self, use_numba):
@@ -233,6 +234,33 @@ class TestRunToTermination:
         # Lyapunov column is nondecreasing, flip indices strictly increasing.
         assert (np.diff(trace[:, 0]) > 0).all()
         assert (np.diff(trace[:, 2]) > 0).all()
+
+    @ENGINES
+    @pytest.mark.parametrize("limits,expected", [
+        ({}, "NoEligibleAgents"),
+        ({"max_flips": 150}, "FlipLimit"),
+        ({"max_continuous_time": 0.5}, "TimeLimit"),
+    ], ids=["no-eligible", "flip-limit", "time-limit"])
+    def test_trace_rows_across_batches(self, use_numba, limits, expected, monkeypatch):
+        """With 64-draw batches, the trace at interval r is row 0 and every
+        r-th row of the interval-1 trace, whichever batch a row falls in and
+        wherever in a batch the run stops."""
+        if use_numba:
+            require_c_kernel()
+        monkeypatch.setattr(segsim.dynamics, "RUN_CHUNK", 64)
+
+        def traced(r):
+            return run_to_termination(fresh(48, 2, 0.45, 1), generator(1, STREAM_DYNAMICS),
+                                      RunLimits(record_interval=r, **limits), use_numba=use_numba)
+
+        full = traced(1)
+        assert full.termination_reason == expected
+        assert full.flips_total > 64 and len(full.trace) == full.flips_total + 1
+        assert full.trace[-1, 2] == full.lyapunov_final  # the sum carried across batches
+        if limits:
+            assert full.flips_total % 64  # stops inside a later batch
+        for r in (7, 64, 100):
+            assert np.array_equal(traced(r).trace, full.trace[::r]), r
 
     @ENGINES
     def test_continuous_time_matches_rates_in_aggregate(self, use_numba):

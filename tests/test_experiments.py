@@ -116,11 +116,6 @@ class TestRunSingle:
         assert report.region_summary is not None
         assert report.region_summary["sample_size"] >= 16
 
-    def test_measure_can_be_skipped(self):
-        cfg = GridConfig(n=24, w=1, tau_tilde=0.45, seed=3, allow_small=True)
-        report = run_single(cfg, measure_regions=False)
-        assert report.region_summary is None
-
 
 class TestProp1:
     def test_gamma_one_boundary(self):

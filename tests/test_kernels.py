@@ -82,25 +82,22 @@ def test_wrapper_rejects_short_buffers():
     sc = np.zeros(n * n, np.int32)
     pos = np.full(n * n, -1, np.int32)
     cells = np.zeros(n * n - 1, np.int64)  # one short
-    cand = np.zeros((2 * w + 1) ** 2, np.int64)
     batch = np.zeros(4)
-    rec = np.zeros(1, np.int64)
+    log = [np.zeros(4, dt) for dt in (np.int64, np.int32, np.float64, np.int64)]
 
-    def call(cells=cells, cand=cand, w=w, audit=False, m=0):
-        return _kernels.run_chunk(types, sc, pos, cells, cand, m, n, w, (2 * w + 1) ** 2, 22, 0,
-                                  0.0, 0, 10, math.inf, batch, batch, 0, rec, np.zeros(1), rec, rec,
-                                  audit, rec, np.zeros(1, np.int32))
+    def call(cells=cells, w=w, log=log, m=0):
+        return _kernels.run_chunk(types, sc, pos, cells, m, n, w, (2 * w + 1) ** 2, 22, 0.0, 0,
+                                  10, math.inf, batch, batch, True, *log)
 
     with pytest.raises(ValueError, match=r"n\*n"):
         call()
     cells = np.zeros(n * n, np.int64)
     with pytest.raises(ValueError, match="2w\\+1"):
-        call(cells, np.zeros(81, np.int64), w=4)
-    with pytest.raises(ValueError, match="audit"):
-        call(cells, audit=True)
+        call(cells, w=4)
     pos[0] = 0  # cell 0 eligible: a call that reached C would flip it
-    with pytest.raises(ValueError, match="candidate buffer"):
-        call(cells, cand[:-1], m=1)  # one short of (2w+1)^2
+    for short in range(4):  # each log array one short of the batch
+        with pytest.raises(ValueError, match="log buffers"):
+            call(cells, log=[a[:-1] if i == short else a for i, a in enumerate(log)], m=1)
     assert (types == 1).all() and not sc.any()  # rejected before the C call
     assert call(cells)[-1] == _kernels.STATUS_NO_ELIGIBLE
 
@@ -108,13 +105,12 @@ def test_wrapper_rejects_short_buffers():
 def test_flip_wrapper_guards_the_int16_range_and_allocation():
     n, w = 7, 3
     args = [np.ones(n * n, np.int8), np.zeros(n * n, np.int32), np.full(n * n, -1, np.int32),
-            np.zeros(n * n, np.int64), np.zeros((2 * w + 1) ** 2, np.int64), 0, n, w,
-            (2 * w + 1) ** 2, 22, 0, 0.0, 0, 10, math.inf, np.zeros(4), np.zeros(4), 0,
-            np.zeros(1, np.int64), np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64),
-            False, np.zeros(1, np.int64), np.zeros(1, np.int32)]
-    with pytest.raises(MemoryError, match="signed count buffer"):
+            np.zeros(n * n, np.int64), 0, n, w, (2 * w + 1) ** 2, 22, 0.0, 0, 10, math.inf,
+            np.zeros(4), np.zeros(4), False, np.zeros(0, np.int64), np.zeros(0, np.int32),
+            np.zeros(0), np.zeros(0, np.int64)]
+    with pytest.raises(MemoryError, match="signed count or candidate buffer"):
         _kernels._wrap_run_chunk(lambda *a: -1)(*args)
-    args[8] = _kernels.INT16_MAX + 1
+    args[7] = _kernels.INT16_MAX + 1
     with pytest.raises(ValueError, match="int16"):
         _kernels._wrap_run_chunk(lambda *a: pytest.fail("reached C"))(*args)
 
@@ -416,7 +412,8 @@ def test_forced_c_engine_without_kernel_raises(monkeypatch):
 ])
 def test_executors_share_one_contract(max_flips, max_time, expected):
     """_kernels.run_chunk and dynamics._run_chunk_py take the same arguments,
-    fill the same buffers and return the same tuple from one state and batch."""
+    fill the same per-flip log and return the same tuple from one state and
+    batch."""
     if _kernels.run_chunk is None:
         pytest.skip(_kernels.load_error)
     max_time = math.inf if max_time is None else max_time  # None: no time limit
@@ -425,33 +422,33 @@ def test_executors_share_one_contract(max_flips, max_time, expected):
     cfg = GridConfig(n=48, w=2, tau_tilde=0.45, seed=1)
     state = new_random(cfg)
     rng = generator(1, STREAM_DYNAMICS)
-    B, rec_every = 64, 7
+    B, flips0 = 64, 5
     u_batch, e_batch = rng.random(B), rng.standard_exponential(B)
     results = []
     for execute in (_kernels.run_chunk, dyn._run_chunk_py):
         s = state.copy()
-        bufs = [np.zeros(B // rec_every + 2, dt) for dt in (np.int64, np.float64, np.int64, np.int64)]
-        audit = [np.zeros(B, np.int64), np.zeros(B, np.int32)]
-        out = execute(s.types, s.same_count, s.elig_pos, s.elig_cells,
-                      np.zeros((2 * cfg.w + 1) ** 2, np.int64), s.elig_count, cfg.n, cfg.w, cfg.N,
-                      cfg.eligible_max_count, dyn.lyapunov(s), 0.25, 5, max_flips, max_time,
-                      u_batch, e_batch, rec_every, *bufs, True, *audit)
-        rec_count, audit_count = out[4], out[5]
-        results.append((out, [b[:rec_count] for b in bufs], [a[:audit_count] for a in audit], s))
-    (out_c, rec_c, audit_c, c), (out_py, rec_py, audit_py, py) = results
-    assert len(out_c) == 7 and out_c == out_py
+        log = [np.zeros(B, dt) for dt in (np.int64, np.int32, np.float64, np.int64)]
+        out = execute(s.types, s.same_count, s.elig_pos, s.elig_cells, s.elig_count, cfg.n,
+                      cfg.w, cfg.N, cfg.eligible_max_count, 0.25, flips0, max_flips, max_time,
+                      u_batch, e_batch, True, *log)
+        results.append((out, [a[:out[2] - flips0] for a in log], s))
+    (out_c, log_c, c), (out_py, log_py, py) = results
+    assert len(out_c) == 4 and out_c == out_py
     assert out_c[-1] == expected
-    assert out_c[4] > 0 and out_c[5] > 0
-    for x, y in zip(rec_c + audit_c, rec_py + audit_py):
+    assert out_c[2] > flips0
+    for x, y in zip(log_c, log_py):
         assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert log_c[3][-1] == out_c[0] and log_c[2][-1] <= out_c[1]  # m and t after the last flip
     for name in ("types", "same_count", "elig_pos", "elig_cells"):
         assert np.array_equal(getattr(c, name), getattr(py, name)), name
 
 
 # (n, w, tau, seed, limits, batch size, expected termination)
 EDGE_CASES = {
-    "time_limit_mid_chunk": (48, 2, 0.45, 1, RunLimits(max_continuous_time=0.5), 64, "TimeLimit"),
-    "flip_limit_mid_chunk": (48, 2, 0.45, 1, RunLimits(max_flips=150), 64, "FlipLimit"),
+    "time_limit_mid_chunk": (48, 2, 0.45, 1, RunLimits(max_continuous_time=0.5, record_interval=11),
+                             64, "TimeLimit"),
+    "flip_limit_mid_chunk": (48, 2, 0.45, 1, RunLimits(max_flips=150, record_interval=13), 64,
+                             "FlipLimit"),
     "trace_rows": (48, 2, 0.45, 1, RunLimits(record_interval=7), 64, "NoEligibleAgents"),
     "smallest_torus": (7, 3, 0.45, 1, RunLimits(record_interval=1), None, "NoEligibleAgents"),
     "tau_above_half": (40, 2, 0.6, 4, RunLimits(record_interval=50), 64, "NoEligibleAgents"),

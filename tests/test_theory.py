@@ -10,7 +10,6 @@ import segsim
 from segsim import GridConfig, happiness_state, state_from_types
 from segsim.grid import Happiness
 from segsim.theory import (
-    TheoryPoint,
     a_tau,
     b_tau,
     bar_tau,
@@ -25,7 +24,6 @@ from segsim.theory import (
     spread_params,
     tau1,
     tau2,
-    tau_prime,
 )
 
 
@@ -227,27 +225,15 @@ class TestSpreadParams:
         assert abs(0.5 * (lo + hi) - 11 / 32) < 1e-9
 
 
-class TestTheoryPoint:
-    def test_fields(self):
-        pt = TheoryPoint.compute(0.45, 441)
-        assert pt.K == 199
-        assert pt.tau == 199 / 441
-        assert pt.tau_prime == pytest.approx(tau_prime(199 / 441, 441))
-        assert pt.f_tau == pytest.approx(f_tau(199 / 441))
-        assert pt.a_tau is not None and pt.b_tau is not None
-        assert pt.a_tau <= pt.b_tau
-        assert 0.0 <= pt.p_unhappy_exact <= 1.0
-        assert 0.0 <= pt.p_radical_exact <= 1.0
-
-    def test_curve_rows(self):
-        rows = curve("f", [0.36, 0.45, 0.5])
-        assert rows[-1][1] == 0.0
-        rows = curve("a", [0.36, 0.45], N=441)
-        assert all(len(r) == 3 for r in rows)
-        rows = curve("pu", [0.4, 0.45], N=49)
-        assert all(0 <= r[2] <= 1 for r in rows)
-        with pytest.raises(ValueError):
-            curve("pu", [0.4])
+def test_curve_rows():
+    rows = curve("f", [0.36, 0.45, 0.5])
+    assert rows[-1][1] == 0.0
+    rows = curve("a", [0.36, 0.45], N=441)
+    assert all(len(r) == 3 for r in rows)
+    rows = curve("pu", [0.4, 0.45], N=49)
+    assert all(0 <= r[2] <= 1 for r in rows)
+    with pytest.raises(ValueError):
+        curve("pu", [0.4])
 
 
 def test_binom_cdf_edges():
