@@ -915,33 +915,6 @@ int64_t segsim_grid_bfs(const int32_t *nbr, int64_t size, int64_t source, const 
 CFLAGS = ("-O3", "-shared", "-fPIC")
 
 
-def _arr(dtype):
-    return np.ctypeslib.ndpointer(dtype=dtype, flags=("C_CONTIGUOUS", "ALIGNED"))
-
-
-_I64 = ctypes.c_int64
-# (argtypes, restype) of each exported C function.
-_SIGNATURES = {
-    "segsim_run_chunk": ([
-        _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
-        _I64, _I64, _I64, _I64,
-        _I64, ctypes.c_double,
-        _arr(np.float64), _arr(np.float64), _I64,
-        _I64, _arr(np.int64), _arr(np.int32), _arr(np.float64), _arr(np.int64),
-        _arr(np.int64), _arr(np.float64),
-    ], _I64),
-    "segsim_radius_pass": ([_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _arr(np.int32)],
-                           _I64),
-    "segsim_dilate": ([_arr(np.int32), _I64, _arr(np.int32)], _I64),
-    "segsim_prefix_table": ([_arr(np.uint8), _I64, _arr(np.int64)], None),
-    "segsim_largest_components": ([_arr(np.int8), _I64, _arr(np.int64)], _I64),
-    "segsim_passage_time": ([_arr(np.float64), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64),
-                             _I64, _arr(np.float64)], _I64),
-    "segsim_box_counts": ([_arr(np.int8), _I64, _I64, _arr(np.int32)], _I64),
-    "segsim_grid_bfs": ([_arr(np.int32), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64)], _I64),
-}
-
-
 def _cache_dir() -> str:
     """Per-user cache directory for the built library (created if needed)."""
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
@@ -993,9 +966,14 @@ def _load():
         path = _library_path()
         if not os.path.exists(path):
             _build(path)
-        lib = ctypes.CDLL(path)
-        for name, (argtypes, restype) in _SIGNATURES.items():
-            fn = getattr(lib, name)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            # Removed or replaced after the existence check: build once more.
+            _build(path)
+            lib = ctypes.CDLL(path)
+        for cname, argtypes, restype, _ in _WRAPPERS.values():
+            fn = getattr(lib, cname)
             fn.argtypes, fn.restype = argtypes, restype
     except (OSError, AttributeError) as exc:
         return None, f"compiled kernels unavailable: {exc}"
@@ -1187,15 +1165,40 @@ def _wrap_grid_bfs(fn):
     return grid_bfs
 
 
+def _arr(dtype):
+    return np.ctypeslib.ndpointer(dtype=dtype, flags=("C_CONTIGUOUS", "ALIGNED"))
+
+
+_I64 = ctypes.c_int64
+
+
+# Per exported kernel: its C name, argtypes, restype and python wrapper.
 _WRAPPERS = {
-    "run_chunk": ("segsim_run_chunk", _wrap_run_chunk),
-    "radius_pass": ("segsim_radius_pass", _wrap_radius_pass),
-    "dilate": ("segsim_dilate", _wrap_dilate),
-    "prefix_table": ("segsim_prefix_table", _wrap_prefix_table),
-    "largest_components": ("segsim_largest_components", _wrap_largest_components),
-    "passage_time": ("segsim_passage_time", _wrap_passage_time),
-    "box_counts": ("segsim_box_counts", _wrap_box_counts),
-    "grid_bfs": ("segsim_grid_bfs", _wrap_grid_bfs),
+    "run_chunk": ("segsim_run_chunk", [
+        _arr(np.int8), _arr(np.int32), _arr(np.int32), _arr(np.int64),
+        _I64, _I64, _I64, _I64,
+        _I64, ctypes.c_double,
+        _arr(np.float64), _arr(np.float64), _I64,
+        _I64, _arr(np.int64), _arr(np.int32), _arr(np.float64), _arr(np.int64),
+        _arr(np.int64), _arr(np.float64),
+    ], _I64, _wrap_run_chunk),
+    "radius_pass": ("segsim_radius_pass",
+                    [_arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _arr(np.int32)],
+                    _I64, _wrap_radius_pass),
+    "dilate": ("segsim_dilate", [_arr(np.int32), _I64, _arr(np.int32)], _I64, _wrap_dilate),
+    "prefix_table": ("segsim_prefix_table", [_arr(np.uint8), _I64, _arr(np.int64)], None,
+                     _wrap_prefix_table),
+    "largest_components": ("segsim_largest_components", [_arr(np.int8), _I64, _arr(np.int64)],
+                           _I64, _wrap_largest_components),
+    "passage_time": ("segsim_passage_time",
+                     [_arr(np.float64), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64), _I64,
+                      _arr(np.float64)],
+                     _I64, _wrap_passage_time),
+    "box_counts": ("segsim_box_counts", [_arr(np.int8), _I64, _I64, _arr(np.int32)], _I64,
+                   _wrap_box_counts),
+    "grid_bfs": ("segsim_grid_bfs",
+                 [_arr(np.int32), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64)],
+                 _I64, _wrap_grid_bfs),
 }
 
 
@@ -1203,7 +1206,7 @@ def _resolve() -> None:
     lib, error = _load()
     globals().update(
         {name: None if lib is None else wrap(getattr(lib, cname))
-         for name, (cname, wrap) in _WRAPPERS.items()},
+         for name, (cname, _, _, wrap) in _WRAPPERS.items()},
         load_error=error,
     )
 

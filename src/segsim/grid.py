@@ -194,12 +194,13 @@ class TorusPrefix:
     """O(1) rectangle sums of +1 indicators on the torus, after an O(n^2) build.
 
     Rebuilt on demand when the owning state has flipped (the check is done
-    by GridState.plus_prefix); wrapping rectangles are decomposed into at
-    most four non-wrapping pieces.  All query arguments may be numpy arrays.
-    sat is the (n+1) x (n+1) int64 table: sat[i, j] sums rows [0, i), cols
-    [0, j).  plus is an n x n 0/1 array of any dtype; the table is built in
-    the compiled library of _kernels when it loads, and otherwise by the
-    numpy double cumsum, its reference.
+    by GridState.plus_prefix).  sat is the (n+1) x (n+1) int64 table:
+    sat[i, j] sums rows [0, i), cols [0, j).  periodic, the prefix sum of
+    the n-periodic grid, is the one Python reader of wrapped windows: rect
+    reads a window's four corners from it.  All query arguments may be
+    numpy arrays.  plus is an n x n 0/1 array of any dtype; the table is
+    built in the compiled library of _kernels when it loads, and otherwise
+    by the numpy double cumsum, its reference.
     """
 
     def __init__(self, plus: np.ndarray):
@@ -212,9 +213,18 @@ class TorusPrefix:
         self.sat = np.zeros((n + 1, n + 1), dtype=np.int64)
         np.cumsum(np.cumsum(mask, axis=0, dtype=np.int64), axis=1, out=self.sat[1:, 1:])
 
-    def _rect_nowrap(self, r0, c0, h, w):
-        s = self.sat
-        return s[r0 + h, c0 + w] - s[r0, c0 + w] - s[r0 + h, c0] + s[r0, c0]
+    def periodic(self, x, y):
+        """P(x, y): the +1 count of rows [0, x), cols [0, y) of the n-periodic
+        grid, for -n <= x, y <= 2n (x and y broadcast).  With x = a n + i,
+        y = b n + j, a, b in {-1, 0, 1} and 0 <= i, j <= n, it is sat(i, j) +
+        a Col(j) + b Row(i) + a b T, with Col(j) = sat(n, j), Row(i) =
+        sat(i, n) and T = sat(n, n) (proved at prefix_strip in _kernels)."""
+        n, s = self.n, self.sat
+        x, y = np.asarray(x), np.asarray(y)
+        a = (x > n).astype(np.int64) - (x < 0)
+        b = (y > n).astype(np.int64) - (y < 0)
+        i, j = x - a * n, y - b * n
+        return s[i, j] + a * (s[n, j] + b * s[n, n]) + b * s[i, n]
 
     def rect(self, r0, c0, h, w):
         """Sum of +1 indicators over the torus rectangle rows [r0, r0+h), cols [c0, c0+w).
@@ -228,18 +238,8 @@ class TorusPrefix:
             raise ValueError("rectangle extents must lie in [0, n]")
         r0 = np.asarray(r0) % n
         c0 = np.asarray(c0) % n
-        h1 = np.minimum(h, n - r0)
-        h2 = h - h1
-        w1 = np.minimum(w, n - c0)
-        w2 = w - w1
-        # Zero-extent pieces add nothing; the first one has the full shape.
-        total = self._rect_nowrap(r0, c0, h1, w1)
-        if np.any(w2):
-            total = total + self._rect_nowrap(r0, 0 * c0, h1, w2)
-        if np.any(h2):
-            total = total + self._rect_nowrap(0 * r0, c0, h2, w1)
-            if np.any(w2):
-                total = total + self._rect_nowrap(0 * r0, 0 * c0, h2, w2)
+        P = self.periodic
+        total = P(r0 + h, c0 + w) - P(r0, c0 + w) - P(r0 + h, c0) + P(r0, c0)
         if total.ndim == 0:
             return int(total)
         return total
@@ -370,7 +370,7 @@ def happiness_state(state: GridState, u: tuple[int, int]) -> Happiness:
     s = int(state.same_count[u[0] % cfg.n, u[1] % cfg.n])
     if s >= cfg.K:
         return Happiness.HAPPY
-    if cfg.N - s + 1 >= cfg.K:
+    if s <= cfg.eligible_max_count:
         return Happiness.UNHAPPY_ELIGIBLE
     return Happiness.UNHAPPY_INELIGIBLE
 
@@ -392,9 +392,8 @@ def _flip_cell(types, sc, elig_pos, elig_cells, m, n, w, N, emax, cell):
     new_type = -int(types[cell])
     types[cell] = new_type
 
-    rows = (np.arange(r0 - w, r0 + w + 1)) % n
-    cols = (np.arange(c0 - w, c0 + w + 1)) % n
-    ids = (rows[:, None] * n + cols[None, :]).ravel()
+    rows, cols = torus_window_ix(n, r0, c0, w)
+    ids = (rows * n + cols).ravel()
     sc[ids] += np.where(types[ids] == new_type, 1, -1).astype(np.int32)
     sc[cell] = N - k + 1
 

@@ -208,14 +208,18 @@ def cluster_radii(lattice: SiteLattice, origins: Optional[Sequence[tuple[int, in
     the l1 distance is max(|s - s_o|, |d - d_o|), so the radius from o is the
     largest of max(s) - s_o, s_o - min(s), max(d) - d_o and d_o - min(d) over
     o's cluster: four per-label extremes replace a scan of every cluster.
+    Raises ValueError for an origin outside the lattice.
     """
     mask = lattice.open
     h, w = mask.shape
-    lab_flat = label_grid_components(mask, adjacency=4, torus=False).ravel()
     if origins is None:
         origin_flat = np.arange(h * w)
     else:
-        origin_flat = np.array([r * w + c for r, c in origins], dtype=np.int64)
+        o = np.array(origins, dtype=np.int64).reshape(-1, 2)
+        if not ((o >= 0) & (o < (h, w))).all():
+            raise ValueError("origins must lie in the lattice")
+        origin_flat = o[:, 0] * w + o[:, 1]
+    lab_flat = label_grid_components(mask, adjacency=4, torus=False).ravel()
     cells = np.nonzero(lab_flat >= 0)[0]
     rr, cc = np.divmod(cells, w)
     # A label is its cluster's first cell, so the roots come sorted and a

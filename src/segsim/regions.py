@@ -26,7 +26,9 @@ prefix table itself, run in the compiled library of _kernels when it
 loads; the numpy code here is the bit-identical reference and runs when it
 does not.  For one agent, mono_region_of reads M(u) off the r map (running
 a full radius pass when none is given), and almost_mono_radius_of finds
-M'(u) by direct search over radii and centers.
+M'(u) by direct search over radii and centers.  The numpy pass and
+almost_mono_radius_of read their windows from _periodic_prefix, one table
+of TorusPrefix.periodic over every corner a window can have.
 
 A connected-component statistic is also emitted as auxiliary data; it is a
 cluster measure, not a square-region measure, and is labeled as such.  Only
@@ -96,17 +98,12 @@ def _ratio_bound(state: GridState, eps: float) -> np.ndarray:
 
 def _periodic_prefix(prefix: TorusPrefix) -> np.ndarray:
     """P(x, y) for -R <= x, y <= n + R, R = floor((n-1)/2), stored at
-    [x + R, y + R]: the prefix sum of the n-periodic +1 grid, built from
-    prefix.sat by the identity P(a n + i, b n + j) = a b T + a Col(j) +
-    b Row(i) + sat(i, j) proved at prefix_strip in _kernels.  Every window
-    of radius <= R at a torus cell has its four corners in the table."""
+    [x + R, y + R]: prefix.periodic, the prefix sum of the n-periodic +1
+    grid, read once over the whole index grid.  Every window of radius <= R
+    at a torus cell has its four corners in the table."""
     n, R = prefix.n, max_region_radius(prefix.n)
-    t = prefix.sat
     x = np.arange(-R, n + R + 1)
-    a = np.where(x < 0, -1, (x > n).astype(np.int64))
-    i = x - a * n
-    col, row = t[n, i][None, :], t[i, n][:, None]
-    return t[np.ix_(i, i)] + a[:, None] * (col + a[None, :] * t[n, n]) + a[None, :] * row
+    return prefix.periodic(x[:, None], x[None, :])
 
 
 def _corner_sums(P: np.ndarray, x0, x1, y0, y1) -> np.ndarray:

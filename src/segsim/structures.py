@@ -250,9 +250,13 @@ def is_region_of_expansion(
     """Would any all-+1 block of radius round(w/2) placed inside the region
     leave every -1 agent on its outside boundary unhappy?
 
-    Counts are adjusted for the hypothetical block via prefix sums; with
-    placements="all" every placement is checked, otherwise `placements`
-    uniform placements drawn from rng.
+    A rim agent's count is adjusted by the -1 agents of its window's
+    overlap with the block, read with TorusPrefix.rect.  The overlap depends
+    only on the agent's offset from the block center, so each of the 8(h+1)
+    rim offsets is one rect call over the placements that could still fail
+    first.  With placements="all" every placement is checked, otherwise
+    `placements` uniform placements drawn from rng.  The reported failure is
+    the first in placement order, then in row-major rim order.
     """
     cfg = state.config
     n, w, K = cfg.n, cfg.w, cfg.K
@@ -274,40 +278,31 @@ def is_region_of_expansion(
             raise ValueError(f"sampled placements must number >= 1, got {placements}")
         centers = rng.integers(-span, span + 1, size=(int(placements), 2))
 
-    ring = []
     rim = h + 1
-    for dr in range(-rim, rim + 1):
-        for dc in range(-rim, rim + 1):
-            if max(abs(dr), abs(dc)) == rim:
-                ring.append((dr, dc))
-    ring = np.asarray(ring)
-
+    d = np.abs(np.arange(-rim, rim + 1))
+    ring = np.argwhere(np.maximum(d[:, None], d[None, :]) == rim) - rim
     prefix = state.plus_prefix()
-
-    types = state.types
-    sc = state.same_count
-    for off in centers:
-        br = (center[0] + int(off[0])) % n
-        bc = (center[1] + int(off[1])) % n
-        for dr, dc in ring:
-            vr = (br + int(dr)) % n
-            vc = (bc + int(dc)) % n
-            if types[vr, vc] != -1:
-                continue
-            # Window/block overlap in coordinates relative to the block center.
-            rlo = max(-h, int(dr) - w)
-            rhi = min(h, int(dr) + w)
-            clo = max(-h, int(dc) - w)
-            chi = min(h, int(dc) + w)
-            overlap = 0
-            if rlo <= rhi and clo <= chi:
-                # -1 agents in the overlap: its area less its +1 agents.
-                height, width = rhi - rlo + 1, chi - clo + 1
-                overlap = height * width - prefix.rect(br + rlo, bc + clo, height, width)
-            adjusted = int(sc[vr, vc]) - overlap
-            if adjusted >= K:
-                return ExpansionVerdict(False, len(centers), (br, bc), (vr, vc))
-    return ExpansionVerdict(True, len(centers), None, None)
+    br = (center[0] + centers[:, 0]) % n
+    bc = (center[1] + centers[:, 1]) % n
+    first, agent = len(centers), None
+    for dr, dc in ring.tolist():
+        if first == 0:
+            break
+        # Only placements before the first failure found so far can precede it.
+        pr, pc = br[:first], bc[:first]
+        vr, vc = (pr + dr) % n, (pc + dc) % n
+        # Window/block overlap relative to the block center, nonempty as
+        # w >= 1; its -1 agents are its area less its +1 agents.
+        rlo, rhi = max(-h, dr - w), min(h, dr + w)
+        clo, chi = max(-h, dc - w), min(h, dc + w)
+        height, width = rhi - rlo + 1, chi - clo + 1
+        overlap = height * width - prefix.rect(pr + rlo, pc + clo, height, width)
+        fails = (state.types[vr, vc] == -1) & (state.same_count[vr, vc] - overlap >= K)
+        p = int(np.argmax(fails))
+        if fails[p]:
+            first, agent = p, (int(vr[p]), int(vc[p]))
+    placement = None if agent is None else (int(br[first]), int(bc[first]))
+    return ExpansionVerdict(agent is None, len(centers), placement, agent)
 
 
 # -- renormalized block lattice ------------------------------------------------

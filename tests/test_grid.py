@@ -335,6 +335,23 @@ class TestRectCounts:
         assert prefix.rect(r0, c0, h, w_) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_periodic_matches_tiled_cumsum(n):
+    """TorusPrefix.periodic at every (x, y) in [-n, 2n]^2 equals the prefix
+    sum of the grid tiled 3 x 3, counted from the middle tile's corner;
+    the whole index grid in one broadcast call, and scalar calls."""
+    rng = generator(700 + n)
+    for grid in (rng.random((n, n)) < 0.5, np.ones((n, n), bool), np.zeros((n, n), bool)):
+        C = np.zeros((3 * n + 1, 3 * n + 1), dtype=np.int64)
+        C[1:, 1:] = np.tile(grid, (3, 3)).cumsum(0).cumsum(1)
+        want = C - C[n] - C[:, n : n + 1] + C[n, n]
+        x = np.arange(-n, 2 * n + 1)
+        got = TorusPrefix(grid).periodic(x[:, None], x[None, :])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        for xi, yi in rng.integers(-n, 2 * n + 1, (10, 2)).tolist():
+            assert TorusPrefix(grid).periodic(xi, yi) == want[xi + n, yi + n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 64])
 def test_prefix_kernel_matches_numpy_cumsum(n, monkeypatch):
     """TorusPrefix's table from the compiled kernel equals the numpy double

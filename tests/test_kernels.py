@@ -53,6 +53,36 @@ def test_build_goes_to_the_cache_dir(tmp_path, monkeypatch):
     assert fn is not None and built[0].stat().st_mtime_ns == mtime
 
 
+def test_a_library_that_fails_to_open_is_rebuilt_once(tmp_path, monkeypatch):
+    # The library vanishes between the existence check and the load: one
+    # rebuild, then the kernels load.  A load that keeps failing is reported
+    # after that one rebuild, not retried again.
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc not found on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _kernels._load()[0] is not None
+    path = _kernels._library_path()
+    real_cdll, real_build = _kernels.ctypes.CDLL, _kernels._build
+    for failures in (1, 2):
+        opens, builds = [], []
+
+        def cdll(name):
+            opens.append(name)
+            if len(opens) <= failures:
+                os.remove(name)
+                raise OSError(f"{name}: cannot open shared object file")
+            return real_cdll(name)
+
+        monkeypatch.setattr(_kernels, "_build", lambda p: (builds.append(p), real_build(p)))
+        monkeypatch.setattr(_kernels.ctypes, "CDLL", cdll)
+        lib, error = _kernels._load()
+        assert builds == [path] and opens == [path, path]
+        if failures == 1:
+            assert lib is not None and error is None and os.path.exists(path)
+        else:
+            assert lib is None and "cannot open shared object file" in error
+
+
 def test_missing_compiler_is_reported(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernels.shutil, "which", lambda name: None)

@@ -498,6 +498,13 @@ class TestClusterRadii:
         assert cluster_radii(lat, [(3, 2)])[0] == 3
         assert cluster_radii(lat, [(2, 2)])[0] == 2
 
+    @pytest.mark.parametrize("origin", [(-1, 0), (0, 7), (9, 0), (0, 5), (4, 0)])
+    def test_origins_outside_the_lattice_are_rejected(self, origin):
+        # Neither wrapped, read from another row, nor left to a bare IndexError.
+        lat = lattice_from(np.ones((4, 5), bool))
+        with pytest.raises(ValueError, match="origins must lie in the lattice"):
+            cluster_radii(lat, [(0, 0), origin])
+
     def test_tail_shape(self):
         lats = [SiteLattice.random((80, 80), 0.2, 7, key=(i,)) for i in range(4)]
         radii, tail = cluster_radius_tail(lats, ks=range(0, 6))

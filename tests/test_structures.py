@@ -11,6 +11,7 @@ from segsim.percolation import cycle_winds_around
 from segsim.rng import generator
 from segsim.structures import (
     BlockLattice,
+    ExpansionVerdict,
     RadicalSpec,
     annulus_cells,
     bad_cluster_radii,
@@ -262,38 +263,43 @@ class TestRegionOfExpansion:
         state = mono_state(64, 2, 0.4, 1)
         assert bool(is_region_of_expansion(state, (32, 32), 6))
 
-    def oracle(self, state, center, radius):
-        """Paint each hypothetical block on a copy, recount, check ring."""
+    def oracle(self, state, center, radius, placements="all", rng=None):
+        """Whole verdict: paint each hypothetical block on a copy, recount,
+        check the ring; placements in order, then rim agents row-major, and
+        the first -1 rim agent still at >= K fails."""
         cfg = state.config
         n, w, K = cfg.n, cfg.w, cfg.K
         h = (w + 1) // 2
         span = radius - h
-        for br_off in range(-span, span + 1):
-            for bc_off in range(-span, span + 1):
-                br = (center[0] + br_off) % n
-                bc = (center[1] + bc_off) % n
-                painted = state.types.copy()
-                rows = np.arange(br - h, br + h + 1) % n
-                cols = np.arange(bc - h, bc + h + 1) % n
-                painted[np.ix_(rows, cols)] = 1
-                counts = same_counts_bruteforce(painted, w)
-                rim = h + 1
-                for dr in range(-rim, rim + 1):
-                    for dc in range(-rim, rim + 1):
-                        if max(abs(dr), abs(dc)) != rim:
-                            continue
-                        v = ((br + dr) % n, (bc + dc) % n)
-                        if painted[v] != -1:
-                            continue
-                        if counts[v] >= K:
-                            return False
-        return True
+        if placements == "all":
+            offsets = [(a, b) for a in range(-span, span + 1) for b in range(-span, span + 1)]
+        else:
+            offsets = rng.integers(-span, span + 1, size=(placements, 2)).tolist()
+        for br_off, bc_off in offsets:
+            br = (center[0] + br_off) % n
+            bc = (center[1] + bc_off) % n
+            painted = state.types.copy()
+            rows = np.arange(br - h, br + h + 1) % n
+            cols = np.arange(bc - h, bc + h + 1) % n
+            painted[np.ix_(rows, cols)] = 1
+            counts = same_counts_bruteforce(painted, w)
+            rim = h + 1
+            for dr in range(-rim, rim + 1):
+                for dc in range(-rim, rim + 1):
+                    if max(abs(dr), abs(dc)) != rim:
+                        continue
+                    v = ((br + dr) % n, (bc + dc) % n)
+                    if painted[v] != -1:
+                        continue
+                    if counts[v] >= K:
+                        return ExpansionVerdict(False, len(offsets), (br, bc), v)
+        return ExpansionVerdict(True, len(offsets), None, None)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_direct_recount_oracle(self, seed):
         cfg = GridConfig(n=24, w=2, tau_tilde=0.45, seed=seed, allow_small=True)
         state = new_random(cfg)
-        got = bool(is_region_of_expansion(state, (12, 12), 4))
+        got = is_region_of_expansion(state, (12, 12), 4)
         assert got == self.oracle(state, (12, 12), 4)
 
     @pytest.mark.parametrize("w,p,radius", [(1, 0.5, 1), (1, 0.6, 2), (2, 0.6, 1)])
@@ -303,16 +309,31 @@ class TestRegionOfExpansion:
         for seed in range(20):
             cfg = GridConfig(n=24, w=w, tau_tilde=0.45, p=p, seed=seed, allow_small=True)
             state = new_random(cfg)
-            got = bool(is_region_of_expansion(state, (12, 12), radius))
+            got = is_region_of_expansion(state, (12, 12), radius)
             assert got == self.oracle(state, (12, 12), radius), seed
-            verdicts.add(got)
+            verdicts.add(bool(got))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("w,p,radius,placements", [(1, 0.6, 2, 3), (2, 0.6, 3, 7), (3, 0.55, 5, 5)])
+    def test_sampled_verdicts_match_recount_oracle(self, w, p, radius, placements):
+        # Sampled placements, repeats possible, near the center and across
+        # the seams; the failing placement and agent are compared too.
+        verdicts = set()
+        for seed in range(16):
+            cfg = GridConfig(n=24, w=w, tau_tilde=0.45, p=p, seed=seed, allow_small=True)
+            state = new_random(cfg)
+            for center in ((12, 12), (0, 23)):
+                got = is_region_of_expansion(state, center, radius, placements, generator(seed, 55))
+                want = self.oracle(state, center, radius, placements, generator(seed, 55))
+                assert got == want, (seed, center)
+                verdicts.add(bool(got))
         assert verdicts == {True, False}
 
     def test_all_minus_region(self):
         # A -1 sea at moderate tau: the hypothetical +1 block must make its
         # rim unhappy; verdict agrees with the recount oracle.
         state = mono_state(32, 3, 0.45, -1)
-        got = bool(is_region_of_expansion(state, (16, 16), 6))
+        got = is_region_of_expansion(state, (16, 16), 6)
         assert got == self.oracle(state, (16, 16), 6)
 
     def test_all_minus_region_w10(self):
@@ -320,7 +341,7 @@ class TestRegionOfExpansion:
         # minority count; one direct-recount instance at full scale.
         state = mono_state(96, 10, 0.45, -1)
         verdict = is_region_of_expansion(state, (48, 48), 6)
-        assert bool(verdict) == self.oracle(state, (48, 48), 6)
+        assert verdict == self.oracle(state, (48, 48), 6)
         # Hand check: the rim agent at offset (6, 0) from the block center
         # overlaps the 11x11 hypothetical block on 10 rows x 11 cols = 110
         # cells, leaving 441 - 110 = 331 >= K = 199 minority neighbors, so it
