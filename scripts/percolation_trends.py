@@ -26,16 +26,20 @@ def main() -> None:
     ap.add_argument("--fpp-reps", type=int, default=40)
     args = ap.parse_args()
 
-    # Chemical distance at l1 distance 200.
+    # Chemical distance at l1 distance 200, from lattices where a and b connect.
     a, b = (20, 120), (120, 20)
     dists = []
-    i = 0
-    while len(dists) < args.chem_samples:
+    max_draws = 100 * args.chem_samples
+    for i in range(max_draws):
         lat = SiteLattice.random((241, 241), args.chem_p, args.seed, key=(i,))
-        i += 1
         d = chemical_distance(lat, a, b)
         if d is not None:
             dists.append(d)
+            if len(dists) == args.chem_samples:
+                break
+    else:
+        ap.error(f"only {len(dists)} of {max_draws} lattices at --chem-p {args.chem_p} "
+                 f"connect {a} and {b}; --chem-samples asks for {args.chem_samples}")
     dists = np.asarray(dists)
     print(
         f"chemical distance (l1=200, p={args.chem_p}): median {np.median(dists):.0f}, "

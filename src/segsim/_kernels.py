@@ -41,10 +41,8 @@ by level, so the reads of one level share two table rows.  The own-radius
 dilation turns r into M and q into M', each line unrolled by the map's
 maximum.  The radius pass reads the state's one (n+1) x (n+1) prefix table
 of the +1 grid (grid.TorusPrefix), which the prefix-table kernel builds,
-and reaches wrapping windows through the table's periodic extension.  The
-summary's auxiliary statistic, the largest 4-connected torus component of
-each type, is one union-find pass over both types.  They do integer
-arithmetic only.
+and reaches wrapping windows through the table's periodic extension.  They
+do integer arithmetic only.
 
 The passage-time kernel is a Dijkstra on the implicit 4-neighbour grid with
 a lazy binary heap, for percolation.fpp_min_passage_time, whose csgraph
@@ -67,8 +65,8 @@ the flags and the machine type, and it is written through a temp file and
 ``os.replace``, so concurrent processes never load a half-written file and
 later runs only hash, stat and load.  Without gcc, or when the build or
 load fails, ``run_chunk``, ``box_counts``, ``radius_pass``, ``dilate``,
-``prefix_table``, ``largest_components``, ``passage_time`` and ``grid_bfs``
-are None, ``load_error`` says why, and the reference code runs instead.
+``prefix_table``, ``passage_time`` and ``grid_bfs`` are None, ``load_error``
+says why, and the reference code runs instead.
 """
 
 from __future__ import annotations
@@ -656,74 +654,6 @@ void segsim_prefix_table(const uint8_t *plus, int64_t n, int64_t *sat)
     }
 }
 
-/* Union-find root of v, halving the path on the way: parent[v] >= 0 is
-   v's parent, and a root holds minus its component's size. */
-static inline int32_t uf_root(int32_t *parent, int32_t v)
-{
-    while (parent[v] >= 0) {
-        if (parent[parent[v]] >= 0)
-            parent[v] = parent[parent[v]];
-        v = parent[v];
-    }
-    return v;
-}
-
-static inline void uf_join(int32_t *parent, int32_t a, int32_t b)
-{
-    a = uf_root(parent, a);
-    b = uf_root(parent, b);
-    if (a == b)
-        return;
-    if (parent[a] > parent[b]) { /* the larger tree keeps its root */
-        const int32_t t = a;
-        a = b;
-        b = t;
-    }
-    parent[a] += parent[b];
-    parent[b] = a;
-}
-
-/* The cell counts of the largest 4-connected component of +1 cells and of
-   -1 cells on the n x n torus, into out[0] and out[1] (0 for a type that
-   is absent).  types holds +1 and -1 only, and n^2 < 2^31.  Every cell is
-   joined to its right and lower neighbor, across the seams, when they share
-   its type; those pairs are all the 4-adjacent pairs of the torus, so the
-   union-find sets are the components.  Returns -1 when the union-find
-   array cannot be allocated and -2 on a type other than +1 and -1. */
-int64_t segsim_largest_components(const int8_t *types, int64_t n, int64_t *out)
-{
-    const int64_t nn = n * n;
-    int32_t *parent = malloc((size_t)nn * sizeof *parent);
-    if (parent == NULL)
-        return -1;
-    for (int64_t v = 0; v < nn; v++)
-        parent[v] = -1;
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t below = i + 1 < n ? (i + 1) * n : 0;
-        for (int64_t j = 0; j < n; j++) {
-            const int64_t v = i * n + j, right = j + 1 < n ? v + 1 : i * n;
-            if (types[v] != 1 && types[v] != -1) {
-                free(parent);
-                return -2;
-            }
-            if (types[right] == types[v])
-                uf_join(parent, (int32_t)v, (int32_t)right);
-            if (types[below + j] == types[v])
-                uf_join(parent, (int32_t)v, (int32_t)(below + j));
-        }
-    }
-    out[0] = out[1] = 0;
-    for (int64_t v = 0; v < nn; v++) {
-        if (parent[v] < 0) {
-            int64_t *best = out + (types[v] < 0);
-            if (-parent[v] > *best)
-                *best = -parent[v];
-        }
-    }
-    free(parent);
-    return 0;
-}
-
 /* A passage-time heap entry: a tentative time and its site. */
 typedef struct {
     double d;
@@ -1074,27 +1004,6 @@ def _wrap_prefix_table(fn):
     return prefix_table
 
 
-def _wrap_largest_components(fn):
-    def largest_components(types):
-        """(largest_plus, largest_minus): the cell counts of the largest
-        4-connected component of each type on the n x n torus of +1/-1 int8
-        types, 0 for an absent type."""
-        n = types.shape[0]
-        if types.dtype != np.int8 or types.shape != (n, n):
-            raise ValueError("the types must be a square int8 array")
-        if n * n >= 2**31:
-            raise ValueError("the torus must hold fewer than 2^31 cells")
-        out = np.zeros(2, dtype=np.int64)
-        status = fn(np.ascontiguousarray(types), n, out)
-        if status == -1:
-            raise MemoryError("union-find array for the components")
-        if status != 0:
-            raise ValueError("types must be +1 or -1")
-        return int(out[0]), int(out[1])
-
-    return largest_components
-
-
 def _wrap_passage_time(fn):
     def passage_time(weights, sources, targets):
         """The minimum over 4-neighbour paths of the h x wd float64 site
@@ -1188,8 +1097,6 @@ _WRAPPERS = {
     "dilate": ("segsim_dilate", [_arr(np.int32), _I64, _arr(np.int32)], _I64, _wrap_dilate),
     "prefix_table": ("segsim_prefix_table", [_arr(np.uint8), _I64, _arr(np.int64)], None,
                      _wrap_prefix_table),
-    "largest_components": ("segsim_largest_components", [_arr(np.int8), _I64, _arr(np.int64)],
-                           _I64, _wrap_largest_components),
     "passage_time": ("segsim_passage_time",
                      [_arr(np.float64), _I64, _I64, _arr(np.int64), _I64, _arr(np.int64), _I64,
                       _arr(np.float64)],

@@ -33,7 +33,11 @@ import numpy as np
 
 from . import _kernels
 from .grid import GridState, _flip_cell, torus_window_ix
-from .rng import RUN_CHUNK
+from .rng import RNG_ID, RUN_CHUNK
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class TerminationReason(enum.Enum):
@@ -45,19 +49,23 @@ class TerminationReason(enum.Enum):
 @dataclass
 class RunLimits:
     """Stopping rules.  max_flips defaults to 4*n^2*N, far above the
-    Lyapunov cap, so a runaway loop surfaces as FlipLimit instead of a hang."""
+    Lyapunov cap, so a runaway loop surfaces as FlipLimit instead of a hang.
+    A max_continuous_time of inf sets no time limit."""
 
     max_flips: Optional[int] = None
     max_continuous_time: Optional[float] = None
     record_interval: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_flips is not None and self.max_flips <= 0:
-            raise ValueError("max_flips must be positive when given")
-        if self.max_continuous_time is not None and self.max_continuous_time <= 0:
-            raise ValueError("max_continuous_time must be positive when given")
-        if self.record_interval < 0:
-            raise ValueError("record_interval must be >= 0")
+        # Both engines must read the same limits: the C one takes int64
+        # counts, and NaN would compare false against every time.
+        if self.max_flips is not None and not (_is_int(self.max_flips) and self.max_flips > 0):
+            raise ValueError(f"max_flips must be a positive integer when given, got {self.max_flips!r}")
+        if self.max_continuous_time is not None and not self.max_continuous_time > 0:
+            raise ValueError(
+                f"max_continuous_time must be positive when given, got {self.max_continuous_time!r}")
+        if not (_is_int(self.record_interval) and self.record_interval >= 0):
+            raise ValueError(f"record_interval must be an integer >= 0, got {self.record_interval!r}")
 
 
 @dataclass
@@ -278,7 +286,7 @@ def run_to_termination(
 
     return RunReport(
         config=cfg.to_dict(),
-        rng_id=cfg.rng_id,
+        rng_id=RNG_ID,
         flips_total=flips,
         continuous_time_final=float(t),
         lyapunov_initial=phi0,

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dynamics import RunLimits, RunReport, run_to_termination
+from .dynamics import RunLimits, RunReport, _is_int, run_to_termination
 from .grid import ConfigError, GridConfig, intolerance_threshold, new_random
 from .regions import RegionMeasure
 from .rng import RNG_ID, STREAM_DYNAMICS, STREAM_STATS, derive_run_seed, generator
@@ -65,10 +65,6 @@ def run_single(
     rng = generator(config.seed, STREAM_DYNAMICS)
     measure = RegionMeasure(sample_size=sample_size, eps=eps)
     return run_to_termination(state, rng, limits, measure=measure)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

@@ -66,7 +66,6 @@ class GridConfig:
     tau_tilde: float
     p: float = 0.5
     seed: int = 0
-    rng_id: str = RNG_ID
     allow_small: bool = False
 
     def __post_init__(self) -> None:
@@ -120,7 +119,7 @@ class GridConfig:
             "tau_tilde": self.tau_tilde,
             "p": self.p,
             "seed": self.seed,
-            "rng_id": self.rng_id,
+            "rng_id": RNG_ID,
             "N": self.N,
             "K": self.K,
         }

@@ -29,12 +29,6 @@ a full radius pass when none is given), and almost_mono_radius_of finds
 M'(u) by direct search over radii and centers.  The numpy pass and
 almost_mono_radius_of read their windows from _periodic_prefix, one table
 of TorusPrefix.periodic over every corner a window can have.
-
-A connected-component statistic is also emitted as auxiliary data; it is a
-cluster measure, not a square-region measure, and is labeled as such.  Only
-the size of the largest component per type is reported: the compiled
-library counts both types in one union-find pass, and
-unionfind.component_sizes is the reference.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from .grid import GridState, TorusPrefix, torus_window_ix
 from .rng import STREAM_MEASURE, generator
 # label_grid_components stays bound here: perfbench/tracing.py times it through
 # this module.
-from .unionfind import component_sizes, label_grid_components  # noqa: F401
+from .unionfind import label_grid_components  # noqa: F401
 
 
 def _check_eps(eps: float) -> None:
@@ -312,22 +306,9 @@ class RegionSummary:
     mean_Mprime: Optional[float]
     stderr_Mprime: Optional[float]
     m_radius_histogram: dict
-    components: dict
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _largest_components(types: np.ndarray) -> tuple[int, int]:
-    """Cell counts of the largest 4-connected torus component of +1 cells
-    and of -1 cells, 0 for an absent type.
-
-    numpy reference: the largest of component_sizes per type.
-    """
-    if _kernels.largest_components is not None:
-        return _kernels.largest_components(types)
-    plus, minus = (component_sizes(types == t, adjacency=4, torus=True).max(initial=0) for t in (1, -1))
-    return int(plus), int(minus)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -349,10 +330,8 @@ def compute_region_summary(
     values are read from the exact all-agent maps, the dilations of r and q
     from one radius pass (mono_radius_all, and almost_mono_radius_map
     without its own pass).  M values are region sizes (cell counts).  The
-    radius pass reads the state's cached prefix table, and the components
-    entry holds the largest 4-connected torus component per type
-    (_largest_components).  Every step has a compiled kernel and a numpy
-    reference that give the same bytes.
+    radius pass reads the state's cached prefix table.  Every step has a
+    compiled kernel and a numpy reference that give the same bytes.
     """
     _check_measure(sample_size, eps)
     n = state.n
@@ -376,10 +355,6 @@ def compute_region_summary(
         vals, counts = np.unique(m_radii, return_counts=True)
         hist = {int(v): int(c) for v, c in zip(vals, counts)}
 
-    plus, minus = _largest_components(state.types)
-    components = {"note": "auxiliary cluster statistic (4-adjacent components), not a square-region measure",
-                  "largest_plus": plus, "largest_minus": minus}
-
     return RegionSummary(
         largest_plus=largest["plus"],
         largest_minus=largest["minus"],
@@ -390,5 +365,4 @@ def compute_region_summary(
         mean_Mprime=mean_Mp,
         stderr_Mprime=stderr_Mp,
         m_radius_histogram=hist,
-        components=components,
     )

@@ -22,7 +22,7 @@ from .dynamics import CascadeResult, cascade_closure
 from .grid import GridConfig, GridState, TorusPrefix, round_radius, torus_window_ix
 from .percolation import _bfs_path, _n4_neighbors, cycle_winds_around, surrounding_cycle
 from .theory import f_tau, radical_threshold_count, tau_hat
-from .unionfind import component_cells, label_grid_components
+from .unionfind import label_grid_components
 
 
 @dataclass(frozen=True)
@@ -440,20 +440,16 @@ def find_chemical_path(
 def bad_cluster_radii(blocks: BlockLattice) -> list[int]:
     """Radii of 8-connected bad-block clusters: for each cluster, the max
     torus l1 distance from its row-major-first block.  Ordered by that root."""
-    bad = ~blocks.labels
-    if not bad.any():
-        return []
     d = blocks.dims
-    labels = label_grid_components(bad, adjacency=8, torus=True)
-    comps = component_cells(labels)
-    out = []
-    for root in sorted(comps):
-        cells = comps[root]
-        rr = cells // d
-        cc = cells % d
-        r0, c0 = divmod(root, d)
-        dr = np.abs(rr - r0)
-        dc = np.abs(cc - c0)
-        l1 = np.minimum(dr, d - dr) + np.minimum(dc, d - dc)
-        out.append(int(l1.max()))
-    return out
+    lab_flat = label_grid_components(~blocks.labels, adjacency=8, torus=True).ravel()
+    cells = np.nonzero(lab_flat >= 0)[0]
+    # A label is its cluster's first cell, so the roots come sorted and a
+    # binary search gives each cell its cluster's dense index.
+    lab = lab_flat[cells]
+    roots = cells[lab == cells]
+    dr = np.abs(cells // d - lab // d)
+    dc = np.abs(cells % d - lab % d)
+    l1 = np.minimum(dr, d - dr) + np.minimum(dc, d - dc)
+    radii = np.zeros(roots.size, dtype=np.int64)
+    np.maximum.at(radii, np.searchsorted(roots, lab), l1)
+    return radii.tolist()

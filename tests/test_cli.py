@@ -129,6 +129,21 @@ class TestRun:
     def test_usage_error_exit_code(self):
         assert run_cli("run", "--bogus") == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-time", "nan", "max_continuous_time must be positive when given, got nan"),
+        ("--max-time", "0", "max_continuous_time must be positive when given, got 0.0"),
+        ("--max-flips", "2.5", "invalid int value: '2.5'"),
+        ("--record-interval", "2.5", "invalid int value: '2.5'"),
+    ])
+    def test_bad_run_limit_exits_2_before_any_flip(self, monkeypatch, capsys, flag, value, message):
+        from segsim import dynamics
+
+        calls = []
+        monkeypatch.setattr(dynamics, "run_to_termination", lambda *a, **k: calls.append(a))
+        assert run_cli("run", "--n", "32", "--w", "2", "--tau", "0.45", flag, value) == 2
+        assert calls == []
+        assert message in capsys.readouterr().err
+
     def test_trace_out_needs_a_positive_record_interval(self, tmp_path, monkeypatch, capsys):
         from segsim import dynamics
 

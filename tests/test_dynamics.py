@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,36 @@ class TestRunToTermination:
             RunLimits(max_continuous_time=-1.0)
         with _pytest.raises(ValueError):
             RunLimits(record_interval=-1)
+
+    @ENGINES
+    @pytest.mark.parametrize("limits", [
+        {"max_flips": 2.5}, {"max_flips": True}, {"max_flips": "5"},
+        {"max_continuous_time": math.nan}, {"max_continuous_time": 0.0},
+        {"record_interval": 2.5}, {"record_interval": True}, {"record_interval": None},
+    ], ids=repr)
+    def test_limits_the_engines_would_read_differently_are_rejected(self, use_numba, limits):
+        """A fractional count reaches the C engine as an error and the python
+        one as a rounded-up limit, and NaN switches the time limit off: each
+        is rejected before either engine runs."""
+        if use_numba:
+            require_c_kernel()
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            run_to_termination(fresh(48, 2, 0.45, 1), generator(1, STREAM_DYNAMICS), RunLimits(**limits),
+                               use_numba=use_numba)
+
+    @pytest.mark.parametrize("limits,expected", [
+        ({"max_flips": np.int64(150)}, "FlipLimit"),
+        ({"max_continuous_time": math.inf}, "NoEligibleAgents"),
+        ({"record_interval": np.int64(7)}, "NoEligibleAgents"),
+    ], ids=["int64-flips", "inf-time", "int64-interval"])
+    def test_accepted_limits_give_the_same_run_on_both_engines(self, limits, expected):
+        require_c_kernel()
+        python, c = (run_to_termination(fresh(48, 2, 0.45, 1), generator(1, STREAM_DYNAMICS),
+                                        RunLimits(**limits), use_numba=use_numba)
+                     for use_numba in (False, True))
+        assert python.termination_reason == expected
+        assert python.canonical_json() == c.canonical_json()
+        assert (python.trace is None and c.trace is None) or np.array_equal(python.trace, c.trace)
 
     def test_audit_legality(self):
         state = fresh(32, 2, 0.45, 13)

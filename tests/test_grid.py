@@ -24,7 +24,7 @@ from segsim.grid import (
     round_radius,
     same_counts_bruteforce,
 )
-from segsim.rng import generator
+from segsim.rng import RNG_ID, generator
 
 
 def checkerboard(n):
@@ -87,6 +87,13 @@ class TestConfig:
         assert GridConfig(n=181, w=90, tau_tilde=0.5, allow_small=True).N == 32761
         with pytest.raises(ConfigError, match="w must be <= 90"):
             GridConfig(n=183, w=91, tau_tilde=0.5, allow_small=True)
+
+    def test_generator_is_not_a_setting(self):
+        # Every stream is pcg64; a config that named another would report a
+        # generator that never ran.
+        with pytest.raises(TypeError):
+            GridConfig(n=64, w=2, tau_tilde=0.45, rng_id="philox")
+        assert GridConfig(n=64, w=2, tau_tilde=0.45).to_dict()["rng_id"] == RNG_ID == "pcg64"
 
     def test_small_grid_override(self):
         cfg = GridConfig(n=10, w=2, tau_tilde=0.5, allow_small=True)

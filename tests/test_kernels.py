@@ -2,9 +2,8 @@
 checks, a sanitizer run, and bit-equality of the flip kernel with the python
 reference executor, chunk by chunk and on edge cases (the region kernels
 are compared with their numpy reference in test_regions.py, the prefix
-table and the same-type counts in test_grid.py, the component counts in
-test_unionfind.py, the passage-time kernel and the breadth-first search
-with csgraph in test_percolation.py)."""
+table and the same-type counts in test_grid.py, the passage-time kernel and
+the breadth-first search with csgraph in test_percolation.py)."""
 
 import dataclasses
 import inspect
@@ -185,19 +184,6 @@ def test_summary_kernel_wrappers_reject_bad_arguments():
     for bad in (plus.astype(bool), plus.astype(np.int64), plus[:, :-1], np.zeros(4, np.uint8)):
         with pytest.raises(ValueError, match="square uint8"):
             _kernels.prefix_table(bad)
-    types = np.where(np.eye(4, dtype=bool), 1, -1).astype(np.int8)
-    assert _kernels.largest_components(types) == (1, 12)
-    for bad in (types.astype(np.int16), types[:, :-1], types.ravel()):
-        with pytest.raises(ValueError, match="square int8"):
-            _kernels.largest_components(bad)
-    for value in (0, 2, -128):
-        bad = types.copy()
-        bad[3, 2] = value
-        with pytest.raises(ValueError, match=r"\+1 or -1"):
-            _kernels.largest_components(bad)
-    # A broadcast view: the shape alone is rejected, before any copy is made.
-    with pytest.raises(ValueError, match="2\\^31"):
-        _kernels.largest_components(np.broadcast_to(np.int8(1), (46341, 46341)))
 
 
 def test_bfs_and_count_wrappers_reject_bad_arguments():
@@ -250,8 +236,6 @@ def test_region_wrappers_raise_memory_error_when_c_cannot_allocate():
                                                      np.zeros(5, np.int64))
     with pytest.raises(MemoryError, match="dilation"):
         _kernels._wrap_dilate(lambda *args: -1)(np.zeros((n, n), np.int32))
-    with pytest.raises(MemoryError, match="union-find"):
-        _kernels._wrap_largest_components(lambda *args: -1)(np.ones((n, n), np.int8))
 
 
 def test_passage_time_wrapper_rejects_bad_arguments():
@@ -279,10 +263,10 @@ def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
 # summary kernels and the passage-time kernel on edge inputs, each compared
 # with the python/numpy/csgraph reference.  The radius pass runs at the zero
 # table and at the ratio test's tables, on tori down to n = 3 and on n =
-# 2w+1; the prefix table and the component counts on the same edge tori;
-# the passage time on 1 x n and n x 1 strips and on lattices where every
-# site but one is a source; the same-type counts at every w on the edge tori;
-# the breadth-first search on 1 x 1, 1 x n and n x 1 lattices with cut slots.
+# 2w+1; the prefix table on the same edge tori; the passage time on 1 x n
+# and n x 1 strips and on lattices where every site but one is a source; the
+# same-type counts at every w on the edge tori; the breadth-first search on
+# 1 x 1, 1 x n and n x 1 lattices with cut slots.
 SANITIZED_RUN = r"""
 import json
 import math
@@ -291,7 +275,7 @@ import sys
 import numpy as np
 
 from segsim import (GridConfig, _kernels, dynamics, grid, new_random, percolation, regions,
-                    state_from_types, unionfind)
+                    state_from_types)
 from segsim.dynamics import RunLimits, run_to_termination
 from segsim.rng import STREAM_DYNAMICS, generator
 
@@ -299,12 +283,12 @@ _kernels._library_path = lambda: sys.argv[1]
 _kernels._resolve()
 assert _kernels.load_error is None, _kernels.load_error
 kernels = (_kernels.radius_pass, _kernels.dilate)
-prefix_table, largest_components = _kernels.prefix_table, _kernels.largest_components
-passage_time, grid_bfs, box_counts = _kernels.passage_time, _kernels.grid_bfs, _kernels.box_counts
+prefix_table, passage_time = _kernels.prefix_table, _kernels.passage_time
+grid_bfs, box_counts = _kernels.grid_bfs, _kernels.box_counts
 
 
-# The summary's prefix table and component counts, and the same-type counts
-# at every w that fits, against numpy.
+# The summary's prefix table and the same-type counts at every w that fits,
+# against numpy.
 def assert_summary_kernels_agree(types):
     n = types.shape[0]
     plus = types > 0
@@ -313,8 +297,6 @@ def assert_summary_kernels_agree(types):
     assert np.array_equal(prefix_table(plus.view(np.uint8)), want), n
     for w in range(1, (n - 1) // 2 + 1):
         assert np.array_equal(box_counts(types, w), grid.box_same_counts(types, w)), (n, w)
-    sizes = [unionfind.component_sizes(types == t, 4, True).max(initial=0) for t in (1, -1)]
-    assert largest_components(types) == tuple(int(x) for x in sizes), n
 
 
 # (r, q, M, M') from one pass at the zero table, then from one at eps's.

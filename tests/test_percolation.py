@@ -20,7 +20,7 @@ from segsim.percolation import (
 )
 from segsim.percolation import _N4, _wall_follow_cycle
 from segsim.rng import generator
-from segsim.unionfind import component_cells, label_grid_components
+from segsim.unionfind import label_grid_components
 
 
 def lattice_from(mask, p=0.5):
@@ -59,7 +59,6 @@ def oracle_cluster_radii(mask, origins=None):
     """Per origin, the max l1 distance over its cluster's cells; -1 if closed."""
     h, w = mask.shape
     labels = label_grid_components(mask, adjacency=4, torus=False)
-    comps = component_cells(labels)
     if origins is None:
         origin_flat = np.arange(h * w)
     else:
@@ -70,7 +69,7 @@ def oracle_cluster_radii(mask, origins=None):
         lab = lab_flat[o]
         if lab < 0:
             continue
-        cells = comps[int(lab)]
+        cells = np.flatnonzero(lab_flat == lab)
         orr, occ = divmod(int(o), w)
         radii[i] = int((np.abs(cells // w - orr) + np.abs(cells % w - occ)).max())
     return radii

@@ -318,7 +318,9 @@ class TestRegionSummary:
         assert s1.sample_size == 64
         assert s1.mean_Mprime >= s1.mean_M
         assert sum(s1.m_radius_histogram.values()) >= 64
-        assert s1.components["largest_plus"] > 0
+        assert set(s1.to_dict()) == {
+            "largest_plus", "largest_minus", "sample_size", "eps", "mean_M", "stderr_M",
+            "mean_Mprime", "stderr_Mprime", "m_radius_histogram"}
 
     def test_sampled_cells_match_oracles(self):
         # The summary reads its sampled agents from the all-agent maps; redraw
@@ -561,7 +563,7 @@ def test_radius_pass_where_the_left_guess_can_fail(eps, monkeypatch):
     assert found > 0
 
 
-REGION_KERNELS = ("radius_pass", "dilate", "prefix_table", "largest_components")
+REGION_KERNELS = ("radius_pass", "dilate", "prefix_table")
 
 
 def test_summary_bytes_do_not_depend_on_the_kernels(monkeypatch):

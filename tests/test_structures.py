@@ -716,6 +716,47 @@ class TestBadClusters:
         lattice = BlockLattice(m=1, dims=10, labels=labels, origin=(0, 0), eps=0.1)
         assert bad_cluster_radii(lattice) == [2]
 
+    @staticmethod
+    def oracle(bad):
+        """Per cluster, from each unvisited bad block in row-major order: an
+        8-neighbour search over the torus and the largest torus l1 distance
+        from that first block."""
+        d = bad.shape[0]
+        seen = np.zeros_like(bad)
+        out = []
+        for r0, c0 in zip(*np.nonzero(bad)):
+            if seen[r0, c0]:
+                continue
+            seen[r0, c0] = True
+            stack, far = [(r0, c0)], 0
+            while stack:
+                r, c = stack.pop()
+                dr, dc = abs(r - r0), abs(c - c0)
+                far = max(far, min(dr, d - dr) + min(dc, d - dc))
+                for rr in ((r - 1) % d, r, (r + 1) % d):
+                    for cc in ((c - 1) % d, c, (c + 1) % d):
+                        if bad[rr, cc] and not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            stack.append((rr, cc))
+            out.append(far)
+        return out
+
+    def test_matches_loop_oracle(self):
+        rng = generator(691)
+        cases = [rng.random((d, d)) < density
+                 for d in (1, 2, 3, 5, 8, 13, 21, 40) for density in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)]
+        for d in (5, 12, 40):
+            i, j = np.indices((d, d))
+            cases += [
+                (i == 0) | (j == d - 1),  # a cross that closes round both seams
+                (i - j) % d == 0,  # a diagonal, joined at the corner wrap only
+                ((i + 1) % d < 3) & ((j + 1) % d < 3),  # a square cut by both seams
+                ((i + j) % d == 1) | (i == d // 2),
+            ]
+        for bad in cases:
+            lattice = BlockLattice(m=1, dims=bad.shape[0], labels=~bad, origin=(0, 0), eps=0.1)
+            assert bad_cluster_radii(lattice) == self.oracle(bad), bad.astype(int)
+
     def test_subcritical_tail_is_log_linear(self):
         rng = generator(123)
         radii = []

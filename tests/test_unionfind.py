@@ -3,9 +3,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from segsim import _kernels
 from segsim.rng import generator
-from segsim.unionfind import component_sizes, label_grid_components
+from segsim.unionfind import label_grid_components
 
 
 def oracle_labels(mask, adjacency, torus):
@@ -41,16 +40,12 @@ def oracle_labels(mask, adjacency, torus):
 @pytest.mark.parametrize("adjacency", [4, 8])
 @pytest.mark.parametrize("torus", [True, False])
 def test_labels_match_bfs_oracle(shape, adjacency, torus):
-    """Labels, and the component sizes counted without labels."""
     rng = generator(sum(shape) * 10 + adjacency + torus)
     for density in (0.0, 0.2, 0.45, 0.6, 0.9, 1.0):
         for _ in range(8):
             mask = rng.random(shape) < density
             want = oracle_labels(mask, adjacency, torus)
             assert np.array_equal(label_grid_components(mask, adjacency, torus), want)
-            sizes = component_sizes(mask, adjacency, torus)
-            assert sizes.dtype == np.int64
-            assert np.array_equal(np.sort(sizes), np.sort(np.unique(want[want >= 0], return_counts=True)[1]))
 
 
 def test_seams_join_on_torus_only():
@@ -66,41 +61,6 @@ def test_seams_join_on_torus_only():
 
 def test_empty_mask_and_bad_adjacency():
     assert (label_grid_components(np.zeros((3, 4), bool), 4, True) == -1).all()
-    assert component_sizes(np.zeros((3, 4), bool), 4, True).size == 0
     with pytest.raises(ValueError):
         label_grid_components(np.ones((3, 3), bool), 6, True)
-    with pytest.raises(ValueError):
-        component_sizes(np.ones((3, 3), bool), 6, True)
 
-
-def largest_by_type(types):
-    """The reference: the largest of component_sizes for +1 and for -1."""
-    return tuple(int(component_sizes(types == t, 4, True).max(initial=0)) for t in (1, -1))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 31])
-def test_component_kernel_matches_component_sizes(n):
-    """The compiled count of the largest 4-connected torus component per
-    type: random tori, one type only (a single component of n^2 cells that
-    joins across both seams), a diagonal stripe that wraps both seams, rows
-    0 and n-1 (joined only across a seam), and a corner square cut by both
-    seams."""
-    if _kernels.largest_components is None:
-        pytest.skip(_kernels.load_error)
-    rng = generator(900 + n)
-    cases = [np.where(rng.random((n, n)) < p, 1, -1).astype(np.int8)
-             for p in (0.3, 0.5, 0.7) for _ in range(4)]
-    ones = np.ones((n, n), np.int8)
-    i, j = np.indices((n, n))
-    stripe = np.where((i + j) % n < 2, 1, -1).astype(np.int8)
-    edge_rows = np.where((i == 0) | (i == n - 1), 1, -1).astype(np.int8)
-    corner = np.where(((i + 2) % n < 4) & ((j + 2) % n < 4), 1, -1).astype(np.int8)
-    cases += [ones, -ones, stripe, edge_rows, edge_rows.T, corner]
-    for types in cases:
-        assert _kernels.largest_components(types) == largest_by_type(types)
-    assert _kernels.largest_components(ones) == (n * n, 0)
-    assert _kernels.largest_components(-ones) == (0, n * n)
-    if n >= 5:
-        assert _kernels.largest_components(stripe) == (2 * n, n * n - 2 * n)
-        assert _kernels.largest_components(edge_rows.T) == (2 * n, n * n - 2 * n)
-        assert _kernels.largest_components(corner) == (16, n * n - 16)
