@@ -18,10 +18,13 @@ whose count is now within it, in row-major window order.  That order is
 the contract: the python reference (grid._flip_cell) keeps it in three
 passes over the window.  The kernel works on a private int16 copy of
 type * same_count for the length of a chunk, so every other signed count
-in the window moves by the flipped agent's new type, +1 or -1; it
-updates each column run eight lanes at a time with gcc vector extensions,
-where a count crosses the bound exactly when its old value is one of two
-constants, and then walks only the cells that crossed and the flipped cell,
+in the window moves by the flipped agent's new type, +1 or -1.  It flips
+in two sweeps.  The first updates every row's column runs (one run per
+row, or two where the window wraps) eight lanes at a time with gcc vector
+extensions and no branch on the counts, and flags each run in which a
+count crossed the bound, which it did exactly when its old value is one
+of two constants.  The second, once every count is final, walks only the
+flagged runs and the flipped cell's run in row-major window order,
 removing as it goes and buffering the appends (the proof is in the C
 comment).  The int16 counts need N = (2w+1)^2 <= 32767, that is w <= 90.
 The counts a state starts from (grid.box_same_counts is the reference)
@@ -63,21 +66,25 @@ private ``segsim-<uid>`` directory under the system temp directory when
 that cannot be written.  The library's file name is a sha256 of the source,
 the flags and the machine type, and it is written through a temp file and
 ``os.replace``, so concurrent processes never load a half-written file and
-later runs only hash, stat and load.  Without gcc, or when the build or
-load fails, ``run_chunk``, ``box_counts``, ``radius_pass``, ``dilate``,
-``prefix_table``, ``passage_time`` and ``grid_bfs`` are None, ``load_error``
-says why, and the reference code runs instead.
+later runs only hash, stat and load.  Every load refreshes the library's
+mtime, and a build removes the libraries of other source versions that no
+process has opened for ``STALE_DAYS`` (30) days.  Without gcc, or when the
+build or load fails, ``run_chunk``, ``box_counts``, ``radius_pass``,
+``dilate``, ``prefix_table``, ``passage_time`` and ``grid_bfs`` are None,
+``load_error`` says why, and the reference code runs instead.
 """
 
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import platform
 import shutil
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -108,10 +115,32 @@ static inline v8s splat8(int16_t x)
     return v;
 }
 
+/* Adds dv to the run of 8 * full + (live lanes of tail) counts from p:
+   full vectors unmasked, then one tail vector whose dead lanes add 0 and
+   store back what they read.  Returns whether a live lane's old value was
+   was_in or was_out, that is whether a count of the run crossed. */
+static inline int update_run(int16_t *p, int64_t full, v8s tail, v8s dv, v8s was_in, v8s was_out)
+{
+    v8s x, hit = splat8(0);
+    for (int64_t f = 0; f < full; f++, p += 8) {
+        memcpy(&x, p, sizeof x);
+        hit |= (x == was_in) | (x == was_out);
+        x += dv;
+        memcpy(p, &x, sizeof x);
+    }
+    memcpy(&x, p, sizeof x);
+    hit |= ((x == was_in) | (x == was_out)) & tail;
+    x += dv & tail;
+    memcpy(p, &x, sizeof x);
+    const v2l any = (v2l)hit;
+    return (any[0] | any[1]) != 0;
+}
+
 /* io[0..1] in and out: m, flips.  *t is read and written; max_time is
    +inf when time is not limited.  Returns the status, or -1 when the
-   signed count array or the (2w+1)^2 candidate buffer cannot be allocated
-   (the state is then untouched).  N <= 32767.
+   signed count array or the candidate buffer (the (2w+1)^2 candidates and
+   the crossing flags of the window's row runs) cannot be allocated (the
+   state is then untouched).  N <= 32767.
    With log_on, flip i of the chunk (from 0) writes its cell, its pre-flip
    count k and the t and m after it to log_*[i]; each log array then holds
    at least B entries.  Same arguments and results as the python reference
@@ -125,9 +154,9 @@ static inline v8s splat8(int16_t x)
    Uniform update.  A flip of an agent of type t sets d = -t, its new type.
    Every other cell of the window gains one agent of type d and loses one
    of type t, so its count rises by 1 when it is of type d and falls by 1
-   otherwise; in both cases s += d.  So the count walk reads s alone and no
-   types.  The flipped cell is set to d * (N - k) before the walk, and the
-   walk's +d leaves it at d * (N - k + 1), its count after the flip.
+   otherwise; in both cases s += d.  So the count update reads s alone and
+   no types.  The flipped cell is set to d * (N - k) before the update, and
+   the update's +d leaves it at d * (N - k + 1), its count after the flip.
 
    Crossing is an equality test.  Every other cell's count moves by
    exactly 1, so it crosses emax (<= emax on one side, > emax on the other)
@@ -139,23 +168,35 @@ static inline v8s splat8(int16_t x)
    is d times its new count, which is emax + 1 only when it crossed, and a
    type-t cell's new s is -d times its new count, which is emax only when
    it crossed.  So the walk below finds the crossed cells by their new
-   values.  The update of a
-   column run is thus a branch-free loop over 8 lanes at a time, with a
-   lane mask for the run's end: the lanes past the end add 0 and store
-   back what they read, and the 8 padding entries keep the last row's
-   over-read inside the buffer.  It ORs the lanes whose old value is d *
-   emax or -d * (emax + 1).
+   values.  The flipped cell never holds a crossing value before its
+   update: d * (N - k) has the sign of d * emax and N - k > (N - 1) / 2 >=
+   emax (emax = min(K - 1, N + 1 - K) and N is odd).
 
-   One row-major walk does what the python reference flip (grid._flip_cell)
-   does in three passes (all updates, then removals in row-major order,
-   then insertions in row-major order): it swap-removes a cell from the
-   eligible list at once when it is a member whose count now exceeds emax,
-   and appends it to cand when it is not a member and its count is now
-   <= emax; after the walk cand is appended to the list in its order.  The
-   result is bit-identical:
-   - 2w+1 <= n, so each cell appears once in the window, and its count is
-     final after its one update; the count it is tested with is the count
-     the second and third passes would read.
+   Two sweeps per flip do what the python reference flip (grid._flip_cell)
+   does in three passes: all updates, then removals in row-major window
+   order, then insertions in row-major window order.  The window's
+   columns, c0 - w .. c0 + w mod n, form one run of contiguous cells per
+   row, or two when they wrap; the runs' offsets, lengths and lane masks
+   are computed once per flip.
+
+   Sweep 1 (update) adds d to every count of the 2w+1 rows, 8 lanes at a
+   time with gcc vector extensions and no branch on the counts: the full
+   vectors of a run need no mask, and its tail vector is masked, so the
+   lanes past the run's end add 0 and store back what they read (the 8
+   padding entries keep the last row's over-read inside the buffer).  Each
+   run ORs its lanes whose old value is d * emax or -d * (emax + 1) and
+   stores one crossed flag.
+
+   Sweep 2 (walk) starts once every count is final.  In row-major window
+   order it visits, in the flagged runs and the flipped cell's run, the
+   cells that crossed and the flipped cell.  It swap-removes a cell from the eligible list at once
+   when it is a member whose count now exceeds emax, and appends it to
+   cand when it is not a member and its count is now <= emax; after the
+   walk cand is appended to the list in its order.  The result is
+   bit-identical to the three passes:
+   - 2w+1 <= n, so each cell appears once in the window, and every count
+     is final when the walk starts; the count a visit tests is the count
+     the second and third passes read.
    - A removal reads only the removed cell's own count and the list
      positions, and it moves only the last member, which stays a member.
    - No cell joins the list during the walk (insertions wait for cand), and
@@ -164,18 +205,13 @@ static inline v8s splat8(int16_t x)
      cells in the same row-major order, and cand is the row-major set the
      third pass inserts: a removed cell's count exceeds emax, so the third
      pass never re-inserts it, and the insertions start at the same m.
-
-   The walk visits only the cells that crossed and the flipped cell, in
-   row-major order, and only in the column runs whose update saw a
-   crossing or that hold the flipped cell.  Skipping the other cells
-   changes nothing: a cell's membership at its visit is its membership
-   before the flip, which is count <= emax before the flip; a cell whose
-   count did not cross keeps count <= emax when it is a member and count >
-   emax when it is not, and the walk would neither remove nor append it.
-   The flipped cell, a member, may leave the list, and its count is not
-   one of the crossing values in general, so it is always visited.  The
-   visited cells keep their row-major order, so the removals and cand do
-   too.  Every membership decision reads |s|, the count itself. */
+   - Skipping the other cells changes nothing.  A cell's membership before
+     the flip is count <= emax before the flip; a cell whose count did not
+     cross keeps count <= emax when it is a member and count > emax when
+     it is not, and the passes would neither remove nor insert it.  The
+     flipped cell, a member, may leave the list, and it holds no crossing
+     value, so its run is always walked and the cell always visited.
+   Every membership decision reads |s|, the count itself. */
 int64_t segsim_run_chunk(
     int8_t *restrict types, int32_t *restrict sc, int32_t *elig_pos, int64_t *elig_cells,
     int64_t n, int64_t w, int64_t N, int64_t emax,
@@ -184,14 +220,16 @@ int64_t segsim_run_chunk(
     int64_t log_on, int64_t *log_cell, int32_t *log_k, double *log_t, int64_t *log_m,
     int64_t *io, double *t_io)
 {
-    const int64_t nn = n * n;
+    const int64_t nn = n * n, side = 2 * w + 1;
     int16_t *restrict s = malloc((size_t)(nn + 8) * sizeof *s);
-    int64_t *cand = malloc((size_t)((2 * w + 1) * (2 * w + 1)) * sizeof *cand);
+    /* cand[0 .. side^2), then crossed[row * 2 + run] for the window's rows. */
+    int64_t *cand = malloc((size_t)(side * side) * sizeof *cand + (size_t)(2 * side));
     if (s == NULL || cand == NULL) {
         free(s);
         free(cand);
         return -1;
     }
+    uint8_t *crossed = (uint8_t *)(cand + side * side);
     for (int64_t v = 0; v < nn; v++)
         s[v] = (int16_t)(types[v] * sc[v]);
     memset(s + nn, 0, 8 * sizeof *s);
@@ -228,37 +266,33 @@ int64_t segsim_run_chunk(
                   was_out = splat8((int16_t)(-d * (em + 1)));
         const int16_t left = (int16_t)(d * (em + 1)), joined = (int16_t)(-d * em);
 
-        /* The window's columns, c0 - w .. c0 + w mod n, as at most two
-           contiguous runs, [lo, hi) and then [0, wrap), split at the wrap. */
-        int64_t lo = c0 - w, hi = c0 + w + 1, wrap = 0;
-        if (lo < 0) {
-            wrap = hi;
-            lo += n;
-            hi = n;
-        } else if (hi > n) {
-            wrap = hi - n;
-            hi = n;
+        /* The window's columns, c0 - w .. c0 + w mod n, as column runs:
+           [lo, lo + len[0]) and, when they wrap (runs = 2), [0, len[1]).
+           Run j updates full[j] vectors unmasked and one tail vector whose
+           live lanes are tail[j]. */
+        const int64_t lo = c0 < w ? c0 - w + n : c0 - w;
+        const int64_t len0 = lo + side <= n ? side : n - lo, len[2] = {len0, side - len0};
+        const int runs = len[1] > 0 ? 2 : 1;
+        const int64_t start[2] = {lo, 0}, full[2] = {len[0] / 8, len[1] / 8};
+        const v8s tail[2] = {lane < splat8((int16_t)(len[0] % 8)),
+                             lane < splat8((int16_t)(len[1] % 8))};
+        const int64_t top = r0 - w < 0 ? r0 - w + n : r0 - w;
+
+        /* Sweep 1: update every count of the window, flag runs that crossed. */
+        for (int64_t i = 0, r = top; i < side; i++, r = r + 1 == n ? 0 : r + 1) {
+            crossed[2 * i] = update_run(s + r * n + lo, full[0], tail[0], dv, was_in, was_out);
+            if (runs == 2)
+                crossed[2 * i + 1] = update_run(s + r * n, full[1], tail[1], dv, was_in, was_out);
         }
+        crossed[2 * w + (c0 < lo)] = 1; /* the flipped cell's run */
+
+        /* Sweep 2: walk the flagged runs in row-major window order. */
         int64_t n_cand = 0;
-        for (int64_t dr = -w; dr <= w; dr++) {
-            int64_t r = r0 + dr;
-            r += r < 0 ? n : r >= n ? -n : 0;
-            const int64_t base = r * n;
-            for (int run = 0; run < 2; run++) {
-                const int64_t v0 = base + (run ? 0 : lo), v1 = base + (run ? wrap : hi);
-                const v8s len = splat8((int16_t)(v1 - v0));
-                v8s crossed = splat8(0), at = lane;
-                for (int64_t v = v0; v < v1; v += 8, at += 8) {
-                    const v8s live = at < len;
-                    v8s x;
-                    memcpy(&x, s + v, sizeof x);
-                    crossed |= ((x == was_in) | (x == was_out)) & live;
-                    x += dv & live;
-                    memcpy(s + v, &x, sizeof x);
-                }
-                const v2l any = (v2l)crossed;
-                if (!(any[0] | any[1]) && !(v0 <= cell && cell < v1))
+        for (int64_t i = 0, r = top; i < side; i++, r = r + 1 == n ? 0 : r + 1) {
+            for (int j = 0; j < runs; j++) {
+                if (!crossed[2 * i + j])
                     continue;
+                const int64_t v0 = r * n + start[j], v1 = v0 + len[j];
                 for (int64_t v = v0; v < v1; v++) {
                     const int16_t x = s[v];
                     if (x != left && x != joined && v != cell)
@@ -843,6 +877,9 @@ int64_t segsim_grid_bfs(const int32_t *nbr, int64_t size, int64_t source, const 
 # the library's cache key names only that type, so a shared cache could hand
 # the library to another CPU.
 CFLAGS = ("-O3", "-shared", "-fPIC")
+# A build removes the cached libraries of other source versions that have
+# not been opened for this many days.
+STALE_DAYS = 30
 
 
 def _cache_dir() -> str:
@@ -888,6 +925,18 @@ def _build(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    # Libraries of other source versions that no process has opened for
+    # STALE_DAYS: _load refreshes the mtime of every library it opens, so a
+    # version still in use (another checkout sharing this cache) is kept.
+    cutoff = time.time() - STALE_DAYS * 86400
+    for old in glob.glob(os.path.join(os.path.dirname(path), "kernels-*.so")):
+        if old == path:
+            continue
+        try:
+            if os.stat(old).st_mtime < cutoff:
+                os.remove(old)
+        except FileNotFoundError:
+            pass  # removed by another process meanwhile
 
 
 def _load():
@@ -902,6 +951,10 @@ def _load():
             # Removed or replaced after the existence check: build once more.
             _build(path)
             lib = ctypes.CDLL(path)
+        try:
+            os.utime(path)  # in use: not stale for _build's pruning
+        except OSError:
+            pass
         for cname, argtypes, restype, _ in _WRAPPERS.values():
             fn = getattr(lib, cname)
             fn.argtypes, fn.restype = argtypes, restype

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +48,45 @@ def test_build_goes_to_the_cache_dir(tmp_path, monkeypatch):
     assert fn is not None and error is None
     built = list((tmp_path / "segsim").iterdir())
     assert [p.suffix for p in built] == [".so"]  # no temp file left behind
-    mtime = built[0].stat().st_mtime_ns
+    inode = built[0].stat().st_ino
     fn, error = _kernels._load()  # a hit loads the same file, no rebuild
-    assert fn is not None and built[0].stat().st_mtime_ns == mtime
+    assert fn is not None and built[0].stat().st_ino == inode
+
+
+def test_loads_keep_the_library_fresh_and_builds_prune_stale_ones(tmp_path, monkeypatch):
+    # A load refreshes the mtime of the library it opens; a build removes
+    # the kernels-*.so siblings older than STALE_DAYS and nothing else.
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc not found on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "segsim"
+    assert _kernels._load()[0] is not None
+    path = Path(_kernels._library_path())
+    now, day = time.time(), 86400
+    os.utime(path, (now - 90 * day,) * 2)
+    inode = path.stat().st_ino
+    assert _kernels._load()[0] is not None
+    assert path.stat().st_ino == inode and path.stat().st_mtime > now - day
+
+    ages = {"kernels-stale.so": 31, "kernels-recent.so": 29, "other-stale.so": 31,
+            "kernels-stale.so.tmp": 31}
+    for name, age in ages.items():
+        (cache / name).write_bytes(b"")
+        os.utime(cache / name, (now - age * day,) * 2)
+    real_glob = _kernels.glob.glob
+    # A sibling that another process removes between the listing and the stat.
+    monkeypatch.setattr(_kernels.glob, "glob",
+                        lambda pattern: real_glob(pattern) + [str(cache / "kernels-gone.so")])
+    path.unlink()
+    assert _kernels._load()[0] is not None  # a build
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [path.name, "kernels-recent.so", "other-stale.so", "kernels-stale.so.tmp"])
+
+    # Its own target is never removed, however old the clock makes it.
+    monkeypatch.setattr(_kernels.time, "time", lambda: now + 365 * day)
+    _kernels._build(str(path))
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [path.name, "other-stale.so", "kernels-stale.so.tmp"])
 
 
 def test_a_library_that_fails_to_open_is_rebuilt_once(tmp_path, monkeypatch):
@@ -473,6 +510,10 @@ EDGE_CASES = {
     # its multiples, so the last run's masked lanes read the padding.
     "n7_w1": (7, 1, 0.45, 1, RunLimits(record_interval=1), None, "NoEligibleAgents"),
     "n9_w2": (9, 2, 0.45, 1, RunLimits(record_interval=1), None, "NoEligibleAgents"),
+    # Flips at column c0 = w - 8: the window's first column run, [c0 - w + n,
+    # n), is exactly one 8-lane vector with an empty tail, and the flipped
+    # cell lies in the second run.
+    "first_run_one_vector": (36, 8, 0.45, 1, RunLimits(), None, "NoEligibleAgents"),
     # The last cell flips: its window's runs end at the last row and column.
     "last_cell_flips": (20, 3, 0.45, 3, RunLimits(), None, "NoEligibleAgents"),
     # emax = 2, and emax = (N - 1) / 2, where the two crossing values are
@@ -526,6 +567,8 @@ def test_c_kernel_matches_python(case, monkeypatch):
         assert n == 2 * w + 1
     if case in ("n7_w1", "n9_w2"):
         assert n % 8
+    if case == "first_run_one_vector":
+        assert w >= 8 and (ra.audit.cells % n == w - 8).any()
     if case == "last_cell_flips":
         assert n * n - 1 in ra.audit.cells
     if case == "emax_2":
@@ -580,5 +623,23 @@ def test_engines_agree_on_wide_windows(torus, tau, p, seed):
     runs that take it both occur; tau = 0.6 makes emax = N + 1 - K.  On
     such small tori every window covers most of the grid, so a fill away
     from p = 1/2 is what makes most runs flip."""
+    b = _assert_engines_agree(*torus, tau, seed, p)
+    assert b.audit_consistent()
+
+
+@st.composite
+def _roomy_tori(draw):
+    """(n, w) with 5 <= w <= 12 and 4w+2 <= n <= 6w."""
+    w = draw(st.integers(5, 12))
+    return draw(st.integers(4 * w + 2, 6 * w)), w
+
+
+@given(torus=_roomy_tori(), tau=st.sampled_from([0.4, 0.45, 0.6]),
+       p=st.sampled_from([0.3, 0.4, 0.5, 0.6, 0.7]), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_engines_agree_on_roomy_tori(torus, tau, p, seed):
+    """Tori of 4w+2 to 6w cells a side, where most windows do not wrap, so
+    the flip's one-run rows (full vectors unmasked, one masked tail) carry
+    most of the flips; on the tori above nearly every window wraps."""
     b = _assert_engines_agree(*torus, tau, seed, p)
     assert b.audit_consistent()
