@@ -36,16 +36,22 @@ every center two radii: r(c), the largest single-type radius, and q(c), the
 largest radius whose minority count is within an integer table of the
 largest passing count per radius; at the ratio test's table q(c) is the
 largest almost-monochromatic radius, and at the all-zero table q = r.
-Along each row the pass climbs single-type windows center by center, then
+Along each row the pass climbs single-type windows center by center, from
+one below the largest r of the left and the three upper neighbors, then
 tries the top of the left neighbor's passing run and the level below it,
 climbs on from a level that passes (a passing level certifies that q is at
 least that high) while levels pass, and reads the remaining windows grouped
-by level, so the reads of one level share two table rows.  The own-radius
-dilation turns r into M and q into M', each line unrolled by the map's
-maximum.  The radius pass reads the state's one (n+1) x (n+1) prefix table
-of the +1 grid (grid.TorusPrefix), which the prefix-table kernel builds,
-and reaches wrapping windows through the table's periodic extension.  They
-do integer arithmetic only.
+by level, so the reads of one level share two table rows.  A window of
+radius L - 1 at an 8-neighbor lies inside the radius-L window, so once an
+upper neighbor's count exceeds the table's last entry at level d, no level
+above d is read.  The own-radius dilation turns r into M and q into M'.
+It drops every center whose 8-neighbor holds a larger value (its square
+lies inside that neighbor's), pushes one deque entry per run of the
+centers left on a line, fills the output segment by segment, and unrolls
+each line by the map's maximum.  The radius pass reads the state's one
+(n+1) x (n+1) prefix table of the +1 grid (grid.TorusPrefix), which the
+prefix-table kernel builds, and reaches wrapping windows through the
+table's periodic extension.  They do integer arithmetic only.
 
 The passage-time kernel is a Dijkstra on the implicit 4-neighbour grid with
 a lazy binary heap, for percolation.fpp_min_passage_time, whose csgraph
@@ -356,39 +362,36 @@ int64_t segsim_run_chunk(
    the four corners of any window read its torus sum.  A window of radius
    <= (n-1)/2 at a torus cell has its corners in (-n, 2n).  Along one row,
    P(x, y) = t(i, j) + a Col(j) + b P(x, n): the strip keeps the two table
-   rows, Col, and the difference of the row totals P(x, n) = Row(i) + a T,
-   so a read costs two entries of each table row, and of Col when the rows
-   wrap. */
+   rows and Col, so a read costs two entries of each table row, and of Col
+   when the rows wrap.  The difference of the row totals P(x, n) = Row(i) +
+   a T is read only for a window that wraps in y. */
 typedef struct {
     const int64_t *lo, *hi, *col;
-    int64_t da, dtotal;
+    int64_t da;
 } strip;
 
 static inline strip prefix_strip(const int64_t *t, int64_t n, int64_t x0, int64_t x1)
 {
     const int64_t s = n + 1;
     const int64_t a0 = x0 < 0 ? -1 : x0 > n, a1 = x1 < 0 ? -1 : x1 > n;
-    strip st = {t + (x0 - a0 * n) * s, t + (x1 - a1 * n) * s, t + n * s, a1 - a0, 0};
-    st.dtotal = st.hi[n] - st.lo[n] + st.da * st.col[n];
+    const strip st = {t + (x0 - a0 * n) * s, t + (x1 - a1 * n) * s, t + n * s, a1 - a0};
     return st;
 }
 
-static inline int64_t strip_prefix(const strip *st, int64_t n, int64_t y)
-{
-    const int64_t b = y < 0 ? -1 : y > n;
-    const int64_t j = y - b * n;
-    int64_t v = st->hi[j] - st->lo[j] + b * st->dtotal;
-    if (st->da)
-        v += st->da * st->col[j];
-    return v;
-}
-
 /* Minority count of the (2k+1)^2 torus window centered at column j of the
-   strip of rows [i - k, i + k + 1). */
+   strip of rows [i - k, i + k + 1), 0 <= j < n and 2k + 1 <= n.  Its
+   columns [y0, y1) have -n < y0 < n and 0 < y1 < 2n, and at most one end
+   lies outside [0, n], which adds one row-total difference. */
 static inline int64_t strip_minority(const strip *st, int64_t n, int64_t j, int64_t k)
 {
     const int64_t area = (2 * k + 1) * (2 * k + 1);
-    const int64_t c = strip_prefix(st, n, j + k + 1) - strip_prefix(st, n, j - k);
+    const int64_t y0 = j - k, y1 = j + k + 1;
+    const int64_t j0 = y0 < 0 ? y0 + n : y0, j1 = y1 > n ? y1 - n : y1;
+    int64_t c = st->hi[j1] - st->lo[j1] - st->hi[j0] + st->lo[j0];
+    if (st->da)
+        c += st->da * (st->col[j1] - st->col[j0]);
+    if (y0 < 0 || y1 > n)
+        c += st->hi[n] - st->lo[n] + st->da * st->col[n];
     return c < area - c ? c : area - c;
 }
 
@@ -399,22 +402,37 @@ static inline int64_t window_minority(const int64_t *t, int64_t n, int64_t i, in
     return strip_minority(&st, n, j, k);
 }
 
-/* Center j of a row has read minority count m at level L.  Record L as its
-   q when m passes, and file j in the bucket of the next level its scan
-   reads: the first level above L whose bound is >= m, first[m] or L + 1,
-   since a level whose bound is below m cannot pass.  Once m exceeds
-   bound[R], no level passes and the scan of j ends. */
-static inline void after_read(const int64_t *bound, const int32_t *first, int64_t R, int64_t L,
-                              int64_t m, int64_t j, int32_t *q_row, int32_t *head, int32_t *link)
+/* What the radius pass knows about the row it scans.  bound, first (the
+   first level whose bound is >= m, for m <= bound[R]) and R are fixed.
+   head[L] is a center of bucket L, or -1, and link[j] the next center in
+   j's bucket.  dead[j] is a level of center j of the row from which every
+   minority count exceeds bound[R] (R + 1 when none is known), and up_dead
+   the same for the row above once that row is finished. */
+typedef struct {
+    const int64_t *bound;
+    const int32_t *first;
+    int64_t R;
+    int32_t *q_row, *head, *link, *dead, *up_dead;
+} row_scan;
+
+/* Center j has minority count m at level L, or more when m fails.  Record
+   L as its q when m passes, and file j in the bucket of the next level
+   its scan reads: the first level above L whose bound is >= m, first[m]
+   or L + 1, since a level whose bound is below m cannot pass.  Once m
+   exceeds bound[R], no level passes, L is j's dead level and its scan
+   ends; it ends too when the next level is dead. */
+static inline void after_read(row_scan *s, int64_t L, int64_t m, int64_t j)
 {
-    if (m > bound[R])
+    if (m > s->bound[s->R]) {
+        s->dead[j] = (int32_t)L;
         return;
-    if (m <= bound[L])
-        q_row[j] = (int32_t)L;
-    const int64_t next = first[m] > L ? first[m] : L + 1;
-    if (next <= R) {
-        link[j] = head[next];
-        head[next] = (int32_t)j;
+    }
+    if (m <= s->bound[L])
+        s->q_row[j] = (int32_t)L;
+    const int64_t next = s->first[m] > L ? s->first[m] : L + 1;
+    if (next < s->dead[j]) {
+        s->link[j] = s->head[next];
+        s->head[next] = (int32_t)j;
     }
 }
 
@@ -426,25 +444,40 @@ static inline void after_read(const int64_t *bound, const int32_t *first, int64_
    summed-area table of the +1 indicator (grid.TorusPrefix).  Returns -1
    when the pass's buffers cannot be allocated.
 
-   Windows at one center are nested, so their minority count never falls
-   as rho grows.  The scan of one center reads levels in increasing order.
-   It climbs while the window is single-type, from the left neighbor's r
-   minus one (the radius-(rho-1) window at (i, j) lies inside the radius-rho
-   window at (i, j-1)); it stops at r(c), and every level up to r(c) has
-   minority 0 and passes.  Then it guesses from the left neighbor, with
-   h = h(j-1) the top of the left neighbor's inline run (below; 0 at j = 0).
-   When h > r + 2 it reads level h and starts there when h passes (a guess
-   at r + 2 could skip only the read of r + 1 that it costs).  When h fails
-   and h - 1 > r + 1, it reads level h - 1; when that passes, q(c) is at
-   least h - 1 and the scan goes on from level h, already read and failed.
-   Otherwise it starts at r + 1, whose count the climb has just read.
-   From its start it climbs inline while levels pass, and h(j) is the last
-   passing level of that run: r(c) when its first level fails, h - 1 after
-   the second guess, R when r(c) = R or the run reaches R.  At the first
-   level L that fails, with count m, the scan goes on from m (after_read):
-   it jumps over every level whose bound is below m, through the table
-   first of the first level whose bound reaches each count, so no window
-   is read twice.  q(c) is the largest read level that passes.
+   Two containments bound the counts.  Windows at one center are nested,
+   so their minority count never falls as rho grows.  And for an
+   8-neighbor c' of c and 1 <= L <= R, the radius-(L-1) window at c' lies
+   inside the radius-L window at c (2L + 1 <= n, so a torus window holds
+   distinct cells), and each type's count in a subwindow is at most its
+   count in the window, so minority(c, L) >= minority(c', L-1).  Hence
+   r(c) >= r(c') - 1, and when c' is dead at d (its count at level d
+   exceeds bound[R]), c is dead at d + 1 (d + 1 <= R).
+
+   The scan of one center reads levels in increasing order.  It climbs
+   while the window is single-type, from max(r) - 1 over its left, up-left,
+   up and up-right neighbors (those of row i - 1 from row 1 on), which r(c)
+   is at least by the second containment, and stops at r(c): every level
+   up to r(c) has minority 0 and passes.  Then it guesses from the left
+   neighbor, with h = h(j-1) the top of the left neighbor's inline run
+   (below; 0 at j = 0).  When h > r + 2 it reads level h and starts there
+   when h passes (a guess at r + 2 could skip only the read of r + 1 that
+   it costs).  When h fails and h - 1 > r + 1, it reads level h - 1; when
+   that passes, q(c) is at least h - 1 and the scan goes on from level h,
+   already read and failed.  Otherwise it starts at r + 1, whose count the
+   climb has just read.  From its start it climbs inline while levels
+   pass, and h(j) is the last passing level of that run: r(c) when its
+   first level fails, h - 1 after the second guess, R when r(c) = R or the
+   run reaches R.  At the first level L that fails, with count m, the scan
+   goes on from m (after_read): it jumps over every level whose bound is
+   below m, through the table first of the first level whose bound reaches
+   each count, so no window is read twice.  q(c) is the largest read level
+   that passes.
+
+   No level at or above a center's dead level is read: it fails, and the
+   scan takes its count as bound[R] + 1, which ends it.  A center's dead
+   level starts at the least d + 1 over its up-left, up and up-right
+   neighbors dead at d (by the second containment), and is lowered to the
+   level of a read whose count exceeds bound[R].
 
    That is q(c) = max{ rho : minority(c, rho) <= bound[rho] }, because every
    level the scan does not read either lies below a read level that passes,
@@ -453,8 +486,9 @@ static inline void after_read(const int64_t *bound, const int32_t *first, int64_
    below that guess.  Failed guesses skip nothing: the scan goes on from
    r + 1 as without them.  A level jumped over after a read with count m
    has bound < m <= its own count, since counts never fall as rho grows, so
-   it fails.  A guess is a read like any other, so it can certify that
-   q(c) is at least its level but never record a level that fails.
+   it fails, and so does every level at or above a dead level.  A guess is
+   a read like any other, so it can certify that q(c) is at least its
+   level but never record a level that fails.
 
    The climbs run along the row, center by center.  The rest of the scan is
    grouped by level: a center whose next read is at level L waits in bucket
@@ -464,41 +498,53 @@ static inline void after_read(const int64_t *bound, const int32_t *first, int64_
    of rows [i - L, i + L + 1): the same two table rows and Col, whose strip
    is built once per bucket, where a scan center by center jumps between
    rows far apart.  The grouping cannot change the maps.  Which levels a
-   center reads depends on the table, bound, the counts of its own windows
-   and the left neighbor's h, which is itself a function of the table and
-   bound alone (the inline pass of a row runs before its buckets drain), so
-   grouping reorders reads across centers only, and whatever the reads, the
-   maximum they find is q(c) by the argument above. */
+   center reads depends on the table, bound, the counts of its own windows,
+   the left neighbor's h and the row above's r and dead levels, which are
+   themselves functions of the table and bound alone (the inline pass of a
+   row runs before its buckets drain, and the row above is finished), so
+   grouping reorders reads across centers only, and whatever the reads,
+   the maximum they find is q(c) by the argument above. */
 int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
                            int32_t *r_out, int32_t *q_out)
 {
-    const int64_t R = (n - 1) / 2;
-    /* head[L]: a center of bucket L, or -1; link[j]: the next center in
-       j's bucket, or -1; first[m]: the first level whose bound is >= m. */
-    int32_t *head = malloc((size_t)(R + 1) * sizeof *head);
-    int32_t *link = malloc((size_t)n * sizeof *link);
-    int32_t *first = malloc((size_t)(bound[R] + 1) * sizeof *first);
-    if (head == NULL || link == NULL || first == NULL) {
-        free(head);
-        free(link);
-        free(first);
+    const int64_t R = (n - 1) / 2, over = bound[R] + 1;
+    /* head: R + 1 entries; link, dead, up_dead: n each; first: bound[R] + 1. */
+    int32_t *buf = malloc((size_t)(R + 1 + 3 * n + over) * sizeof *buf);
+    if (buf == NULL)
         return -1;
-    }
+    int32_t *head = buf, *first = buf + R + 1 + 3 * n;
+    row_scan s = {bound, first, R, NULL, head, head + R + 1, head + R + 1 + n,
+                  head + R + 1 + 2 * n};
     for (int64_t m = 0, L = 0; m <= bound[R]; m++) {
         while (bound[L] < m)
             L++;
         first[m] = (int32_t)L;
     }
+    for (int64_t j = 0; j < n; j++)
+        s.up_dead[j] = (int32_t)(R + 1); /* row n - 1 is not scanned before row 0 */
     for (int64_t i = 0; i < n; i++) {
         int32_t *r_row = r_out + i * n, *q_row = q_out + i * n;
+        const int32_t *r_up = i > 0 ? r_row - n : r_row, *up_dead = s.up_dead;
+        int32_t *dead = s.dead;
+        s.q_row = q_row;
         for (int64_t L = 0; L <= R; L++)
             head[L] = -1;
         int64_t r = 0, h = 0;
         for (int64_t j = 0; j < n; j++) {
+            const int64_t a = j == 0 ? n - 1 : j - 1, b = j + 1 == n ? 0 : j + 1;
+            int64_t d = up_dead[a] < up_dead[j] ? up_dead[a] : up_dead[j];
+            d = (up_dead[b] < d ? up_dead[b] : d) + 1;
+            const int64_t dj = d <= R ? d : R + 1;
+            dead[j] = (int32_t)dj;
+            if (i > 0) {
+                r = r_up[a] > r ? r_up[a] : r;
+                r = r_up[j] > r ? r_up[j] : r;
+                r = r_up[b] > r ? r_up[b] : r;
+            }
             if (r > 0)
                 r--;
             int64_t m = 0;
-            while (r < R && (m = window_minority(sat, n, i, j, r + 1)) == 0)
+            while (r < R && (m = r + 1 < dj ? window_minority(sat, n, i, j, r + 1) : over) == 0)
                 r++;
             r_row[j] = q_row[j] = (int32_t)r;
             if (r == R) {
@@ -508,12 +554,12 @@ int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
             /* m is the count at level L = r + 1, until a guess passes. */
             int64_t L = r + 1;
             if (h > L + 1) {
-                const int64_t mh = window_minority(sat, n, i, j, h);
+                const int64_t mh = h < dj ? window_minority(sat, n, i, j, h) : over;
                 if (mh <= bound[h]) {
                     L = h;
                     m = mh;
                 } else if (h - 1 > L) {
-                    const int64_t mg = window_minority(sat, n, i, j, h - 1);
+                    const int64_t mg = h - 1 < dj ? window_minority(sat, n, i, j, h - 1) : over;
                     if (mg <= bound[h - 1]) {
                         q_row[j] = (int32_t)(h - 1);
                         L = h;
@@ -524,24 +570,24 @@ int64_t segsim_radius_pass(const int64_t *sat, int64_t n, const int64_t *bound,
             while (m <= bound[L] && L < R) {
                 q_row[j] = (int32_t)L;
                 L++;
-                m = window_minority(sat, n, i, j, L);
+                m = L < dj ? window_minority(sat, n, i, j, L) : over;
             }
             h = m <= bound[L] ? L : L - 1;
-            after_read(bound, first, R, L, m, j, q_row, head, link);
+            after_read(&s, L, m, j);
         }
         for (int64_t L = 0; L <= R; L++) {
             if (head[L] < 0)
                 continue;
             const strip st = prefix_strip(sat, n, i - L, i + L + 1);
             for (int64_t j = head[L], next; j >= 0; j = next) {
-                next = link[j];
-                after_read(bound, first, R, L, strip_minority(&st, n, j, L), j, q_row, head, link);
+                next = s.link[j];
+                after_read(&s, L, strip_minority(&st, n, j, L), j);
             }
         }
+        s.dead = s.up_dead;
+        s.up_dead = dead;
     }
-    free(head);
-    free(link);
-    free(first);
+    free(buf);
     return 0;
 }
 
@@ -593,79 +639,196 @@ int64_t segsim_box_counts(const int8_t *types, int64_t n, int64_t w, int32_t *ou
     return 0;
 }
 
-/* One cyclic line: out[j] = max{ x[b] : cyclic |j - b| <= x[b] } for
-   0 <= x <= vmax <= (n-1)/2.  Two monotone-deque passes over the line
-   unrolled by vmax on each side, one for centers at or left of j and one
-   for centers at or right of j; a center reaches no further than its own
-   value, so no center beyond vmax of the line's ends reaches into it.  A
-   center makes every earlier one of no larger value redundant, so the
-   deque holds decreasing values and its head is the largest value still
-   reaching j.  reach and val hold n + vmax entries. */
-static void dilate_line(const int32_t *x, int32_t *out, int64_t n, int64_t vmax, int64_t *reach,
-                        int32_t *val)
+/* One cyclic line restricted to its kept centers: out[j] = max{ x[b] :
+   keep[b], cyclic |j - b| <= x[b] }, or -1 when no kept center reaches j,
+   for 0 <= x[b] <= vmax <= (n-1)/2 at kept b.  Kept neighbors hold equal
+   values (see segsim_dilate), so the kept centers of [0, n) form runs [s,
+   e] of one value v, and a run reaches exactly [s - v, e + v]; a run cut
+   in two at the line's ends reaches what its two pieces reach.  Two
+   monotone-deque passes push one entry per run: the forward pass at s,
+   reaching e + v on the right, the backward pass at e, reaching s - v on
+   the left.  The line is unrolled by vmax on each side, since a center
+   reaches no further than its own value: before [0, n), the forward pass
+   pushes, shifted by -n, the runs that end within vmax of n, and the
+   backward pass, shifted by +n, those that start within vmax of 0.  An
+   entry makes every earlier one of no larger value redundant (its run
+   lies beyond theirs in the pass's direction), so the deque holds
+   decreasing values and its head is the largest value still reaching j.
+   Between two pushes the output is filled segment by segment: the head's
+   value up to the end of its reach, then the next head's.  edge holds n +
+   1 entries, reach and val n + 2. */
+static void dilate_line(const int32_t *x, const uint8_t *keep, int32_t *out, int64_t n,
+                        int64_t vmax, int64_t *edge, int64_t *reach, int32_t *val)
 {
-    int64_t head = 0, tail = 0;
-    for (int64_t p = -vmax; p < n; p++) {
-        int32_t v = x[p < 0 ? p + n : p];
+    /* edge[2t] is the first center of run t and edge[2t + 1] one past its
+       last. */
+    int64_t k = 0;
+    uint8_t prev = 0;
+    for (int64_t p = 0; p < n; p++) {
+        uint64_t word;
+        if (p + 8 <= n && (memcpy(&word, keep + p, 8), word == prev * 0x0101010101010101u)) {
+            p += 7; /* eight flags like the last one: no edge */
+            continue;
+        }
+        edge[k] = p;
+        k += keep[p] != prev;
+        prev = keep[p];
+    }
+    if (prev)
+        edge[k++] = n;
+    const int64_t runs = k / 2;
+
+    int64_t head = 0, tail = 0, p = 0, t = runs;
+    while (t > 0 && edge[2 * t - 1] - 1 + vmax >= n)
+        t--;
+    for (; t < runs; t++) { /* runs reaching in across the start, at -n */
+        const int32_t v = x[edge[2 * t]];
         while (tail > head && val[tail - 1] <= v)
             tail--;
-        reach[tail] = p + v;
+        reach[tail] = edge[2 * t + 1] - 1 - n + v;
         val[tail++] = v;
-        if (p < 0)
-            continue;
-        while (reach[head] < p)
-            head++;
-        out[p] = val[head];
+    }
+    for (t = 0;; t++) {
+        const int64_t stop = t < runs ? edge[2 * t] : n;
+        while (p < stop) {
+            while (head < tail && reach[head] < p)
+                head++;
+            const int64_t end = head < tail && reach[head] < stop ? reach[head] + 1 : stop;
+            const int32_t fill = head < tail ? val[head] : -1;
+            for (; p < end; p++)
+                out[p] = fill;
+        }
+        if (t == runs)
+            break;
+        const int32_t v = x[stop];
+        while (tail > head && val[tail - 1] <= v)
+            tail--;
+        reach[tail] = edge[2 * t + 1] - 1 + v;
+        val[tail++] = v;
     }
     head = tail = 0;
-    for (int64_t p = n - 1 + vmax; p >= 0; p--) {
-        int32_t v = x[p >= n ? p - n : p];
+    p = n - 1;
+    t = -1;
+    while (t + 1 < runs && edge[2 * t + 2] - vmax < 0)
+        t++;
+    for (; t >= 0; t--) { /* runs reaching in across the end, at +n */
+        const int32_t v = x[edge[2 * t]];
         while (tail > head && val[tail - 1] <= v)
             tail--;
-        reach[tail] = p - v;
+        reach[tail] = edge[2 * t] + n - v;
         val[tail++] = v;
-        if (p >= n)
-            continue;
-        while (reach[head] > p)
-            head++;
-        if (val[head] > out[p])
-            out[p] = val[head];
+    }
+    for (t = runs - 1;; t--) {
+        const int64_t stop = t >= 0 ? edge[2 * t + 1] : 0;
+        while (p >= stop) {
+            while (head < tail && reach[head] > p)
+                head++;
+            if (head == tail) {
+                p = stop - 1;
+                break;
+            }
+            const int64_t end = reach[head] > stop ? reach[head] : stop;
+            const int32_t fill = val[head];
+            for (int64_t q = end; q <= p; q++)
+                out[q] = out[q] > fill ? out[q] : fill;
+            p = end - 1;
+        }
+        if (t < 0)
+            break;
+        const int32_t v = x[edge[2 * t]];
+        while (tail > head && val[tail - 1] <= v)
+            tail--;
+        reach[tail] = edge[2 * t] - v;
+        val[tail++] = v;
     }
 }
 
+/* keep[j] = x[j] >= 0 and x[j] >= m[j - 1], m[j], m[j + 1] (cyclic), for
+   0 <= j < n: the centers of a line whose value reaches the largest of m
+   around them. */
+static void mark_peaks(const int32_t *x, const int32_t *m, uint8_t *keep, int64_t n)
+{
+    for (int64_t j = 1; j + 1 < n; j++) {
+        const int32_t a = m[j - 1] > m[j + 1] ? m[j - 1] : m[j + 1];
+        keep[j] = (x[j] >= 0) & (x[j] >= m[j]) & (x[j] >= a);
+    }
+    for (int64_t j = 0; j < n; j += n > 1 ? n - 1 : 1) { /* the two ends, whose neighbors wrap */
+        const int32_t l = m[j == 0 ? n - 1 : j - 1], r = m[j + 1 == n ? 0 : j + 1];
+        keep[j] = x[j] >= 0 && x[j] >= m[j] && x[j] >= l && x[j] >= r;
+    }
+}
+
+/* Columns per block of the column pass: 16 int32 are one 64-byte line. */
+enum { DILATE_BLOCK = 16 };
+
 /* out(u) = max{ v(c) : torus Chebyshev distance(u, c) <= v(c) } on the
    n x n torus, 0 <= v <= (n-1)/2.  The distance bound splits into a row
-   bound and a column bound, and the largest value reaching (a, j) along row
-   a is itself a value whose own radius reaches (a, j), so one line pass over
-   the rows and one over the columns give the map.  The row pass's output
-   takes values of v only, so both passes unroll by the map's maximum.
-   Returns -1 when the line buffers cannot be allocated. */
+   bound and a column bound: for any set S of centers, the largest value
+   of S reaching (a, j) along row a, g(a, j), is itself the value of a
+   center of S whose own radius reaches (a, j), so one line pass over the
+   rows and one over the columns of g give the maximum over S (a row of S
+   that reaches no (a, j) gives g = -1, which reaches nothing).
+   Both passes keep only centers that can matter.  A center c with an
+   8-neighbor c' of larger value, v(c') >= v(c) + 1, has its square inside
+   the square of c', which carries the larger value; so does every center
+   c' dominates in turn, and values rise along the chain, so it ends at a
+   center no neighbor dominates.  Dropping every dominated center from S
+   therefore changes no maximum, and the row pass keeps the centers whose
+   value is at least the largest of their 3 x 3 block, read from the rows
+   above and below.  The column pass reads the lines of g, where an entry
+   with a line neighbor of larger value is dominated the same way, so it
+   keeps the entries of non-negative value at least both line neighbors.
+   In both, two adjacent kept centers each hold at least the other's
+   value, so kept runs hold one value, as dilate_line needs.  The row
+   pass's output takes values of v only, so both passes unroll by the
+   map's maximum.  The column pass copies DILATE_BLOCK columns at a time
+   into lines and back, a row's block being one cache line.  Returns -1
+   when the line buffers cannot be allocated. */
 int64_t segsim_dilate(const int32_t *v, int64_t n, int32_t *out)
 {
     int64_t vmax = 0;
     for (int64_t u = 0; u < n * n; u++)
         vmax = v[u] > vmax ? v[u] : vmax;
-    int64_t *reach = malloc((size_t)(n + vmax) * sizeof *reach);
-    int32_t *val = malloc((size_t)(n + vmax) * sizeof *val);
-    int32_t *line = malloc((size_t)(2 * n) * sizeof *line);
-    if (reach == NULL || val == NULL || line == NULL) {
-        free(reach);
+    /* edge: n + 1 entries, then reach: n + 2; val: n + 2, then a column
+       block's lines in and out, then colmax: n. */
+    int64_t *edge = malloc((size_t)(2 * n + 3) * sizeof *edge);
+    int32_t *val = malloc((size_t)(n + 2 + 2 * DILATE_BLOCK * n + n) * sizeof *val);
+    uint8_t *keep = malloc((size_t)n);
+    if (edge == NULL || val == NULL || keep == NULL) {
+        free(edge);
         free(val);
-        free(line);
+        free(keep);
         return -1;
     }
-    for (int64_t i = 0; i < n; i++)
-        dilate_line(v + i * n, out + i * n, n, vmax, reach, val);
-    for (int64_t j = 0; j < n; j++) {
-        for (int64_t i = 0; i < n; i++)
-            line[i] = out[i * n + j];
-        dilate_line(line, line + n, n, vmax, reach, val);
-        for (int64_t i = 0; i < n; i++)
-            out[i * n + j] = line[n + i];
+    int64_t *reach = edge + n + 1;
+    int32_t *in = val + n + 2, *res = in + DILATE_BLOCK * n, *colmax = res + DILATE_BLOCK * n;
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t *mid = v + i * n, *up = v + (i == 0 ? n - 1 : i - 1) * n,
+                      *down = v + (i + 1 == n ? 0 : i + 1) * n;
+        for (int64_t j = 0; j < n; j++) {
+            const int32_t m = up[j] > down[j] ? up[j] : down[j];
+            colmax[j] = m > mid[j] ? m : mid[j];
+        }
+        mark_peaks(mid, colmax, keep, n);
+        dilate_line(mid, keep, out + i * n, n, vmax, edge, reach, val);
     }
-    free(reach);
+    for (int64_t j0 = 0; j0 < n; j0 += DILATE_BLOCK) {
+        const int64_t B = n - j0 < DILATE_BLOCK ? n - j0 : DILATE_BLOCK;
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t b = 0; b < B; b++)
+                in[b * n + i] = out[i * n + j0 + b];
+        for (int64_t b = 0; b < B; b++) {
+            const int32_t *x = in + b * n;
+            mark_peaks(x, x, keep, n);
+            dilate_line(x, keep, res + b * n, n, vmax, edge, reach, val);
+        }
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t b = 0; b < B; b++)
+                out[i * n + j0 + b] = res[b * n + i];
+    }
+    free(edge);
     free(val);
-    free(line);
+    free(keep);
     return 0;
 }
 

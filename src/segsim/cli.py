@@ -131,7 +131,8 @@ def _cmd_run(args) -> int:
     print(
         f"run n={config.n} w={config.w} K={config.K}/{config.N} seed={config.seed}: "
         f"{report.flips_total} flips, {report.termination_reason}; "
-        f"{report.engine} engine, {report.timings['flips_per_second']:.0f} flips/s"
+        f"{report.engine} engine, {report.timings['flips_per_second']:.0f} flips/s, "
+        f"summary {report.timings['measure_s']:.3g} s"
     )
     return 0
 

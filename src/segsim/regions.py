@@ -16,15 +16,18 @@ until the next flip, and gives every center two radii in one call: r(c),
 and the largest radius whose minority count is within an integer table of
 the largest passing count per radius (_minority_bound).  At threshold
 exp(-N^eps) that is q(c); at threshold 0 the table is all zeros and it is
-r(c) again.  The compiled pass starts each center's q scan at the top of
+r(c) again.  The compiled pass starts each center's r climb one below the
+largest r of its left and upper neighbors, starts its q scan at the top of
 its left neighbor's passing run, or the level below it, when that level
 passes (q is the largest passing level, so nothing below it is read),
-climbs while levels pass, and reads the rest grouped by level, row by row.  The
-own-radius dilation then gives M from r and M' from q, and
-compute_region_summary makes one pass for both.  Both steps, and the
-prefix table itself, run in the compiled library of _kernels when it
-loads; the numpy code here is the bit-identical reference and runs when it
-does not.  For one agent, mono_region_of reads M(u) off the r map (running
+climbs while levels pass, and reads the rest grouped by level, row by row;
+it reads no level above one at which an upper neighbor's minority count
+already exceeds the table's last entry.  The own-radius dilation then
+gives M from r and M' from q; the compiled one skips every center that an
+8-neighbor of larger value covers.  compute_region_summary makes one pass
+for both.  Both steps, and the prefix table itself, run in the compiled
+library of _kernels when it loads; the numpy code here is the
+bit-identical reference and runs when it does not.  For one agent, mono_region_of reads M(u) off the r map (running
 a full radius pass when none is given), and almost_mono_radius_of finds
 M'(u) by direct search over radii and centers.  The numpy pass and
 almost_mono_radius_of read their windows from _periodic_prefix, one table

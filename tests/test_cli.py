@@ -97,7 +97,9 @@ class TestRun:
         assert run_cli(*flags, "--report-out", str(timed)) == 0
         line = capsys.readouterr().out.strip()
         doc = json.loads(timed.read_text())
-        assert line.endswith(f"; python engine, {doc['timings']['flips_per_second']:.0f} flips/s")
+        timings = doc["timings"]
+        assert line.endswith(f"; python engine, {timings['flips_per_second']:.0f} flips/s, "
+                             f"summary {timings['measure_s']:.3g} s")
         assert doc["engine"] == "python"
         assert doc["timings"]["init_s"] > 0
         assert "init_s" not in reports[0].timings  # the sweep's timings.csv columns stay

@@ -300,7 +300,9 @@ def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
 # summary kernels and the passage-time kernel on edge inputs, each compared
 # with the python/numpy/csgraph reference.  The radius pass runs at the zero
 # table and at the ratio test's tables, on tori down to n = 3 and on n =
-# 2w+1; the prefix table on the same edge tori; the passage time on 1 x n
+# 2w+1; the prefix table on the same edge tori; the dilation on edge maps
+# from n = 1 to 31 (all-zero, all-(n-1)/2, a peak on the wrap corner,
+# isolated peaks, random values); the passage time on 1 x n
 # and n x 1 strips and on lattices where every site but one is a source; the
 # same-type counts at every w on the edge tori; the breadth-first search on
 # 1 x 1, 1 x n and n x 1 lattices with cut slots.
@@ -381,6 +383,19 @@ for n, w in ((3, 1), (9, 1), (10, 1), (11, 2), (12, 2)):
         state = state_from_types(cfg, types)
         for eps in (0.1, 0.25, 0.4):
             assert_region_maps_agree(state, eps)
+
+# The dilation's pruning and run fills on edge maps: all-zero, all-(n-1)/2,
+# one peak on the wrap corner, isolated peaks and random values.
+rng = np.random.default_rng(2)
+for n in (1, 2, 3, 5, 8, 31):
+    R = (n - 1) // 2
+    corner, peaks = np.zeros((n, n), np.int32), np.zeros((n, n), np.int32)
+    corner[n - 1, n - 1] = R
+    peaks[rng.integers(0, n, n), rng.integers(0, n, n)] = rng.integers(0, R + 1, n)
+    for v in (np.zeros((n, n), np.int32), np.full((n, n), R, np.int32), corner, peaks,
+              rng.integers(0, R + 1, (n, n)).astype(np.int32)):
+        _kernels.dilate = None
+        assert np.array_equal(kernels[1](v), regions._dilate(v)), n
 
 rng = np.random.default_rng(3)
 for dims in ((1, 2), (2, 1), (1, 17), (17, 1), (5, 7), (33, 20)):

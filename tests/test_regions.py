@@ -563,6 +563,144 @@ def test_radius_pass_where_the_left_guess_can_fail(eps, monkeypatch):
     assert found > 0
 
 
+def oracle_dilate(v):
+    """out(u) = max{ v(c) : torus linf(u, c) <= v(c) }, center by center."""
+    n = v.shape[0]
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    ring = np.minimum(d, n - d)
+    out = np.full((n, n), -1)
+    for a, b in np.ndindex(n, n):
+        reached = np.maximum.outer(ring[a], ring[b]) <= v[a, b]
+        np.maximum(out, np.where(reached, v[a, b], -1), out=out)
+    return out
+
+
+def dilation_maps(n, seed):
+    """Radius maps in [0, (n-1)/2] that stress the compiled dilation's
+    pruning: random values, long plateaus (a full-row and a full-column
+    band over blocks of equal values), isolated peaks, pyramids (a few
+    apexes with slopes of 1, so that long gaps separate the kept runs), one
+    maximum on the wrap corner, one whose square crosses the wrap at row
+    and column 0 by one cell, all-zero and all-(n-1)/2."""
+    R = (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    side = max(1, n // 4)
+    blocks = rng.integers(0, R + 1, (n // side + 1,) * 2)
+    plateaus = np.repeat(np.repeat(blocks, side, axis=0), side, axis=1)[:n, :n]
+    plateaus[n // 3, :] = R
+    plateaus[:, n // 2] = R // 2
+    peaks = np.zeros((n, n), np.int64)
+    spots = rng.integers(0, n, (max(1, n // 3), 2))
+    peaks[spots[:, 0], spots[:, 1]] = rng.integers(0, R + 1, len(spots))
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    ring = np.minimum(d, n - d)
+    apexes = rng.integers(0, n, (3, 2))
+    pyramids = np.max([R - np.maximum.outer(ring[a], ring[b]) for a, b in apexes], axis=0)
+    corner, back = np.zeros((n, n), np.int64), np.zeros((n, n), np.int64)
+    corner[n - 1, n - 1] = R
+    back[max(R - 1, 0), max(R - 1, 0)] = R
+    maps = {"random": rng.integers(0, R + 1, (n, n)), "plateaus": plateaus, "peaks": peaks,
+            "pyramids": np.maximum(pyramids, 0), "corner": corner, "back": back,
+            "zero": np.zeros((n, n)), "full": np.full((n, n), R)}
+    return {name: m.astype(np.int32) for name, m in maps.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 31, 64])
+def test_compiled_dilation_matches_the_reference_and_the_oracle(n, monkeypatch):
+    """The compiled dilation keeps only the centers no 8-neighbor dominates
+    and pushes one deque entry per run of them; on maps built to stress
+    that pruning it gives the numpy reference's map, and the brute-force
+    oracle's."""
+    if _kernels.dilate is None:
+        pytest.skip(_kernels.load_error)
+    for name, v in dilation_maps(n, 90 + n).items():
+        got = _dilate(v)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "dilate", None)
+            ref = _dilate(v)
+        assert got.dtype == np.int32 and np.array_equal(got, ref), (n, name)
+        assert np.array_equal(got, oracle_dilate(v)), (n, name)
+
+
+def test_compiled_dilation_on_terminated_maps(monkeypatch):
+    """The dilations of the r and q maps of terminated states (smooth maps
+    with few kept centers per row, and many per column of the row pass's
+    output) equal the numpy reference's, and at n = 64 the brute-force
+    oracle's."""
+    if _kernels.dilate is None:
+        pytest.skip(_kernels.load_error)
+    for state, _ in guess_states():
+        bound = _minority_bound(math.exp(-(state.config.N**0.25)), max_region_radius(state.n))
+        for v in _radius_pass(state.plus_prefix(), bound):
+            got = _dilate(v)
+            with monkeypatch.context() as m:
+                m.setattr(_kernels, "dilate", None)
+                assert np.array_equal(got, _dilate(v)), state.n
+            if state.n <= 64:
+                assert np.array_equal(got, oracle_dilate(v))
+
+
+def dead_levels(prefix, bound):
+    """For every center, the first level whose minority count exceeds
+    bound[R] (R + 1 when none does): the level from which the compiled pass
+    reads no window there."""
+    n, R = prefix.n, max_region_radius(prefix.n)
+    I, J = np.indices((n, n))
+    dead = np.full((n, n), R + 1)
+    for rho in range(R, -1, -1):
+        plus = prefix.window(I, J, rho)
+        dead[np.minimum(plus, (2 * rho + 1) ** 2 - plus) > bound[R]] = rho
+    return dead
+
+
+def skip_states():
+    """States on which the compiled pass's skips fire: a staircase (the plus
+    region's left edge steps right every other row, so a center's upper
+    neighbors reach further than its left one), plus blocks with a minus
+    speck just inside an edge, stripes of width w across and down, and a
+    checkerboard."""
+    cases = []
+    for n, w in ((24, 2), (25, 3)):
+        I, J = np.indices((n, n))
+        stair = np.where((J - I // 2) % n < n // 2, 1, -1)
+        blocks = np.where((I // 6 + J // 6) % 2 == 0, 1, -1)
+        blocks[(I % 6 == 1) & (J % 6 == 3)] *= -1
+        for name, types in (("staircase", stair), ("specks", blocks),
+                            ("stripes-across", np.where(I // w % 2 == 0, 1, -1)),
+                            ("stripes-down", np.where(J // w % 2 == 0, 1, -1)),
+                            ("checkerboard", checkerboard(n))):
+            cases.append(pytest.param(name, w, types.astype(np.int8), id=f"{name}-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("name,w,types", skip_states())
+def test_radius_pass_skips_leave_the_maps_unchanged(name, w, types, monkeypatch):
+    """The compiled pass starts each r climb at max(r) - 1 over the left,
+    up-left, up and up-right neighbors, and reads no level at or above a
+    center's dead level, which starts one above the least dead level of its
+    upper neighbors.  On states where those skips fire, at the zero table
+    and the ratio tables of eps 0.1, 0.25 and 0.4, (r, q) equal the numpy
+    pass's."""
+    if _kernels.radius_pass is None:
+        pytest.skip(_kernels.load_error)
+    state = make_state(types, w=w)
+    prefix, R = state.plus_prefix(), max_region_radius(state.n)
+    for threshold in (0.0, *(math.exp(-(state.config.N**eps)) for eps in (0.1, 0.25, 0.4))):
+        bound = _minority_bound(threshold, R)
+        r, q = _radius_pass(prefix, bound)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "radius_pass", None)
+            r_ref, q_ref = _radius_pass(prefix, bound)
+        assert np.array_equal(r, r_ref) and np.array_equal(q, q_ref), threshold
+        # From row 1 on, an upper neighbor's dead level caps some center.
+        dead = dead_levels(prefix, bound)
+        up_dead = np.min([np.roll(dead, (1, s), axis=(0, 1)) for s in (1, 0, -1)], axis=0)
+        assert (up_dead[1:] < R).any(), threshold
+    if name == "staircase":  # some climb starts above the left neighbor's r - 1
+        up_r = np.max([np.roll(r, (1, s), axis=(0, 1)) for s in (1, 0, -1)], axis=0)
+        assert (up_r[1:, 1:] > r[1:, :-1]).any()
+
+
 REGION_KERNELS = ("radius_pass", "dilate", "prefix_table")
 
 
