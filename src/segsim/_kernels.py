@@ -53,12 +53,16 @@ each line by the map's maximum.  The radius pass reads the state's one
 prefix-table kernel builds, and reaches wrapping windows through the
 table's periodic extension.  They do integer arithmetic only.
 
-The passage-time kernel is a Dijkstra on the implicit 4-neighbour grid with
-a lazy binary heap, for percolation.fpp_min_passage_time, whose csgraph
-Dijkstra through a virtual source is the reference.  It returns the same
-float, not an approximation of it: a path's time is the left fold of its
-site weights, a rounded sum that never falls as the running time grows, so
-every correct Dijkstra settles each site at the same minimum (the proof is
+The passage-time kernel is a Dijkstra on the implicit 4-neighbour grid, for
+percolation.fpp_min_passage_time, whose csgraph Dijkstra through a virtual
+source is the reference.  It returns the same float, not an approximation
+of it: a path's time is the left fold of its site weights, a rounded sum
+that never falls as the running time grows, so every correct Dijkstra pops
+each site at the same minimum, and a site's first push already carries it.
+So each site is pushed once, into a bucket queue: buckets of width
+wmax / 1022 (wmax the largest finite weight) on a ring of 1024 lists, of
+which only the current bucket sits in a binary heap; when wmax is 0 or too
+small for a finite width, the heap alone orders the search (the proofs are
 in the C comment).  The breadth-first search on a slot array of
 4-neighbours (percolation._n4_neighbors) is a FIFO search that scans each
 node's slots in order and stops at the first target it discovers, so it
@@ -851,10 +855,10 @@ void segsim_prefix_table(const uint8_t *plus, int64_t n, int64_t *sat)
     }
 }
 
-/* A passage-time heap entry: a tentative time and its site. */
+/* A passage-time queue entry: a site's time and its flat index. */
 typedef struct {
     double d;
-    int32_t r, c;
+    int32_t v;
 } pt_entry;
 
 static inline void pt_push(pt_entry *heap, int64_t *len, pt_entry e)
@@ -883,85 +887,175 @@ static inline pt_entry pt_pop(pt_entry *heap, int64_t *len)
     return top;
 }
 
+/* The passage-time queue (the proofs are above segsim_passage_time): the
+   binary heap of bucket cur, and a ring of PT_RING singly linked lists, one
+   per later bucket, threaded through next[] with each site's time in key[].
+   PT_RING is a power of two, so bucket b's list is head[b mod PT_RING]. */
+enum { PT_RING = 1024 };
+
+typedef struct {
+    pt_entry *heap;
+    int64_t len, listed, cur;
+    double inv, *key;
+    int32_t *next, head[PT_RING];
+} pt_queue;
+
+/* Queue site v at time d (finite, >= 0): in the heap when its bucket is
+   cur, else at the head of its bucket's list. */
+static inline void pt_place(pt_queue *q, int32_t v, double d)
+{
+    const int64_t b = (int64_t)(d * q->inv);
+    if (b == q->cur) {
+        pt_push(q->heap, &q->len, (pt_entry){d, v});
+        return;
+    }
+    int32_t *slot = &q->head[b & (PT_RING - 1)];
+    q->key[v] = d;
+    q->next[v] = *slot;
+    *slot = v;
+    q->listed++;
+}
+
+/* Pop the least queued time into *e; when the heap is empty, first step cur
+   to the next bucket with a list and heap that list.  Returns 0 when
+   nothing is queued. */
+static inline int pt_take(pt_queue *q, pt_entry *e)
+{
+    if (q->len == 0) {
+        if (q->listed == 0)
+            return 0;
+        int32_t v;
+        do
+            q->cur++;
+        while ((v = q->head[q->cur & (PT_RING - 1)]) < 0);
+        q->head[q->cur & (PT_RING - 1)] = -1;
+        for (; v >= 0; v = q->next[v], q->listed--)
+            pt_push(q->heap, &q->len, (pt_entry){q->key[v], v});
+    }
+    *e = pt_pop(q->heap, &q->len);
+    return 1;
+}
+
 /* The minimum over 4-neighbour paths of the h x wd grid from a site of src
    (ns flat indices) to a site of tgt (nt flat indices) of the summed site
    weights w, both endpoints included, into *out (+inf when no target is
    reached).  w is non-negative or +inf, never NaN; the indices lie in the
-   grid, src and tgt are disjoint, and h, wd < 2^31 (the wrapper checks
-   all of these).  Returns -1 when the buffers cannot be allocated.
+   grid, src and tgt are disjoint, and h wd < 2^31 (the wrapper checks all
+   of these).  Returns -1 when the buffers cannot be allocated.
 
-   Dijkstra on the implicit grid with a lazy binary heap: a site may sit in
-   the heap several times, and only its first pop, at its smallest time,
-   settles it.  Each source is seeded at 0.0 + w[s], as a virtual source
-   joined to every source by an edge of weight w[s] would give it; a push
-   needs a strict decrease of the site's time, and every push after the
-   seeds comes from a settled neighbour, of which a site has at most 4, so
-   the heap never holds more than 4 h wd + ns entries.  The first settled
-   target ends the search: sites settle in non-decreasing time, so its time
-   is the minimum over the targets.
+   A Dijkstra on the implicit grid that pushes each site at most once.
+   Each source is seeded at 0.0 + w[s], as a virtual source joined to every
+   source by an edge of weight w[s] would give it.  When a site pops at time
+   c, each neighbour u not yet pushed is pushed at fl(c + w[u]).  A site
+   whose first time is +inf is marked and dropped: every later time for it
+   is +inf too, and a target reached only at +inf leaves *out at +inf, as
+   one never reached does.  The first popped target ends the search.
 
-   The result is exact, equal to the float of any other correct Dijkstra
-   over the same grid (csgraph's, in percolation.py): a path's time is the
-   left fold fl(...fl(w_s + w_1)... + w_t), and the rounded sum fl(a + x)
-   never falls as a grows and is >= a for x >= 0.  Extending a path can
-   therefore never lower its time, and a shorter prefix time never gives a
-   longer path a larger one, so each site settles at the minimum of that
-   fold over all paths to it, whatever the heap's tie order. */
+   Exact times.  A path's time is the left fold fl(...fl(w_s + w_1)... +
+   w_t), and the rounded sum fl(a + x) never falls as a grows and is >= a
+   for x >= 0.  Sites pop in non-decreasing time (next paragraph), so the
+   first neighbour of u to pop has the least time of u's neighbours, and
+   u's first push is the least time any neighbour could give it: a second
+   push could never lower it, and a seed 0.0 + w[s] is <= fl(c + w[s]) for
+   every c >= 0.  So each site pops at the minimum of the fold over all
+   paths to it, the float of any other correct Dijkstra over the same grid
+   (csgraph's, in percolation.py), whatever the queue's tie order; the
+   first popped target has the least time of the targets.
+
+   The global-minimum pop.  A time d falls in bucket b(d) = floor(fl(d
+   inv)), inv = fl((PT_RING - 2) / wmax) with wmax the largest finite
+   weight.  fl(d inv) never falls as d grows, so neither does b, and
+   b(x) < b(y) implies x < y.  cur is the bucket being popped: a push in
+   bucket cur goes into the heap, any other onto its bucket's list, and
+   when the heap is empty cur steps to the next bucket with a list, which
+   is moved into the heap.  A push is >= the time it came from, so it never
+   lands below cur; every time left on a list lies in a later bucket and is
+   larger than every time in the heap, whose minimum is therefore the least
+   queued time.
+
+   The ring bound: every queued b lies in [cur, cur + PT_RING), so no two
+   buckets share a list and the first list found after cur is the least
+   queued bucket.  A push d comes from a pop c with b(c) = cur, and
+   d <= fl(c + wmax).  With u = 2^-53, each rounding is within a factor
+   1 +- u plus 2^-1075 on underflow, so
+     fl(d inv) - fl(c inv) <= (c + wmax)(1 + u)^2 inv - c inv (1 - u) + 2^-1074
+                           <= (PT_RING - 2)(1 + u)^3 + 3.01 u c inv + 2^-1074.
+   c is at most the fold along a simple path, fewer than 2^31 weights of at
+   most wmax, so c <= 2^31 wmax (1 + u)^(2^31) and c inv < 2^41; then
+   3.01 u c inv < 0.001, fl(d inv) < fl(c inv) + PT_RING - 1 and
+   b(d) <= cur + PT_RING - 1.  The seeds lie in [0, wmax] = [0, fl(0 +
+   wmax)], so the bound holds from cur = 0 on.
+
+   Degenerate widths.  Every queued time is finite and below 2^42 / inv, so
+   fl(d inv) is finite, never NaN, and its int64 cast is its floor.  When
+   wmax is 0, or so small (subnormal, say) that inv would be +inf, inv is
+   0.0 instead: every b is 0 = cur, and the heap alone orders the search. */
 int64_t segsim_passage_time(const double *w, int64_t h, int64_t wd, const int64_t *src,
                             int64_t ns, const int64_t *tgt, int64_t nt, double *out)
 {
-    enum { TARGET = 1, SETTLED = 2 };
-    static const int32_t dr[4] = {0, 0, 1, -1}, dc[4] = {1, -1, 0, 0};
+    enum { TARGET = 1, PUSHED = 2, NO_E = 4, NO_W = 8, NO_S = 16, NO_N = 32 };
     const int64_t size = h * wd;
-    double *dist = malloc((size_t)size * sizeof *dist);
-    uint8_t *flag = calloc((size_t)size, sizeof *flag);
-    pt_entry *heap = malloc((size_t)(4 * size + ns) * sizeof *heap);
-    if (dist == NULL || flag == NULL || heap == NULL) {
-        free(dist);
+    pt_queue q = {.heap = malloc((size_t)(size + 1) * sizeof *q.heap),
+                  .key = malloc((size_t)(size + 1) * sizeof *q.key),
+                  .next = malloc((size_t)(size + 1) * sizeof *q.next)};
+    uint8_t *flag = calloc((size_t)(size + 1), sizeof *flag);
+    if (q.heap == NULL || q.key == NULL || q.next == NULL || flag == NULL) {
+        free(q.heap);
+        free(q.key);
+        free(q.next);
         free(flag);
-        free(heap);
         return -1;
     }
-    for (int64_t v = 0; v < size; v++)
-        dist[v] = INFINITY;
+    for (int i = 0; i < PT_RING; i++)
+        q.head[i] = -1;
+    for (int64_t r = 0; r < h; r++) {
+        flag[r * wd] |= NO_W;
+        flag[r * wd + wd - 1] |= NO_E;
+    }
+    for (int64_t c = 0; c < wd; c++) {
+        flag[c] |= NO_N;
+        flag[size - wd + c] |= NO_S;
+    }
     for (int64_t i = 0; i < nt; i++)
-        flag[tgt[i]] = TARGET;
-    int64_t len = 0;
+        flag[tgt[i]] |= TARGET;
+    double wmax = 0.0;
+    for (int64_t v = 0; v < size; v++)
+        wmax = w[v] > wmax && w[v] < INFINITY ? w[v] : wmax;
+    q.inv = (PT_RING - 2) / wmax;
+    if (!(q.inv < INFINITY))
+        q.inv = 0.0;
     for (int64_t i = 0; i < ns; i++) {
         const int64_t s = src[i];
         const double d = 0.0 + w[s];
-        if (d < dist[s]) {
-            dist[s] = d;
-            pt_push(heap, &len, (pt_entry){d, (int32_t)(s / wd), (int32_t)(s % wd)});
-        }
+        if (!(flag[s] & PUSHED) && d < INFINITY)
+            pt_place(&q, (int32_t)s, d);
+        flag[s] |= PUSHED;
     }
+    const int32_t step[4] = {1, -1, (int32_t)wd, -(int32_t)wd};
+    const uint8_t edge[4] = {NO_E, NO_W, NO_S, NO_N};
     double best = INFINITY;
-    while (len > 0) {
-        const pt_entry e = pt_pop(heap, &len);
-        const int64_t v = (int64_t)e.r * wd + e.c;
-        if (flag[v] & SETTLED)
-            continue;
-        if (flag[v] & TARGET) {
+    pt_entry e;
+    while (pt_take(&q, &e)) {
+        const uint8_t f = flag[e.v];
+        if (f & TARGET) {
             best = e.d;
             break;
         }
-        flag[v] |= SETTLED;
         for (int k = 0; k < 4; k++) {
-            const int32_t r = e.r + dr[k], c = e.c + dc[k];
-            if (r < 0 || r >= h || c < 0 || c >= wd)
+            const int32_t u = e.v + step[k];
+            if ((f & edge[k]) || (flag[u] & PUSHED))
                 continue;
-            const int64_t u = (int64_t)r * wd + c;
+            flag[u] |= PUSHED;
             const double d = e.d + w[u];
-            if (d < dist[u]) {
-                dist[u] = d;
-                pt_push(heap, &len, (pt_entry){d, r, c});
-            }
+            if (d < INFINITY)
+                pt_place(&q, u, d);
         }
     }
     *out = best;
-    free(dist);
+    free(q.heap);
+    free(q.key);
+    free(q.next);
     free(flag);
-    free(heap);
     return 0;
 }
 
@@ -1230,8 +1324,8 @@ def _wrap_passage_time(fn):
         h, wd = weights.shape
         if weights.dtype != np.float64:
             raise ValueError("the weights must be float64")
-        if max(h, wd) >= 2**31:
-            raise ValueError("lattice sides must be below 2^31")
+        if h * wd >= 2**31:
+            raise ValueError("the lattice must hold fewer than 2^31 cells")
         src = np.ascontiguousarray(sources, dtype=np.int64)
         tgt = np.ascontiguousarray(targets, dtype=np.int64)
         for idx in (src, tgt):
@@ -1239,7 +1333,7 @@ def _wrap_passage_time(fn):
                 raise ValueError("flat indices must lie in the lattice")
         out = np.empty(1, dtype=np.float64)
         if fn(np.ascontiguousarray(weights), h, wd, src, src.size, tgt, tgt.size, out) != 0:
-            raise MemoryError("heap for the passage time")
+            raise MemoryError("queue for the passage time")
         return float(out[0])
 
     return passage_time

@@ -76,16 +76,19 @@ _N4 = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
 def _n4_neighbors(mask: np.ndarray) -> np.ndarray:
     """(h, w, 4) int32 array: slot k of a cell holds the flat index of its
-    neighbor in direction _N4[k] when both cells are open, else -1."""
+    neighbor in direction _N4[k] when both cells are open, else -1.
+
+    Slot k of every cell is a shifted slice of one id grid padded by -1,
+    holding each open cell's flat index and -1 elsewhere; the closed cells'
+    slots are then cleared."""
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    ids = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    nbr = np.full((h, w, 4), -1, dtype=np.int32)
+    ids = np.full((h + 2, w + 2), -1, dtype=np.int32)
+    ids[1:-1, 1:-1] = np.where(mask, np.arange(h * w, dtype=np.int32).reshape(h, w), -1)
+    nbr = np.empty((h, w, 4), dtype=np.int32)
     for k, (dr, dc) in enumerate(_N4):
-        r0, r1 = max(0, -dr), min(h, h - dr)
-        c0, c1 = max(0, -dc), min(w, w - dc)
-        dst = (slice(r0 + dr, r1 + dr), slice(c0 + dc, c1 + dc))
-        nbr[r0:r1, c0:c1, k] = np.where(mask[r0:r1, c0:c1] & mask[dst], ids[dst], -1)
+        nbr[:, :, k] = ids[1 + dr : h + 1 + dr, 1 + dc : w + 1 + dc]
+    nbr.reshape(-1, 4)[np.flatnonzero(~mask)] = -1
     return nbr
 
 
@@ -208,39 +211,35 @@ def cluster_radii(lattice: SiteLattice, origins: Optional[Sequence[tuple[int, in
     the l1 distance is max(|s - s_o|, |d - d_o|), so the radius from o is the
     largest of max(s) - s_o, s_o - min(s), max(d) - d_o and d_o - min(d) over
     o's cluster: four per-label extremes replace a scan of every cluster.
+    The radius of every cell is taken at once and the origins read it.
     Raises ValueError for an origin outside the lattice.
     """
     mask = lattice.open
     h, w = mask.shape
-    if origins is None:
-        origin_flat = np.arange(h * w)
-    else:
+    if origins is not None:
         o = np.array(origins, dtype=np.int64).reshape(-1, 2)
         if not ((o >= 0) & (o < (h, w))).all():
             raise ValueError("origins must lie in the lattice")
-        origin_flat = o[:, 0] * w + o[:, 1]
     lab_flat = label_grid_components(mask, adjacency=4, torus=False).ravel()
     cells = np.nonzero(lab_flat >= 0)[0]
     rr, cc = np.divmod(cells, w)
-    # A label is its cluster's first cell, so the roots come sorted and a
-    # binary search gives each cell its cluster's dense index.
+    # A label is its cluster's root cell; a table from each root to a dense
+    # index gives every cell its cluster's.
     lab = lab_flat[cells]
     roots = cells[lab == cells]
-    comp = np.searchsorted(roots, lab)
-    radii = np.full(origin_flat.size, -1, dtype=np.int64)
-    o_lab = lab_flat[origin_flat]
-    keep = o_lab >= 0
-    o_comp = np.searchsorted(roots, o_lab[keep])
-    orr, occ = np.divmod(origin_flat[keep], w)
-    best = np.zeros(o_comp.size, dtype=np.int64)
-    for v, vo in ((rr + cc, orr + occ), (rr - cc, orr - occ)):
+    dense = np.empty(h * w, dtype=np.intp)
+    dense[roots] = np.arange(roots.size)
+    comp = dense[lab]
+    best = np.zeros(cells.size, dtype=np.int64)
+    for v in (rr + cc, rr - cc):
         hi = np.full(roots.size, np.iinfo(np.int64).min)
         lo = np.full(roots.size, np.iinfo(np.int64).max)
         np.maximum.at(hi, comp, v)
         np.minimum.at(lo, comp, v)
-        best = np.maximum(best, np.maximum(hi[o_comp] - vo, vo - lo[o_comp]))
-    radii[keep] = best
-    return radii
+        best = np.maximum(best, np.maximum(hi[comp] - v, v - lo[comp]))
+    radii = np.full(h * w, -1, dtype=np.int64)
+    radii[cells] = best
+    return radii if origins is None else radii[o[:, 0] * w + o[:, 1]]
 
 
 def cluster_radius_tail(

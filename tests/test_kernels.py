@@ -303,7 +303,9 @@ def test_passage_time_wrapper_raises_memory_error_when_c_cannot_allocate():
 # 2w+1; the prefix table on the same edge tori; the dilation on edge maps
 # from n = 1 to 31 (all-zero, all-(n-1)/2, a peak on the wrap corner,
 # isolated peaks, random values); the passage time on 1 x n
-# and n x 1 strips and on lattices where every site but one is a source; the
+# and n x 1 strips, on lattices where every site but one is a source, on the
+# bucket queue's edge weights (test_percolation.adversarial_weights, imported
+# from the tests directory) and on the benchmark's 121 x 401 strip; the
 # same-type counts at every w on the edge tori; the breadth-first search on
 # 1 x 1, 1 x n and n x 1 lattices with cut slots.
 SANITIZED_RUN = r"""
@@ -317,6 +319,7 @@ from segsim import (GridConfig, _kernels, dynamics, grid, new_random, percolatio
                     state_from_types)
 from segsim.dynamics import RunLimits, run_to_termination
 from segsim.rng import STREAM_DYNAMICS, generator
+from test_percolation import adversarial_weights, corridor_ends
 
 _kernels._library_path = lambda: sys.argv[1]
 _kernels._resolve()
@@ -397,6 +400,15 @@ for n in (1, 2, 3, 5, 8, 31):
         _kernels.dilate = None
         assert np.array_equal(kernels[1](v), regions._dilate(v)), n
 
+# The compiled and the csgraph passage time of call().
+def passage_times(call):
+    times = []
+    for kernel in (passage_time, None):
+        _kernels.passage_time = kernel
+        times.append(call())
+    return times
+
+
 rng = np.random.default_rng(3)
 for dims in ((1, 2), (2, 1), (1, 17), (17, 1), (5, 7), (33, 20)):
     size = dims[0] * dims[1]
@@ -408,11 +420,27 @@ for dims in ((1, 2), (2, 1), (1, 17), (17, 1), (5, 7), (33, 20)):
         cells = [divmod(int(v), dims[1]) for v in rng.permutation(size)]
         ns = size - 1 if trial == 1 else int(rng.integers(1, size // 2 + 1))
         nt = int(rng.integers(1, size - ns + 1))
-        times = []
-        for kernel in (passage_time, None):
-            _kernels.passage_time = kernel
-            times.append(percolation.fpp_min_passage_time(wl, cells[:ns], cells[ns:ns + nt]))
+        times = passage_times(
+            lambda: percolation.fpp_min_passage_time(wl, cells[:ns], cells[ns:ns + nt]))
         assert times[0] == times[1], (dims, trial, times)
+
+# The bucket queue's edge weights (test_percolation.adversarial_weights) and
+# the benchmark's 121 x 401 strip for keys 0..9.
+edge_rng = np.random.default_rng(4)
+for dims in ((1, 17), (17, 1), (9, 31)):
+    for name, weights in adversarial_weights(dims, edge_rng).items():
+        wl = percolation.WeightLattice(weights, name, 1.0)
+        ends = [corridor_ends(dims)]
+        for _ in range(3):
+            cells = [divmod(int(v), dims[1]) for v in edge_rng.permutation(dims[0] * dims[1])]
+            ends.append((cells[:2], cells[2:4]))
+        for sources, targets in ends:
+            times = passage_times(lambda: percolation.fpp_min_passage_time(wl, sources, targets))
+            assert times[0] == times[1] and np.signbit(times[0]) == np.signbit(times[1]), (
+                dims, name, times)
+for key in range(10):
+    times = passage_times(lambda: percolation.fpp_time_to_distance(400, 60, 1.0, 3, key=(key,)))
+    assert times[0] == times[1], (key, times)
 
 for dims in ((1, 1), (1, 2), (1, 17), (17, 1), (9, 12)):
     size = dims[0] * dims[1]
@@ -440,14 +468,17 @@ def test_sanitizer_build_runs_clean(tmp_path):
         pytest.skip("gcc has no libasan.so")
     lib = tmp_path / "kernels-sanitized.so"
     proc = subprocess.run(
-        [gcc, "-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+        [gcc, "-O1", "-g", "-fsanitize=address,undefined,float-cast-overflow",
+         "-fno-sanitize-recover=all",
          "-shared", "-fPIC", "-x", "c", "-", "-o", str(lib)],
         input=_kernels.C_SOURCE, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     src_dir = str(Path(segsim.__file__).resolve().parent.parent)
+    tests_dir = str(Path(__file__).resolve().parent)
     env = {**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, tests_dir,
+                                                       os.environ.get("PYTHONPATH")]))}
     probe = subprocess.run([sys.executable, "-c", "pass"], env=env, capture_output=True, text=True)
     if probe.returncode != 0:
         pytest.skip(f"the AddressSanitizer runtime does not start here: {probe.stderr[:300]}")

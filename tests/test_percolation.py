@@ -236,6 +236,25 @@ class TestAgainstLoopOraclesReference(TestAgainstLoopOracles):
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 13), (21, 21)])
+def test_n4_slots_equal_a_per_cell_loop(dims):
+    """Each slot holds the open neighbour's flat index in _N4 order, or -1
+    off the lattice or when either cell is closed, as int32."""
+    h, w = dims
+    rng = generator(dims[0] * 100 + dims[1], 6)
+    for p in (0.0, 0.3, 0.8, 1.0):
+        mask = rng.random(dims) < p
+        want = np.full((h, w, 4), -1, dtype=np.int32)
+        for r, c in itertools.product(range(h), range(w)):
+            for k, (dr, dc) in enumerate(_N4):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w and mask[r, c] and mask[rr, cc]:
+                    want[r, c, k] = rr * w + cc
+        got = percolation._n4_neighbors(mask)
+        assert got.dtype == np.int32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), p
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 13), (21, 21)])
 def test_compiled_bfs_equals_csgraph(dims, monkeypatch):
     """The C search returns csgraph's tree path on random masks with slots
     cut one way, to one target or several, from a source that is itself a
@@ -449,27 +468,80 @@ class TestFPPReference(TestFPP):
         monkeypatch.setattr(_kernels, "passage_time", None)
 
 
+def corridor_ends(dims):
+    """Both ends of the middle row, or of the column of a 1-wide lattice."""
+    h, w = dims
+    if w == 1:
+        return [(0, 0)], [(h - 1, 0)]
+    return [(h // 2, 0)], [(h // 2, w - 1)]
+
+
+def adversarial_weights(dims, rng):
+    """Weight grids at the edges of the compiled kernel's bucket queue
+    (segsim_passage_time): a largest finite weight wmax of 0, subnormal or
+    barely above the heap-alone threshold, -0.0, sums that overflow to +inf,
+    and a corridor of wmax weights whose pushes land at the far end of the
+    bucket ring."""
+    tiny, pick = 5e-324, rng.random(dims)
+    corridor = rng.exponential(1e-3, dims)
+    ((r0, c0),), ((r1, c1),) = corridor_ends(dims)
+    corridor[r0 : r1 + 1, c0 : c1 + 1] = 0.1
+    return {
+        "all zero": np.zeros(dims),
+        "all equal": np.full(dims, 0.1),
+        "subnormal and 1e308": np.where(pick < 0.5, tiny, 1e308),
+        "max float and ones": np.where(pick < 0.3, np.finfo(np.float64).max, 1.0),
+        "negative zero": np.where(pick < 0.5, -0.0, rng.exponential(1.0, dims)),
+        "subnormal largest": tiny * rng.integers(0, 4, dims),
+        "inv barely finite": np.where(pick < 0.3, 0.0, 6e-306),
+        "corridor of wmax": corridor,
+    }
+
+
+def assert_same_passage_time(wl, sources, targets, monkeypatch):
+    got = fpp_min_passage_time(wl, sources, targets)
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "passage_time", None)
+        want = fpp_min_passage_time(wl, sources, targets)
+    assert got == want and np.signbit(got) == np.signbit(want), (got, want)
+
+
 @pytest.mark.parametrize("dims", [(1, 23), (23, 1), (9, 31), (31, 9), (40, 40)])
 def test_compiled_passage_time_equals_csgraph(dims, monkeypatch):
     """The C kernel returns csgraph's float, compared with ==, on lattices
-    with zero and inf weights and several sources and targets."""
+    with zero and inf weights and several sources and targets, and on the
+    adversarial weights above."""
     if _kernels.passage_time is None:
         pytest.skip(_kernels.load_error)
     rng = generator(dims[0] * 100 + dims[1], 3)
+
+    def random_ends():
+        cells = rng.permutation(dims[0] * dims[1])
+        ns, nt = (int(x) for x in rng.integers(1, 4, 2))
+        return ([divmod(int(v), dims[1]) for v in cells[:ns]],
+                [divmod(int(v), dims[1]) for v in cells[ns : ns + nt]])
+
     for _ in range(10):
         weights = rng.exponential(1.0, dims)
         weights[rng.random(dims) < 0.15] = 0.0
         weights[rng.random(dims) < 0.2] = np.inf
         wl = WeightLattice(weights, "exponential", 1.0)
-        cells = rng.permutation(dims[0] * dims[1])
-        ns, nt = (int(x) for x in rng.integers(1, 4, 2))
-        sources = [divmod(int(v), dims[1]) for v in cells[:ns]]
-        targets = [divmod(int(v), dims[1]) for v in cells[ns : ns + nt]]
-        got = fpp_min_passage_time(wl, sources, targets)
-        with monkeypatch.context() as m:
-            m.setattr(_kernels, "passage_time", None)
-            want = fpp_min_passage_time(wl, sources, targets)
-        assert got == want
+        assert_same_passage_time(wl, *random_ends(), monkeypatch)
+    for name, weights in adversarial_weights(dims, rng).items():
+        wl = WeightLattice(weights, name, 1.0)
+        for sources, targets in [corridor_ends(dims)] + [random_ends() for _ in range(3)]:
+            assert_same_passage_time(wl, sources, targets, monkeypatch)
+
+
+@pytest.mark.parametrize("key", range(10))
+def test_compiled_strip_passage_time_equals_csgraph(key, monkeypatch):
+    """fpp_time_to_distance on the benchmark's 121 x 401 strip gives
+    csgraph's float."""
+    if _kernels.passage_time is None:
+        pytest.skip(_kernels.load_error)
+    got = fpp_time_to_distance(400, 60, 1.0, 3, key=(key,))
+    monkeypatch.setattr(_kernels, "passage_time", None)
+    assert got == fpp_time_to_distance(400, 60, 1.0, 3, key=(key,))
 
 
 # -- cluster radii --------------------------------------------------------------
