@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .grid import GridState, _flip_cell, torus_window_ix
+from .grid import GridState, _flip_cell, check_window_fits, torus_window_ix
 from .rng import RNG_ID, RUN_CHUNK
 
 
@@ -348,8 +348,7 @@ def cascade_closure(
     n, w = cfg.n, cfg.w
     if target_type not in (-1, 1):
         raise ValueError("target_type must be +1 or -1")
-    if radius < 0 or 2 * radius + 1 > n:
-        raise ValueError(f"window of radius {radius} does not fit in an n={n} grid")
+    check_window_fits(n, radius)
     if max_flips is None:
         max_flips = (w + 1) ** 2
 

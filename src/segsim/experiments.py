@@ -409,16 +409,17 @@ def fig2_trend_test(
     N/2 - K >= sqrt(N). Closer to 1/2 the dynamics coarsen like the
     tau = 1/2 quench and the means can invert.
 
-    Needs at least three taus.  Its runs are the sweep's: the cells of
+    Needs at least three taus and sample_size >= 1: with no sample a run's
+    mean_M is None.  Its runs are the sweep's: the cells of
     SweepSpec(tau_grid=taus, w_grid=[w], n_grid=[n], p_grid=[0.5]), run
     serially, give the per-run mean_M whose per-tau means decreasing_trend
     tests.
     """
-    _require_positive(replicates=replicates)
-    if len(taus) < 3:
-        raise ConfigError(f"the trend test needs at least three taus, got {len(taus)}")
     # Checked first, so a bad sample_size or eps gets the run's message, not the spec's.
     RegionMeasure(sample_size=sample_size, eps=eps)
+    _require_positive(replicates=replicates, sample_size=sample_size)
+    if len(taus) < 3:
+        raise ConfigError(f"the trend test needs at least three taus, got {len(taus)}")
     spec = SweepSpec(tau_grid=list(taus), w_grid=[w], n_grid=[n], p_grid=[0.5], replicates=replicates,
                      base_seed=base_seed, sample_size=sample_size, eps=eps)
     mean_M = [row["mean_M"] for _, _, row, _, _ in sweep_results(spec)]

@@ -145,6 +145,12 @@ class FlipEvent:
     continuous_time: float
 
 
+def check_window_fits(n: int, radius: int) -> None:
+    """ValueError unless the (2*radius+1)^2 window fits on the n-torus without overlapping itself."""
+    if radius < 0 or 2 * radius + 1 > n:
+        raise ValueError(f"window of radius {radius} does not fit in an n={n} grid")
+
+
 def torus_window_ix(n: int, r: int, c: int, radius: int):
     """np.ix_ index pair for the (2*radius+1)^2 window centered at (r, c)."""
     rows = (np.arange(r - radius, r + radius + 1)) % n

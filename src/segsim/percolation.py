@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order as _breadth_first_order
 from scipy.sparse.csgraph import dijkstra as _dijkstra
@@ -220,16 +219,11 @@ def cluster_radii(lattice: SiteLattice, origins: Optional[Sequence[tuple[int, in
         o = np.array(origins, dtype=np.int64).reshape(-1, 2)
         if not ((o >= 0) & (o < (h, w))).all():
             raise ValueError("origins must lie in the lattice")
-    lab_flat = label_grid_components(mask, adjacency=4, torus=False).ravel()
-    cells = np.nonzero(lab_flat >= 0)[0]
+    labels, roots = label_grid_components(mask, adjacency=4, torus=False)
+    cells = np.flatnonzero(labels >= 0)
     rr, cc = np.divmod(cells, w)
-    # A label is its cluster's root cell; a table from each root to a dense
-    # index gives every cell its cluster's.
-    lab = lab_flat[cells]
-    roots = cells[lab == cells]
-    dense = np.empty(h * w, dtype=np.intp)
-    dense[roots] = np.arange(roots.size)
-    comp = dense[lab]
+    # The labels are dense cluster indices, so they index the extremes.
+    comp = labels.ravel()[cells]
     best = np.zeros(cells.size, dtype=np.int64)
     for v in (rr + cc, rr - cc):
         hi = np.full(roots.size, np.iinfo(np.int64).min)
@@ -287,7 +281,8 @@ def _annulus_frame(mask: np.ndarray, center: tuple[int, int], r_in: int, r_out: 
     """(open, linf, blob) on the (2 r_out + 1)^2 window around center: the
     window's cells, their linf distance to the center, and the dual blob,
     the inner square {linf <= r_in} joined with every closed annulus cell
-    8-connected to it through closed annulus cells (one ndimage labeling).
+    8-connected to it through closed annulus cells (one bounded 8-adjacency
+    labeling).
 
     A closed 8-connected path inside the annulus from the inner region to
     the outermost layer, the dual obstruction to an open 4-circuit
@@ -300,8 +295,8 @@ def _annulus_frame(mask: np.ndarray, center: tuple[int, int], r_in: int, r_out: 
     local = np.asarray(mask[cr - r_out : cr + r_out + 1, cc - r_out : cc + r_out + 1], dtype=bool)
     d = np.abs(np.arange(-r_out, r_out + 1))
     linf = np.maximum(d[:, None], d[None, :])
-    lab, _ = ndimage.label((linf <= r_in) | ~local, structure=np.ones((3, 3), dtype=bool))
-    return local, linf, lab == lab[r_out, r_out]
+    labels, _ = label_grid_components((linf <= r_in) | ~local, adjacency=8, torus=False)
+    return local, linf, labels == labels[r_out, r_out]
 
 
 def surrounding_circuit_exists(lattice: SiteLattice, center: tuple[int, int], r_inner: int, r_outer: int) -> bool:

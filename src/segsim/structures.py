@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import CascadeResult, cascade_closure
-from .grid import GridConfig, GridState, TorusPrefix, round_radius, torus_window_ix
+from .grid import GridConfig, GridState, TorusPrefix, check_window_fits, round_radius, torus_window_ix
 from .percolation import _bfs_path, _n4_neighbors, cycle_winds_around, surrounding_cycle
 from .theory import f_tau, radical_threshold_count, tau_hat
 from .unionfind import label_grid_components
@@ -95,17 +95,12 @@ class UnhappyVerdict:
         return self.is_unhappy_region
 
 
-def _check_window_fits(n: int, radius: int) -> None:
-    if 2 * radius + 1 > n:
-        raise ValueError(f"window of radius {radius} does not fit in an n={n} grid")
-
-
 def is_radical_region(state: GridState, spec: RadicalSpec) -> RadicalVerdict:
     """Strictly fewer than threshold_count minority (-1) agents in the widened
     neighborhood; exact integer comparison via prefix sums."""
     cfg = state.config
     radius = spec.radius(cfg.w)
-    _check_window_fits(cfg.n, radius)
+    check_window_fits(cfg.n, radius)
     area = (2 * radius + 1) ** 2
     plus = int(state.plus_prefix().window(spec.center[0], spec.center[1], radius))
     minus = area - plus
@@ -126,7 +121,7 @@ def is_unhappy_region(state: GridState, spec: RadicalSpec) -> UnhappyVerdict:
     vacuously satisfied and flagged degenerate."""
     cfg = state.config
     radius = spec.unhappy_radius(cfg.w)
-    _check_window_fits(cfg.n, radius)
+    check_window_fits(cfg.n, radius)
     bound = spec.unhappy_bound(cfg)
     ix = torus_window_ix(cfg.n, spec.center[0] % cfg.n, spec.center[1] % cfg.n, radius)
     count = int(
@@ -263,7 +258,7 @@ def is_region_of_expansion(
     h = (w + 1) // 2
     if radius < h:
         raise ValueError(f"region radius {radius} smaller than a block radius {h}")
-    _check_window_fits(n, radius)
+    check_window_fits(n, radius)
     if n < 2 * w + 2 * h + 2:
         # A rim agent's window could wrap around and hit the block twice.
         raise ValueError(f"grid n={n} too small for single-piece window/block overlaps")
@@ -441,15 +436,14 @@ def bad_cluster_radii(blocks: BlockLattice) -> list[int]:
     """Radii of 8-connected bad-block clusters: for each cluster, the max
     torus l1 distance from its row-major-first block.  Ordered by that root."""
     d = blocks.dims
-    lab_flat = label_grid_components(~blocks.labels, adjacency=8, torus=True).ravel()
-    cells = np.nonzero(lab_flat >= 0)[0]
-    # A label is its cluster's first cell, so the roots come sorted and a
-    # binary search gives each cell its cluster's dense index.
-    lab = lab_flat[cells]
-    roots = cells[lab == cells]
-    dr = np.abs(cells // d - lab // d)
-    dc = np.abs(cells % d - lab % d)
+    labels, roots = label_grid_components(~blocks.labels, adjacency=8, torus=True)
+    cells = np.flatnonzero(labels >= 0)
+    # The labels are dense cluster indices; roots names each cell's root.
+    comp = labels.ravel()[cells]
+    root = roots[comp]
+    dr = np.abs(cells // d - root // d)
+    dc = np.abs(cells % d - root % d)
     l1 = np.minimum(dr, d - dr) + np.minimum(dc, d - dc)
     radii = np.zeros(roots.size, dtype=np.int64)
-    np.maximum.at(radii, np.searchsorted(roots, lab), l1)
+    np.maximum.at(radii, comp, l1)
     return radii.tolist()

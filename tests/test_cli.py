@@ -498,6 +498,13 @@ class TestStatsCommand:
         assert doc["statistics"]["spearman_rho"] is None
         assert doc["statistics"]["p_value"] == 1.0
 
+    def test_fig2_trend_without_samples_exits_2(self, capsys):
+        assert run_cli("stats", "--test", "fig2-trend", "--n", "16", "--w", "1", "--sample-size", "0",
+                       "--taus", "0.3,0.35,0.4", "--replicates", "1") == 2
+        out, err = capsys.readouterr()
+        assert "sample_size must be >= 1, got 0" in err
+        assert out == ""
+
     def test_missing_n_for_prop1(self):
         assert run_cli("stats", "--test", "prop1") == 2
 

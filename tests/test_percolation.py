@@ -20,7 +20,6 @@ from segsim.percolation import (
 )
 from segsim.percolation import _N4, _wall_follow_cycle
 from segsim.rng import generator
-from segsim.unionfind import label_grid_components
 
 
 def lattice_from(mask, p=0.5):
@@ -57,8 +56,10 @@ def oracle_chemical_distance(mask, a, b):
 
 def oracle_cluster_radii(mask, origins=None):
     """Per origin, the max l1 distance over its cluster's cells; -1 if closed."""
+    from test_unionfind import oracle_labels
+
     h, w = mask.shape
-    labels = label_grid_components(mask, adjacency=4, torus=False)
+    labels = oracle_labels(mask, adjacency=4, torus=False)
     if origins is None:
         origin_flat = np.arange(h * w)
     else:
